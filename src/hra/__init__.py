@@ -67,6 +67,7 @@ from .rtopsis import (
     closeness,
     equal_weights,
     ideal_solutions,
+    mean_ranks,
     normalize,
     rtopsis,
     scores_to_ranks,

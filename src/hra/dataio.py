@@ -10,11 +10,14 @@ with 17 significant digits so a save/load round trip is exact.
 
 from __future__ import annotations
 
+import array
 import csv
+import io
 import math
-from dataclasses import dataclass
+from collections.abc import ItemsView, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -36,6 +39,7 @@ if TYPE_CHECKING:
 
 LONG_CSV_HEADER = ("dimension", "measure", "function", "algorithm", "value")
 STAT_MEASURES = ("best", "worst", "median", "mean", "std")
+AXIS_NAMES = ("dimensions", "measures", "algorithms", "functions")
 
 Cell = tuple  # (dimension, measure, algorithm, function)
 
@@ -74,98 +78,223 @@ def compute_statistics(runs: Sequence[float],
                          mean=float(runs.mean()), std=std)
 
 
-def _check_statistic_ordering(values: Mapping[Cell, float],
-                              dimensions, measures, algorithms, functions):
-    """best <= median <= worst, best <= mean <= worst, std >= 0 per cell group."""
-    have = set(measures)
-    for d in dimensions:
-        for a in algorithms:
-            for f in functions:
-                def get(p):
-                    return values.get((d, p, a, f))
-
-                best, worst = get("best"), get("worst")
-                for p in ("median", "mean"):
-                    mid = get(p)
-                    if None not in (best, mid, worst) and not (best <= mid <= worst):
-                        raise InconsistentStatistics(
-                            f"({d}, {a}, {f}): {p}={mid} outside "
-                            f"[best={best}, worst={worst}]")
-                if "std" in have:
-                    std = get("std")
-                    if std is not None and std < 0.0:
-                        raise InconsistentStatistics(
-                            f"({d}, {a}, {f}): std={std} is negative")
+def _axis_index(axes) -> tuple[dict, ...]:
+    """label -> position for each axis; every axis non-empty and unique."""
+    for name, axis in zip(AXIS_NAMES, axes):
+        if len(axis) == 0:
+            raise EmptyMatrix(f"dataset has no {name}")
+        if len(set(axis)) != len(axis):
+            raise ShapeMismatch(f"duplicate entries in {name}: {axis}")
+    return tuple({label: i for i, label in enumerate(axis)} for axis in axes)
 
 
-@dataclass(frozen=True)
+def _check_statistic_ordering(dataset: "PerformanceDataset") -> None:
+    """best <= median <= worst, best <= mean <= worst, std >= 0 per cell group.
+
+    A check that involves a missing cell or measure is skipped. The first
+    violation in (dimension, algorithm, function) order is reported, the
+    median before the mean before the std of one group.
+    """
+    index = dataset._index[1]
+    shape = dataset.array[:, 0].shape
+
+    def plane(p):
+        return dataset.array[:, index[p]] if p in index \
+            else np.full(shape, np.nan)
+
+    best, worst = plane("best"), plane("worst")
+    checked = ("median", "mean", "std")
+    bad = []
+    for p in checked[:2]:
+        mid = plane(p)
+        present = ~(np.isnan(best) | np.isnan(mid) | np.isnan(worst))
+        bad.append(present & ~((best <= mid) & (mid <= worst)))
+    bad.append(plane("std") < 0.0)
+    bad = np.stack(bad, axis=-1)
+    if not bad.any():
+        return
+    i, a, f, c = np.unravel_index(np.argmax(bad), bad.shape)
+    group = (f"({dataset.dimensions[i]}, {dataset.algorithms[a]}, "
+             f"{dataset.functions[f]})")
+    value = float(plane(checked[c])[i, a, f])
+    if checked[c] == "std":
+        raise InconsistentStatistics(f"{group}: std={value} is negative")
+    raise InconsistentStatistics(
+        f"{group}: {checked[c]}={value} outside "
+        f"[best={float(best[i, a, f])}, worst={float(worst[i, a, f])}]")
+
+
+class CellValues(Mapping):
+    """Read-only view of a dataset's present cells.
+
+    Maps (dimension, measure, algorithm, function) to a float; iterates in
+    axis order and skips missing cells.
+    """
+
+    __slots__ = ("_dataset",)
+
+    def __init__(self, dataset: "PerformanceDataset"):
+        self._dataset = dataset
+
+    def __getitem__(self, key) -> float:
+        dataset = self._dataset
+        try:
+            value = float(dataset.array[dataset._position(key)])
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(key) from None
+        if math.isnan(value):
+            raise KeyError(key)
+        return value
+
+    def __iter__(self):
+        return iter(self._dataset._cells(~np.isnan(self._dataset.array)))
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(~np.isnan(self._dataset.array)))
+
+    def items(self) -> ItemsView:
+        return _CellItems(self)
+
+
+class _CellItems(ItemsView):
+    def __iter__(self):
+        cube = self._mapping._dataset.array
+        present = ~np.isnan(cube)
+        return zip(self._mapping._dataset._cells(present),
+                   cube[present].tolist())
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class PerformanceDataset:
-    """Raw values indexed by (dimension, measure, algorithm, function).
+    """Raw values over (dimension, measure, algorithm, function) axes.
 
-    Axis tuples fix the presentation order everywhere downstream. A dataset
-    may be partial (missing cells); the aggregation entry point rejects
-    partial data rather than imputing.
+    The values live in one read-only float64 array of shape (k, l, m, n),
+    indexed in the order of the four label tuples; NaN marks a missing
+    cell, so present values are always finite. Axis tuples fix the
+    presentation order everywhere downstream. A dataset may be partial;
+    the aggregation entry point rejects partial data rather than imputing.
+    `values` is the same data as a read-only mapping keyed by cell.
     """
 
     algorithms: tuple[str, ...]
     functions: tuple[str, ...]
     dimensions: tuple
     measures: tuple[str, ...]
-    values: Mapping[Cell, float]
+    array: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        object.__setattr__(self, "functions", tuple(self.functions))
-        object.__setattr__(self, "dimensions", tuple(self.dimensions))
-        object.__setattr__(self, "measures", tuple(self.measures))
-        object.__setattr__(self, "values", dict(self.values))
-        for axis_name, axis in (("algorithms", self.algorithms),
-                                ("functions", self.functions),
-                                ("dimensions", self.dimensions),
-                                ("measures", self.measures)):
-            if len(axis) == 0:
-                raise EmptyMatrix(f"dataset has no {axis_name}")
-            if len(set(axis)) != len(axis):
-                raise ShapeMismatch(f"duplicate entries in {axis_name}: {axis}")
-        known_d, known_p = set(self.dimensions), set(self.measures)
-        known_a, known_f = set(self.algorithms), set(self.functions)
-        for (d, p, a, f), v in self.values.items():
-            if d not in known_d or p not in known_p or a not in known_a \
-                    or f not in known_f:
-                raise ShapeMismatch(f"cell ({d}, {p}, {a}, {f}) is outside "
-                                    "the declared axes")
+    def __init__(self, algorithms, functions, dimensions, measures,
+                 values: Mapping[Cell, float]):
+        axes = (tuple(dimensions), tuple(measures), tuple(algorithms),
+                tuple(functions))
+        object.__setattr__(self, "_index", _axis_index(axes))
+        cube = np.full(tuple(map(len, axes)), np.nan)
+        for key, v in values.items():
+            try:
+                position = self._position(key)
+            except KeyError:
+                raise ShapeMismatch(f"cell {_cell_text(key)} is outside "
+                                    "the declared axes") from None
             if not math.isfinite(v):
-                raise NonFiniteValue(f"cell ({d}, {p}, {a}, {f}) is {v}")
-        _check_statistic_ordering(self.values, self.dimensions, self.measures,
-                                  self.algorithms, self.functions)
+                raise NonFiniteValue(f"cell {_cell_text(key)} is {v}")
+            cube[position] = v
+        self._init(axes, cube)
+
+    @classmethod
+    def from_array(cls, algorithms, functions, dimensions, measures,
+                   array) -> "PerformanceDataset":
+        """Dataset over a (k, l, m, n) array in which NaN marks a missing
+        cell; the array is copied."""
+        axes = (tuple(dimensions), tuple(measures), tuple(algorithms),
+                tuple(functions))
+        dataset = cls.__new__(cls)
+        object.__setattr__(dataset, "_index", _axis_index(axes))
+        dataset._init(axes, np.array(array, dtype=float))
+        return dataset
+
+    def _init(self, axes, cube: np.ndarray) -> None:
+        if cube.shape != tuple(map(len, axes)):
+            raise ShapeMismatch(f"value array has shape {cube.shape}, the "
+                                f"axes need {tuple(map(len, axes))}")
+        for name, axis in zip(AXIS_NAMES, axes):
+            object.__setattr__(self, name, axis)
+        infinite = np.isinf(cube)
+        if infinite.any():
+            raise NonFiniteValue(f"cell {_cell_text(self._cells(infinite)[0])}"
+                                 f" is {float(cube[infinite][0])}")
+        cube.flags.writeable = False
+        object.__setattr__(self, "array", cube)
+        _check_statistic_ordering(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, PerformanceDataset):
+            return NotImplemented
+        return (self.dimensions, self.measures, self.algorithms,
+                self.functions) == (other.dimensions, other.measures,
+                                    other.algorithms, other.functions) \
+            and np.array_equal(self.array, other.array, equal_nan=True)
+
+    @property
+    def values(self) -> CellValues:
+        return CellValues(self)
+
+    def _position(self, key: Cell) -> tuple[int, int, int, int]:
+        """Array index of a (d, p, a, f) key; KeyError outside the axes."""
+        d, p, a, f = key
+        d_index, p_index, a_index, f_index = self._index
+        return d_index[d], p_index[p], a_index[a], f_index[f]
+
+    def _cells(self, mask: np.ndarray, dimensions=None,
+               measures=None) -> list[Cell]:
+        """(d, p, a, f) labels of the True entries of a (k, l, m, n) mask,
+        in axis order; dimensions/measures default to the dataset's."""
+        dimensions = self.dimensions if dimensions is None else dimensions
+        measures = self.measures if measures is None else measures
+        return [(dimensions[i], measures[j], self.algorithms[a],
+                 self.functions[f])
+                for i, j, a, f in np.argwhere(mask).tolist()]
+
+    def block(self, dimensions, measures) -> np.ndarray:
+        """Complete (k', l', m, n) copy of the given dimensions and measures.
+
+        Raises MissingCell listing every absent cell in axis order; a label
+        outside the dataset's axes lacks all of its cells.
+        """
+        dimensions, measures = tuple(dimensions), tuple(measures)
+        d_index, p_index = self._index[:2]
+        block = np.full((len(dimensions), len(measures))
+                        + self.array.shape[2:], np.nan)
+        for i, d in enumerate(dimensions):
+            for j, p in enumerate(measures):
+                if d in d_index and p in p_index:
+                    block[i, j] = self.array[d_index[d], p_index[p]]
+        missing = np.isnan(block)
+        if missing.any():
+            raise MissingCell(self._cells(missing, dimensions, measures))
+        return block
 
     def missing_cells(self) -> list[Cell]:
         """All (d, p, a, f) tuples without a value, in axis order."""
-        return [(d, p, a, f)
-                for d in self.dimensions for p in self.measures
-                for a in self.algorithms for f in self.functions
-                if (d, p, a, f) not in self.values]
+        return self._cells(np.isnan(self.array))
 
     @property
     def is_complete(self) -> bool:
-        return not self.missing_cells()
+        return not np.isnan(self.array).any()
 
     def cell(self, dimension, measure, algorithm, function) -> float:
         key = (dimension, measure, algorithm, function)
-        if key not in self.values:
-            raise MissingCell([key])
-        return self.values[key]
+        try:
+            return self.values[key]
+        except KeyError:
+            raise MissingCell([key]) from None
 
     def matrix(self, dimension, measure) -> DecisionMatrix:
         """Algorithms x functions decision matrix for one (d, p) leaf."""
-        missing = [(dimension, measure, a, f)
-                   for a in self.algorithms for f in self.functions
-                   if (dimension, measure, a, f) not in self.values]
-        if missing:
-            raise MissingCell(missing)
-        rows = [[self.values[(dimension, measure, a, f)]
-                 for f in self.functions] for a in self.algorithms]
-        return DecisionMatrix(np.array(rows), self.algorithms, self.functions)
+        return DecisionMatrix(self.block((dimension,), (measure,))[0, 0],
+                              self.algorithms, self.functions)
+
+
+def _cell_text(key) -> str:
+    return "(" + ", ".join(map(str, key)) + ")"
 
 
 @dataclass(frozen=True)
@@ -204,15 +333,19 @@ def _axis_sort_key(value):
 def dataset_from_runs(raw: RawRuns,
                       population_std: bool = False) -> PerformanceDataset:
     """Summarize raw runs into the five standard measures."""
-    values: dict[Cell, float] = {}
+    dimensions, algorithms, functions = (raw.dimensions(), raw.algorithms(),
+                                         raw.functions())
+    d_index, a_index, f_index = ({label: i for i, label in enumerate(axis)}
+                                 for axis in (dimensions, algorithms,
+                                              functions))
+    cube = np.full((len(dimensions), len(STAT_MEASURES), len(algorithms),
+                    len(functions)), np.nan)
     for (d, a, f), runs in raw.runs.items():
-        stats = compute_statistics(runs, population_std=population_std)
-        for p, v in zip(STAT_MEASURES, stats):
-            values[(d, p, a, f)] = v
-    return PerformanceDataset(algorithms=tuple(raw.algorithms()),
-                              functions=tuple(raw.functions()),
-                              dimensions=tuple(raw.dimensions()),
-                              measures=STAT_MEASURES, values=values)
+        cube[d_index[d], :, a_index[a], f_index[f]] = compute_statistics(
+            runs, population_std=population_std)
+    return PerformanceDataset.from_array(
+        algorithms=algorithms, functions=functions, dimensions=dimensions,
+        measures=STAT_MEASURES, array=cube)
 
 
 # -- CSV input --------------------------------------------------------------
@@ -224,76 +357,138 @@ def _parse_dimension(text: str):
         return text
 
 
-def _data_rows(path: Path):
-    """Yield (line_number, row) skipping blank and '#' comment lines."""
+def _records(path: Path):
+    """Yield (line_number, row) of every CSV record, unstripped."""
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     with handle:
-        for number, row in enumerate(csv.reader(handle), start=1):
-            if not row or (row[0].lstrip().startswith("#")):
-                continue
+        yield from enumerate(csv.reader(handle), start=1)
+
+
+def _is_comment(row: list[str]) -> bool:
+    return not row or row[0].lstrip().startswith("#")
+
+
+def _data_rows(path: Path):
+    """Yield (line_number, row) skipping blank and '#' comment lines."""
+    for number, row in _records(path):
+        if not _is_comment(row):
             yield number, [cell.strip() for cell in row]
 
 
+def _first_repeat(flat: np.ndarray) -> int | None:
+    """Position of the first entry equal to an earlier one, if any."""
+    order = np.argsort(flat, kind="stable")
+    repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
+    return int(repeats.min()) if repeats.size else None
+
+
 def load_long_csv(path) -> PerformanceDataset:
-    """Load a long-format dataset; the result may be partial."""
+    """Load a long-format dataset; the result may be partial.
+
+    Axes keep the order in which their labels first appear. Rows fill the
+    (k, l, m, n) array directly; the first malformed row in file order
+    raises, whichever check it fails.
+    """
     path = Path(path)
-    rows = _data_rows(path)
-    try:
-        _, header = next(rows)
-    except StopIteration:
-        raise ParseError(f"{path}: file has no header row") from None
+    records = _records(path)
+    header = next((row for _, row in records if not _is_comment(row)), None)
+    if header is None:
+        raise ParseError(f"{path}: file has no header row")
+    header = [cell.strip() for cell in header]
     if tuple(h.lower() for h in header) != LONG_CSV_HEADER:
         raise ParseError(f"{path}: expected header "
                          f"{','.join(LONG_CSV_HEADER)}, got {','.join(header)}")
-    values: dict[Cell, float] = {}
-    dimensions, measures, algorithms, functions = [], [], [], []
-    for number, row in rows:
-        if len(row) != 5:
-            raise ParseError(f"{path}:{number}: expected 5 fields, got {len(row)}")
-        d_text, p, f, a, v_text = row
-        d = _parse_dimension(d_text)
+    # label -> position per axis (dimension, measure, algorithm, function),
+    # and the same keyed by the unstripped field text, which repeats
+    axes = ({}, {}, {}, {})
+    d_seen, p_seen, a_seen, f_seen = seen = ({}, {}, {}, {})
+    # typed columns: no Python object per row stays alive
+    positions = d_at, p_at, a_at, f_at = tuple(array.array("q")
+                                              for _ in range(4))
+    numbers, values = array.array("q"), array.array("d")
+    isfinite = math.isfinite
+    error = None
+    for number, row in records:
+        try:
+            d_text, p, f, a, v_text = row
+            di, pi, ai, fi = d_seen[d_text], p_seen[p], a_seen[a], f_seen[f]
+        except (ValueError, KeyError):
+            if _is_comment(row):
+                continue
+            if len(row) != 5:
+                error = ParseError(
+                    f"{path}:{number}: expected 5 fields, got {len(row)}")
+                break
+            di, pi, ai, fi = _register(row, axes, seen)
         try:
             v = float(v_text)
         except ValueError:
-            raise ParseError(
-                f"{path}:{number}: value column is not a number: {v_text!r}"
-            ) from None
-        if not math.isfinite(v):
-            raise NonFiniteValue(f"{path}:{number}: non-finite value {v_text!r}")
-        key = (d, p, a, f)
-        if key in values:
-            raise DuplicateTuple(f"{path}:{number}: duplicate cell {key}")
-        values[key] = v
-        for axis, item in ((dimensions, d), (measures, p),
-                           (algorithms, a), (functions, f)):
-            if item not in axis:
-                axis.append(item)
+            error = ParseError(f"{path}:{number}: value column is not a "
+                               f"number: {v_text.strip()!r}")
+            break
+        if not isfinite(v):
+            error = NonFiniteValue(
+                f"{path}:{number}: non-finite value {v_text.strip()!r}")
+            break
+        d_at.append(di)
+        p_at.append(pi)
+        a_at.append(ai)
+        f_at.append(fi)
+        numbers.append(number)
+        values.append(v)
+    if values:
+        shape = tuple(map(len, axes))
+        positions = tuple(np.frombuffer(axis, dtype=np.int64)
+                          for axis in positions)
+        repeat = _first_repeat(np.ravel_multi_index(positions, shape))
+        if repeat is not None:
+            key = tuple(list(axis)[position[repeat]]
+                        for axis, position in zip(axes, positions))
+            raise DuplicateTuple(
+                f"{path}:{numbers[repeat]}: duplicate cell {key}")
+    if error is not None:
+        raise error
     if not values:
         raise ParseError(f"{path}: no data rows")
-    return PerformanceDataset(algorithms=tuple(algorithms),
-                              functions=tuple(functions),
-                              dimensions=tuple(dimensions),
-                              measures=tuple(measures), values=values)
+    cube = np.full(shape, np.nan)
+    cube[positions] = np.frombuffer(values)
+    return PerformanceDataset.from_array(
+        algorithms=tuple(axes[2]), functions=tuple(axes[3]),
+        dimensions=tuple(axes[0]), measures=tuple(axes[1]), array=cube)
+
+
+def _register(row: list[str], axes, seen) -> tuple[int, int, int, int]:
+    """Positions of a long-CSV row whose field texts are not all seen yet,
+    adding new labels to the axes."""
+    d_text, p, f, a, _ = row
+    labels = (_parse_dimension(d_text.strip()), p.strip(), a.strip(),
+              f.strip())
+    position = []
+    for axis, by_text, text, label in zip(axes, seen, (d_text, p, a, f),
+                                          labels):
+        by_text[text] = axis.setdefault(label, len(axis))
+        position.append(by_text[text])
+    return tuple(position)
 
 
 def save_long_csv(dataset: PerformanceDataset, path) -> Path:
     """Write a dataset in long format, in axis order; skips missing cells."""
     path = Path(path)
+    ordered = dataset.array.transpose(0, 1, 3, 2)  # rows run d, p, f, a
+    present = ~np.isnan(ordered)
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(LONG_CSV_HEADER)
-            for d in dataset.dimensions:
-                for p in dataset.measures:
-                    for f in dataset.functions:
-                        for a in dataset.algorithms:
-                            key = (d, p, a, f)
-                            if key in dataset.values:
-                                writer.writerow(
-                                    [d, p, f, a, format_number(dataset.values[key])])
+            writer.writerows(
+                [dataset.dimensions[i], dataset.measures[j],
+                 dataset.functions[f], dataset.algorithms[a],
+                 format_number(v)]
+                for (i, j, f, a), v in zip(np.argwhere(present).tolist(),
+                                           ordered[present].tolist()))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
     return path
@@ -349,14 +544,19 @@ def save_rank_matrix_csv(matrix: DecisionMatrix, path) -> Path:
 
 def _render_table(header: Sequence[str], rows: Iterable[Sequence[str]],
                   fmt: str) -> str:
-    rows = list(rows)
     if fmt == "csv":
-        lines = [",".join(header)] + [",".join(row) for row in rows]
-        return "\n".join(lines) + "\n"
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buffer.getvalue()
     if fmt == "markdown":
-        lines = ["| " + " | ".join(header) + " |",
-                 "|" + "|".join(" --- " for _ in header) + "|"]
-        lines += ["| " + " | ".join(row) + " |" for row in rows]
+        def line(cells):
+            return "| " + " | ".join(c.replace("|", "\\|")
+                                     for c in cells) + " |"
+
+        lines = [line(header), "|" + "|".join(" --- " for _ in header) + "|"]
+        lines += [line(row) for row in rows]
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")
 

@@ -18,8 +18,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataio import PerformanceDataset
-from .exceptions import MissingCell, ShapeMismatch
-from .ranking import Objective, RankMatrix, rank_columns
+from .exceptions import ShapeMismatch
+from .ranking import Objective, RankMatrix, rank_block
 from .rtopsis import CriteriaSpec, DecisionMatrix, TopsisResult, rtopsis
 
 
@@ -93,14 +93,22 @@ def _rank_evaluation(matrix: DecisionMatrix,
     return rtopsis(matrix, spec)
 
 
-def _stack_rank_vectors(vectors: Sequence[np.ndarray], labels,
-                        criterion_labels) -> DecisionMatrix:
+def _join(vectors: Sequence[np.ndarray], weights: Sequence[float] | None,
+          criterion_labels, alternative_labels
+          ) -> tuple[DecisionMatrix, TopsisResult]:
+    """Stack rank vectors as the columns of one matrix and evaluate it.
+
+    This is the dimension and the overall level; criterion labels become
+    strings, alternatives default to A1..Am.
+    """
     vectors = [np.asarray(v, dtype=float) for v in vectors]
     sizes = {v.shape for v in vectors}
     if len(sizes) != 1 or vectors[0].ndim != 1:
         raise ShapeMismatch(f"rank vectors have inconsistent shapes: {sizes}")
-    return DecisionMatrix(np.column_stack(vectors), labels,
-                          tuple(str(c) for c in criterion_labels))
+    matrix = DecisionMatrix(np.column_stack(vectors),
+                            tuple(alternative_labels or ()),
+                            tuple(str(c) for c in criterion_labels))
+    return matrix, _rank_evaluation(matrix, weights)
 
 
 def aggregate_leaf(rank_matrix: RankMatrix,
@@ -122,9 +130,9 @@ def aggregate_dimension(leaf_ranks: Sequence[np.ndarray],
     """
     if measure_labels is None:
         measure_labels = [f"P{i + 1}" for i in range(len(leaf_ranks))]
-    matrix = _stack_rank_vectors(leaf_ranks, tuple(alternative_labels or ()),
-                                 measure_labels)
-    return matrix, _rank_evaluation(matrix, measure_weights).ranks
+    matrix, result = _join(leaf_ranks, measure_weights, measure_labels,
+                           alternative_labels)
+    return matrix, result.ranks
 
 
 def aggregate_overall(dimension_ranks: Sequence[np.ndarray],
@@ -138,10 +146,8 @@ def aggregate_overall(dimension_ranks: Sequence[np.ndarray],
     """
     if dimension_labels is None:
         dimension_labels = [f"D{i + 1}" for i in range(len(dimension_ranks))]
-    matrix = _stack_rank_vectors(dimension_ranks,
-                                 tuple(alternative_labels or ()),
-                                 dimension_labels)
-    result = _rank_evaluation(matrix, dimension_weights)
+    matrix, result = _join(dimension_ranks, dimension_weights,
+                           dimension_labels, alternative_labels)
     return matrix, result.closeness, result.ranks
 
 
@@ -155,48 +161,39 @@ def run_hra(dataset: PerformanceDataset,
     """
     if config is None:
         config = HraConfig.for_dataset(dataset)
-    missing = [(d, p, a, f)
-               for d in config.dimensions for p in config.measures
-               for a in dataset.algorithms for f in dataset.functions
-               if (d, p, a, f) not in dataset.values]
-    if missing:
-        raise MissingCell(missing)
+    block = dataset.block(config.dimensions, config.measures)
     if config.function_weights is not None \
             and len(config.function_weights) != len(dataset.functions):
         raise ShapeMismatch(
             f"function_weights has {len(config.function_weights)} entries, "
             f"expected {len(dataset.functions)}")
-
+    ranked = rank_block(block, [config.objective_for(p)
+                                for p in config.measures])
+    algorithms = dataset.algorithms
     traces: dict[tuple, TopsisResult] = {}
 
-    def evaluate(key: tuple, matrix: DecisionMatrix, weights) -> TopsisResult:
-        result = _rank_evaluation(matrix, weights)
-        traces[key] = result
-        return result
-
     leaf_ranks: dict[tuple, np.ndarray] = {}
-    for d in config.dimensions:
-        for p in config.measures:
-            ranked = rank_columns(dataset.matrix(d, p), config.objective_for(p))
-            leaf_ranks[(d, p)] = evaluate(("leaf", d, p), ranked,
-                                          config.function_weights).ranks
+    for i, d in enumerate(config.dimensions):
+        for j, p in enumerate(config.measures):
+            leaf = RankMatrix(ranked[i, j], algorithms, dataset.functions)
+            traces[("leaf", d, p)] = _rank_evaluation(
+                leaf, config.function_weights)
+            leaf_ranks[(d, p)] = traces[("leaf", d, p)].ranks
 
     dimension_matrices: dict = {}
     dimension_ranks: dict = {}
     for d in config.dimensions:
-        matrix = _stack_rank_vectors(
+        dimension_matrices[d], traces[("dimension", d)] = _join(
             [leaf_ranks[(d, p)] for p in config.measures],
-            dataset.algorithms, config.measures)
-        dimension_matrices[d] = matrix
-        dimension_ranks[d] = evaluate(("dimension", d), matrix,
-                                      config.measure_weights).ranks
+            config.measure_weights, config.measures, algorithms)
+        dimension_ranks[d] = traces[("dimension", d)].ranks
 
-    final_matrix = _stack_rank_vectors(
+    final_matrix, final = _join(
         [dimension_ranks[d] for d in config.dimensions],
-        dataset.algorithms, config.dimensions)
-    final = evaluate(("overall",), final_matrix, config.dimension_weights)
+        config.dimension_weights, config.dimensions, algorithms)
+    traces[("overall",)] = final
 
-    return HraReport(algorithms=dataset.algorithms, leaf_ranks=leaf_ranks,
+    return HraReport(algorithms=algorithms, leaf_ranks=leaf_ranks,
                      dimension_matrices=dimension_matrices,
                      dimension_ranks=dimension_ranks,
                      final_matrix=final_matrix, final_scores=final.closeness,

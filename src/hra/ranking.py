@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
-from .exceptions import MissingCell, NonFiniteValue, ShapeMismatch
-from .rtopsis import DecisionMatrix
+from .exceptions import NonFiniteValue, ShapeMismatch
+from .rtopsis import DecisionMatrix, mean_ranks
 
 if TYPE_CHECKING:
     from .dataio import PerformanceDataset
@@ -52,6 +51,11 @@ class RankMatrix(DecisionMatrix):
             raise ShapeMismatch(f"rank values must lie in [1, {m}]")
 
 
+def _signed(values: np.ndarray, objective: Objective) -> np.ndarray:
+    """Values oriented so that ascending order puts the best value first."""
+    return -values if Objective(objective) is Objective.MAXIMIZE else values
+
+
 def mean_rank_column(values: Sequence[float],
                      objective: Objective = Objective.MINIMIZE) -> np.ndarray:
     """Mean ranks of one column; ties get the mean of the spanned positions.
@@ -61,19 +65,26 @@ def mean_rank_column(values: Sequence[float],
     values = np.asarray(values, dtype=float)
     if not np.isfinite(values).all():
         raise NonFiniteValue("cannot rank non-finite values")
-    if Objective(objective) is Objective.MAXIMIZE:
-        values = -values
-    return rankdata(values, method="average")
+    return mean_ranks(_signed(values, objective))
 
 
 def rank_columns(matrix: DecisionMatrix,
                  objective: Objective = Objective.MINIMIZE) -> RankMatrix:
     """Apply the mean-rank transformation to every column independently."""
-    ranked = np.column_stack([
-        mean_rank_column(matrix.values[:, j], objective)
-        for j in range(matrix.n)
-    ])
-    return RankMatrix(ranked, matrix.alternative_labels, matrix.criterion_labels)
+    return RankMatrix(mean_ranks(_signed(matrix.values, objective), axis=0),
+                      matrix.alternative_labels, matrix.criterion_labels)
+
+
+def rank_block(block: np.ndarray,
+               objectives: Sequence[Objective]) -> np.ndarray:
+    """Mean ranks of a complete (k, l, m, n) block along the algorithm axis.
+
+    objectives holds one entry per measure (axis 1). Every (dimension,
+    measure, function) column is ranked independently, in one batch.
+    """
+    signed = np.stack([_signed(block[:, j], objective)
+                       for j, objective in enumerate(objectives)], axis=1)
+    return mean_ranks(signed, axis=2)
 
 
 def rank_dataset(
@@ -85,13 +96,11 @@ def rank_dataset(
     Measures default to MINIMIZE (all five CEC statistics are error values,
     smaller is better); pass an objectives map to override per measure.
     """
-    missing = dataset.missing_cells()
-    if missing:
-        raise MissingCell(missing)
     objectives = dict(objectives or {})
-    leaves: dict[tuple, RankMatrix] = {}
-    for d in dataset.dimensions:
-        for p in dataset.measures:
-            objective = objectives.get(p, Objective.MINIMIZE)
-            leaves[(d, p)] = rank_columns(dataset.matrix(d, p), objective)
-    return leaves
+    ranks = rank_block(
+        dataset.block(dataset.dimensions, dataset.measures),
+        [objectives.get(p, Objective.MINIMIZE) for p in dataset.measures])
+    return {(d, p): RankMatrix(ranks[i, j], dataset.algorithms,
+                               dataset.functions)
+            for i, d in enumerate(dataset.dimensions)
+            for j, p in enumerate(dataset.measures)}

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .exceptions import (
     DegenerateDomain,
@@ -301,6 +300,31 @@ def closeness(s_plus: np.ndarray, s_minus: np.ndarray) -> np.ndarray:
     return s_minus / denom
 
 
+def mean_ranks(x, axis: int = -1) -> np.ndarray:
+    """Ascending ranks 1..m along one axis; exact ties share the mean rank.
+
+    A stable argsort orders each slice; a run of equal sorted values
+    spanning positions first..last gets (first + last) / 2 + 1. Equality
+    is exact, so -0.0 ties with 0.0. The result is C-contiguous, so slices
+    of it feed the same summation order as freshly stacked columns.
+    """
+    x = np.moveaxis(np.asarray(x, dtype=float), axis, -1)
+    order = np.argsort(x, axis=-1, kind="stable")
+    ordered = np.take_along_axis(x, order, axis=-1)
+    m = x.shape[-1]
+    position = np.broadcast_to(np.arange(m), x.shape)
+    starts = np.ones(x.shape, dtype=bool)
+    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    ends = np.ones(x.shape, dtype=bool)
+    ends[..., :-1] = starts[..., 1:]
+    first = np.maximum.accumulate(np.where(starts, position, 0), axis=-1)
+    last = np.flip(np.minimum.accumulate(
+        np.flip(np.where(ends, position, m), axis=-1), axis=-1), axis=-1)
+    ranks = np.empty(x.shape)
+    np.put_along_axis(ranks, order, (first + last) / 2.0 + 1.0, axis=-1)
+    return np.ascontiguousarray(np.moveaxis(ranks, -1, axis))
+
+
 def scores_to_ranks(scores: np.ndarray) -> np.ndarray:
     """Ranks over descending scores; 1 = best, exact ties get mean ranks.
 
@@ -312,7 +336,7 @@ def scores_to_ranks(scores: np.ndarray) -> np.ndarray:
     scores = np.asarray(scores, dtype=float)
     if not np.isfinite(scores).all():
         raise NonFiniteValue("scores contain non-finite values")
-    return rankdata(-scores, method="average")
+    return mean_ranks(-scores)
 
 
 def rtopsis(matrix: DecisionMatrix, spec: CriteriaSpec | None = None,

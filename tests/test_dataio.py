@@ -1,6 +1,9 @@
 """Tests for statistics, CSV round trips, and report rendering."""
 
+import csv
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +116,33 @@ class TestPerformanceDataset:
                                dimensions=(1,), measures=("std",),
                                values={(1, "std", "a", "f"): -0.5})
 
+    def test_rebuild_from_values_is_equal(self, synthetic_dataset):
+        ds = synthetic_dataset
+        again = PerformanceDataset(algorithms=ds.algorithms,
+                                   functions=ds.functions,
+                                   dimensions=ds.dimensions,
+                                   measures=ds.measures, values=ds.values)
+        assert again == ds
+        assert dict(again.values) == dict(ds.values)
+
+    def test_values_view_of_partial_dataset(self, synthetic_dataset):
+        ds = synthetic_dataset
+        values = dict(ds.values)
+        gone = (ds.dimensions[1], "mean", ds.algorithms[2], ds.functions[0])
+        del values[gone]
+        partial = PerformanceDataset(algorithms=ds.algorithms,
+                                     functions=ds.functions,
+                                     dimensions=ds.dimensions,
+                                     measures=ds.measures, values=values)
+        assert len(partial.values) == len(ds.values) - 1
+        assert list(partial.values) == [key for key in ds.values
+                                        if key != gone]
+        assert gone not in partial.values
+        assert partial.missing_cells() == [gone]
+        assert partial != ds
+        with pytest.raises(TypeError):
+            partial.values[gone] = 1.0
+
     def test_cell_lookup(self, synthetic_dataset):
         ds = synthetic_dataset
         key = (ds.dimensions[0], "best", ds.algorithms[0], ds.functions[0])
@@ -166,6 +196,22 @@ class TestLongCsv:
         path.write_text("dimension,measure,function,algorithm,value\n"
                         "10,best,f1,a,1.0\n10,best,f1,a,2.0\n")
         with pytest.raises(DuplicateTuple):
+            load_long_csv(path)
+
+    @pytest.mark.parametrize("line3,line5,error,line", [
+        ("10,best,f1,a,1.0", "10,best,f2,a,oops", DuplicateTuple, 3),
+        ("10,best,f2,a,oops", "10,best,f1,a,1.0", ParseError, 3),
+        ("10,best,f2,a,inf", "10,best,f1,a,1.0", NonFiniteValue, 3),
+        ("10,best,f2,a", "10,best,f1,a,1.0", ParseError, 3),
+        ("10,best,f2,a,2.0", "10,best,f1,a,oops", ParseError, 5),
+    ])
+    def test_first_error_in_file_order_wins(self, tmp_path, line3, line5,
+                                            error, line):
+        path = tmp_path / "two_errors.csv"
+        path.write_text("dimension,measure,function,algorithm,value\n"
+                        f"10,best,f1,a,1.0\n{line3}\n10,best,f3,a,1.0\n"
+                        f"{line5}\n")
+        with pytest.raises(error, match=f":{line}:"):
             load_long_csv(path)
 
     def test_bad_header(self, tmp_path):
@@ -302,6 +348,39 @@ class TestEmitReport:
             assert row[0] == label
             assert float(row[1]) == score  # full-precision cells
             assert float(row[2]) == rank
+
+    def test_label_with_comma_round_trips(self, synthetic_dataset,
+                                          tmp_path):
+        ds = synthetic_dataset
+        renamed = dict(zip(ds.algorithms, ("DE, adaptive",)
+                           + ds.algorithms[1:]))
+        relabeled = PerformanceDataset(
+            algorithms=tuple(renamed.values()), functions=ds.functions,
+            dimensions=ds.dimensions, measures=ds.measures,
+            values={(d, p, renamed[a], f): v
+                    for (d, p, a, f), v in ds.values.items()})
+        save_long_csv(relabeled, tmp_path / "data.csv")
+        report = run_hra(load_long_csv(tmp_path / "data.csv"))
+        emit_report(report, "csv", tmp_path / "report")
+        final = load_rank_matrix_csv(tmp_path / "report" / "final_matrix.csv")
+        assert final.alternative_labels == relabeled.algorithms
+        np.testing.assert_array_equal(final.values,
+                                      report.final_matrix.values)
+        with open(tmp_path / "report" / "final_ranking.csv",
+                  newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert [row[0] for row in rows[1:]] == list(relabeled.algorithms)
+        assert {len(row) for row in rows} == {3}
+
+    def test_markdown_escapes_pipe(self, synthetic_dataset, tmp_path):
+        report = run_hra(synthetic_dataset)
+        piped = dataclasses.replace(
+            report, algorithms=("a|b",) + report.algorithms[1:])
+        emit_report(piped, "markdown", tmp_path)
+        lines = (tmp_path / "final_ranking.md").read_text().splitlines()
+        cells = re.split(r"(?<!\\)\|", lines[2].strip().strip("|"))
+        assert [c.strip() for c in cells][0] == "a\\|b"
+        assert len(cells) == 3
 
     def test_destination_collision(self, synthetic_dataset, tmp_path):
         blocker = tmp_path / "blocked"

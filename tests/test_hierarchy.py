@@ -200,6 +200,20 @@ class TestRunHra:
         np.testing.assert_allclose(report.final_scores, ref["final_scores"],
                                    rtol=1e-12)
 
+    def test_maximize_objective_matches_reference(self):
+        from hra import Objective
+        ds = random_dataset(m=5, n=4, k=2, l=3, seed=12)
+        config = HraConfig.for_dataset(ds,
+                                       objectives={"p1": Objective.MAXIMIZE})
+        report = run_hra(ds, config)
+        ref = oracle.run_hierarchy(
+            ds.values, list(ds.algorithms), list(ds.functions),
+            list(ds.dimensions), list(ds.measures),
+            maximize_measures=("p1",))
+        for key, ranks in report.leaf_ranks.items():
+            np.testing.assert_array_equal(ranks, ref["leaf_ranks"][key])
+        np.testing.assert_array_equal(report.final_ranks, ref["final_ranks"])
+
     def test_weight_length_validated(self, synthetic_dataset):
         config = HraConfig.for_dataset(synthetic_dataset,
                                        function_weights=(0.5, 0.5))

@@ -3,7 +3,9 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
+
+import oracle
 
 from hra import (
     CriteriaSpec,
@@ -11,6 +13,7 @@ from hra import (
     Direction,
     Normalization,
     mean_rank_column,
+    mean_ranks,
     normalize,
     rank_columns,
     rtopsis,
@@ -156,3 +159,21 @@ def test_rank_columns_produces_valid_rank_matrix(dm):
     m = dm.m
     sums = ranked.values.sum(axis=0)
     np.testing.assert_allclose(sums, m * (m + 1) / 2, rtol=1e-12)
+
+
+# a few integers plus both zeros: ties everywhere, and -0.0 must tie 0.0
+tie_heavy = st.sampled_from((-0.0, 0.0, 1.0, 2.0, 3.0))
+
+
+@given(arrays(float, array_shapes(min_dims=1, max_dims=3, max_side=6),
+              elements=tie_heavy))
+@settings(max_examples=200, deadline=None)
+def test_mean_ranks_matches_oracle_on_every_axis(x):
+    for axis in range(x.ndim):
+        ranks = mean_ranks(x, axis)
+        assert ranks.shape == x.shape and ranks.flags.c_contiguous
+        columns = np.moveaxis(x, axis, -1).reshape(-1, x.shape[axis])
+        ranked = np.moveaxis(ranks, axis, -1).reshape(columns.shape)
+        for column, got in zip(columns, ranked):
+            np.testing.assert_array_equal(got,
+                                          oracle.mean_ranks(column.tolist()))

@@ -1,5 +1,8 @@
 """Unit tests for the mean-rank transformation."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -61,6 +64,13 @@ class TestMeanRankColumn:
         for m in (1, 2, 7, 20):
             ranks = mean_rank_column(rng.integers(0, 4, size=m).astype(float))
             assert ranks.sum() == m * (m + 1) / 2
+
+
+def test_import_does_not_load_scipy():
+    probe = "import sys, hra; print('scipy' in sys.modules)"
+    found = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                           text=True, check=True)
+    assert found.stdout.strip() == "False"
 
 
 class TestRankMatrix:
