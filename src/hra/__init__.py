@@ -33,12 +33,15 @@ from .exceptions import (
     InconsistentStatistics,
     InvalidWeights,
     IoError,
+    IoFailure,
     MissingCell,
     NetworkError,
     NonFiniteValue,
     ParseError,
+    ParseFailure,
     ShapeMismatch,
     UnknownLayout,
+    ValidationFailure,
     ZeroUpperBound,
 )
 from .fetch import FetchResult, fetch_raw, load_raw_runs

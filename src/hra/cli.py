@@ -5,8 +5,9 @@ evaluation), verify-paper (hermetic checks of the bundled reference
 tables), stats (summarize raw run files into a long CSV), fetch (mirror a
 raw-data source).
 
-Exit codes: 0 success / all checks pass, 1 usage error or failed check,
-2 parse error, 3 validation error, 4 I/O or network error. Every error
+Exit codes: 0 success / all checks pass, 1 usage error or failed check;
+a package error exits with the code of its family in hra.exceptions: 2
+parse error, 3 validation error, 4 I/O or network error. Every error
 prints exactly one diagnostic line on stderr.
 """
 
@@ -25,48 +26,14 @@ from .dataio import (
     load_rank_matrix_csv,
     save_long_csv,
 )
-from .exceptions import (
-    ChecksumMismatch,
-    DegenerateDomain,
-    DegenerateIdeals,
-    DomainViolation,
-    DuplicateTuple,
-    EmptyMatrix,
-    EmptyRuns,
-    HraError,
-    InconsistentStatistics,
-    InvalidWeights,
-    IoError,
-    MissingCell,
-    NetworkError,
-    NonFiniteValue,
-    ParseError,
-    ShapeMismatch,
-    UnknownLayout,
-    ZeroUpperBound,
-)
+from .exceptions import HraError, InvalidWeights
 from .fetch import fetch_raw, load_raw_runs
 from .hierarchy import HraConfig, run_hra
-from .rtopsis import (
-    WEIGHT_SUM_TOL,
-    CriteriaSpec,
-    Direction,
-    TopsisResult,
-    rtopsis,
-)
+from .rtopsis import CriteriaSpec, Direction, TopsisResult, rtopsis
 from .verify import DEFAULT_TOLERANCE, verify_reference_tables
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_PARSE = 2
-EXIT_VALIDATION = 3
-EXIT_IO = 4
-
-_PARSE_ERRORS = (ParseError, DuplicateTuple, EmptyMatrix, NonFiniteValue)
-_VALIDATION_ERRORS = (DomainViolation, DegenerateDomain, ZeroUpperBound,
-                      DegenerateIdeals, InvalidWeights, ShapeMismatch,
-                      MissingCell, EmptyRuns, InconsistentStatistics)
-_IO_ERRORS = (IoError, NetworkError, ChecksumMismatch, UnknownLayout)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,29 +47,18 @@ class _UsageError(Exception):
     pass
 
 
-def _parse_weights(text: str | None, expected: int, flag: str):
-    """'equal' (or None) -> None, else validated comma-separated literals.
-
-    Validation happens here, before any aggregation work starts.
-    """
-    if text is None or text == "equal":
-        return None
+def _parse_weights(text: str, expected: int, flag: str) -> tuple:
+    """'equal' or comma-separated numbers -> the weights as checked by
+    CriteriaSpec, so a bad vector fails before any aggregation starts."""
     try:
-        weights = [float(tok) for tok in text.split(",")]
+        weights = None if text == "equal" \
+            else [float(tok) for tok in text.split(",")]
+        return tuple(CriteriaSpec.for_ranks(1, expected, weights).weights)
     except ValueError:
         raise InvalidWeights(f"{flag}: expected 'equal' or comma-separated "
                              f"numbers, got {text!r}") from None
-    if len(weights) != expected:
-        raise InvalidWeights(f"{flag}: {len(weights)} weights for "
-                             f"{expected} criteria: {weights}")
-    arr = np.asarray(weights)
-    if not np.isfinite(arr).all() or (arr <= 0.0).any():
-        raise InvalidWeights(f"{flag}: weights must be positive and finite, "
-                             f"got {weights}")
-    if abs(float(arr.sum()) - 1.0) > WEIGHT_SUM_TOL:
-        raise InvalidWeights(f"{flag}: weights {weights} sum to "
-                             f"{arr.sum()!r}, expected 1")
-    return weights
+    except HraError as exc:
+        raise InvalidWeights(f"{flag}: {exc}") from None
 
 
 def _parse_domain(text: str) -> tuple[float, float]:
@@ -171,12 +127,10 @@ def cmd_rtopsis(args) -> int:
     matrix = load_rank_matrix_csv(args.matrix)
     domain = _parse_domain(args.domain) if args.domain \
         else (0.0, float(matrix.m) + 1.0)
-    weights = _parse_weights(args.weights, matrix.n, "--weights")
-    if weights is None:
-        weights = np.full(matrix.n, 1.0 / matrix.n)
     spec = CriteriaSpec(directions=(Direction(args.direction),) * matrix.n,
                         domains=(domain,) * matrix.n,
-                        weights=np.asarray(weights))
+                        weights=_parse_weights(args.weights, matrix.n,
+                                               "--weights"))
     result = rtopsis(matrix, spec)
     if args.verbose:
         _print_trace(str(args.matrix), result)
@@ -269,21 +223,12 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"hra: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _PARSE_ERRORS as exc:
-        print(f"hra: parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except _VALIDATION_ERRORS as exc:
-        print(f"hra: validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except _IO_ERRORS as exc:
-        print(f"hra: i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except HraError as exc:
+        print(f"hra: {exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"hra: i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except HraError as exc:  # anything newly added defaults to validation
-        print(f"hra: error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return 4  # as IoFailure
 
 
 if __name__ == "__main__":

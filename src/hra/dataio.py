@@ -4,8 +4,10 @@ Long CSV schema (one row per cell):
     dimension,measure,function,algorithm,value
 Rank-matrix CSV schema (one row per alternative):
     algorithm,<criterion1>,<criterion2>,...
-Lines starting with '#' are comments in both formats. Numbers are written
-with 17 significant digits so a save/load round trip is exact.
+In both formats a line whose raw text starts, after blanks, with '#' is a
+comment; a quoted first field such as "#top" is data, and the writers quote
+such a field. Numbers are written with 17 significant digits so a
+save/load round trip is exact.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from __future__ import annotations
 import array
 import csv
 import io
+import itertools
 import math
+import re
 from collections.abc import ItemsView, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -351,31 +355,98 @@ def dataset_from_runs(raw: RawRuns,
 # -- CSV input --------------------------------------------------------------
 
 def _parse_dimension(text: str):
+    """The int whose canonical decimal form is the stripped text, else the
+    stripped text: '10' is 10, while '010' and '+10' stay labels."""
+    text = text.strip()
     try:
-        return int(text)
+        number = int(text)
     except ValueError:
         return text
+    return number if str(number) == text else text
 
 
-def _records(path: Path):
-    """Yield (line_number, row) of every CSV record, unstripped."""
-    try:
-        handle = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        yield from enumerate(csv.reader(handle), start=1)
+def _not_utf8(source, exc: UnicodeDecodeError) -> ParseError:
+    return ParseError(f"{source}: not UTF-8 text: cannot decode "
+                      f"{exc.object[exc.start:exc.end]!r}")
 
 
-def _is_comment(row: list[str]) -> bool:
-    return not row or row[0].lstrip().startswith("#")
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+
+
+class _Records:
+    """(number, row) of every CSV record of a UTF-8 file, unstripped.
+
+    A record is a comment when it is blank or its raw text starts, after
+    blanks, with '#'; a quoted first field such as "#top" is data. A parsed
+    row no longer shows its quotes, so is_comment reads the raw line from a
+    second handle, and only for a row whose first field starts with '#':
+    the row loop itself stays a bare csv.reader.
+    """
+
+    def __init__(self, path: Path):
+        self.path = path
+        self._reader = None
+        self._raw = None  # second handle, opened on first need
+        self._raw_lines = 0  # lines read from it so far
+
+    def _open(self):
+        try:
+            return open(self.path, "r", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise IoError(f"cannot read {self.path}: {exc}") from exc
+
+    def __iter__(self):
+        handle = self._open()
+        self._reader = csv.reader(handle)
+        try:
+            yield from enumerate(self._reader, start=1)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(self.path, exc) from None
+        finally:
+            handle.close()
+            if self._raw is not None:
+                self._raw.close()
+
+    def is_comment(self, row: list[str]) -> bool:
+        """Whether the record just read is blank or a '#' comment."""
+        if not row:
+            return True
+        if not row[0].lstrip().startswith("#"):
+            return False
+        # csv keeps the line breaks of quoted fields, so they tell how many
+        # physical lines before the current one the record started
+        start = self._reader.line_num - sum(len(_LINE_BREAK.findall(cell))
+                                            for cell in row)
+        if self._raw is None:
+            self._raw = self._open()
+        try:
+            line = next(itertools.islice(
+                self._raw, start - self._raw_lines - 1, None))
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(self.path, exc) from None
+        self._raw_lines = start
+        return line.lstrip().startswith("#")
 
 
 def _data_rows(path: Path):
     """Yield (line_number, row) skipping blank and '#' comment lines."""
-    for number, row in _records(path):
-        if not _is_comment(row):
+    records = _Records(path)
+    for number, row in records:
+        if not records.is_comment(row):
             yield number, [cell.strip() for cell in row]
+
+
+def _write_rows(handle, rows: Iterable[Sequence]) -> None:
+    """csv.writer rows, quoting a first field that starts, after blanks,
+    with '#' so that it reloads as data rather than as a comment."""
+    writerow = csv.writer(handle, lineterminator="\n").writerow
+    first = csv.writer(handle, lineterminator=",", quoting=csv.QUOTE_ALL)
+    for row in rows:
+        head = row[0]
+        if isinstance(head, str) and head.lstrip()[:1] == "#":
+            first.writerow(row[:1])
+            row = row[1:]
+        writerow(row)
 
 
 def _first_repeat(flat: np.ndarray) -> int | None:
@@ -393,8 +464,10 @@ def load_long_csv(path) -> PerformanceDataset:
     raises, whichever check it fails.
     """
     path = Path(path)
-    records = _records(path)
-    header = next((row for _, row in records if not _is_comment(row)), None)
+    records = _Records(path)
+    rows = iter(records)
+    header = next((row for _, row in rows if not records.is_comment(row)),
+                  None)
     if header is None:
         raise ParseError(f"{path}: file has no header row")
     header = [cell.strip() for cell in header]
@@ -411,12 +484,12 @@ def load_long_csv(path) -> PerformanceDataset:
     numbers, values = array.array("q"), array.array("d")
     isfinite = math.isfinite
     error = None
-    for number, row in records:
+    for number, row in rows:
         try:
             d_text, p, f, a, v_text = row
             di, pi, ai, fi = d_seen[d_text], p_seen[p], a_seen[a], f_seen[f]
         except (ValueError, KeyError):
-            if _is_comment(row):
+            if records.is_comment(row):
                 continue
             if len(row) != 5:
                 error = ParseError(
@@ -464,13 +537,16 @@ def _register(row: list[str], axes, seen) -> tuple[int, int, int, int]:
     """Positions of a long-CSV row whose field texts are not all seen yet,
     adding new labels to the axes."""
     d_text, p, f, a, _ = row
-    labels = (_parse_dimension(d_text.strip()), p.strip(), a.strip(),
-              f.strip())
+    labels = (_parse_dimension(d_text), p.strip(), a.strip(), f.strip())
     position = []
     for axis, by_text, text, label in zip(axes, seen, (d_text, p, a, f),
                                           labels):
         by_text[text] = axis.setdefault(label, len(axis))
         position.append(by_text[text])
+    if d_text.lstrip().startswith("#"):
+        # a comment line can carry the same first field unquoted, so each
+        # such row goes through is_comment
+        del seen[0][d_text]
     return tuple(position)
 
 
@@ -481,14 +557,13 @@ def save_long_csv(dataset: PerformanceDataset, path) -> Path:
     present = ~np.isnan(ordered)
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(LONG_CSV_HEADER)
-            writer.writerows(
-                [dataset.dimensions[i], dataset.measures[j],
-                 dataset.functions[f], dataset.algorithms[a],
-                 format_number(v)]
-                for (i, j, f, a), v in zip(np.argwhere(present).tolist(),
-                                           ordered[present].tolist()))
+            _write_rows(handle, itertools.chain(
+                [LONG_CSV_HEADER],
+                ([dataset.dimensions[i], dataset.measures[j],
+                  dataset.functions[f], dataset.algorithms[a],
+                  format_number(v)]
+                 for (i, j, f, a), v in zip(np.argwhere(present).tolist(),
+                                            ordered[present].tolist()))))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
     return path
@@ -531,10 +606,11 @@ def save_rank_matrix_csv(matrix: DecisionMatrix, path) -> Path:
     path = Path(path)
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(("algorithm",) + matrix.criterion_labels)
-            for label, row in zip(matrix.alternative_labels, matrix.values):
-                writer.writerow([label] + [format_number(v) for v in row])
+            _write_rows(handle, itertools.chain(
+                [("algorithm",) + matrix.criterion_labels],
+                ([label] + [format_number(v) for v in row]
+                 for label, row in zip(matrix.alternative_labels,
+                                       matrix.values))))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
     return path
@@ -546,9 +622,7 @@ def _render_table(header: Sequence[str], rows: Iterable[Sequence[str]],
                   fmt: str) -> str:
     if fmt == "csv":
         buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        _write_rows(buffer, itertools.chain([header], rows))
         return buffer.getvalue()
     if fmt == "markdown":
         def line(cells):

@@ -1,46 +1,67 @@
 """Exception hierarchy for the hra package.
 
 Everything raised on purpose derives from HraError so callers can catch one
-type; the subclasses mirror the distinct failure conditions of the public
-operations.
+type. Each concrete error belongs to one of three families, which fix the
+command-line exit code and the stderr prefix of its diagnostic:
+ParseFailure (2), ValidationFailure (3) and IoFailure (4).
 """
 
 
 class HraError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 3
+    prefix = "error"
+
+
+class ParseFailure(HraError):
+    """An input file or text is malformed; exit code 2."""
+
+    exit_code = 2
+    prefix = "parse error"
+
+
+class ValidationFailure(HraError):
+    """Well-formed input violates a model rule; exit code 3."""
+
+    exit_code = 3
+    prefix = "validation error"
+
+
+class IoFailure(HraError):
+    """A filesystem, network or raw-layout problem; exit code 4."""
+
+    exit_code = 4
+    prefix = "i/o error"
+
 
 # -- validation -------------------------------------------------------------
 
-class ShapeMismatch(HraError):
+class ShapeMismatch(ValidationFailure):
     """Array/label/weight lengths do not agree."""
 
 
-class DomainViolation(HraError):
+class DomainViolation(ValidationFailure):
     """A matrix value falls outside its criterion's fixed domain."""
 
 
-class DegenerateDomain(HraError):
+class DegenerateDomain(ValidationFailure):
     """Criterion domain has d1 >= d2."""
 
 
-class ZeroUpperBound(HraError):
+class ZeroUpperBound(ValidationFailure):
     """Criterion domain upper bound d2 <= 0; the d1/d2 anchor is undefined."""
 
 
-class DegenerateIdeals(HraError):
+class DegenerateIdeals(ValidationFailure):
     """S+ + S- is zero for some alternative, so closeness is undefined."""
 
 
-class InvalidWeights(HraError):
+class InvalidWeights(ValidationFailure):
     """Weights are not all positive or do not sum to 1 within tolerance."""
 
 
-class NonFiniteValue(HraError):
-    """A NaN or infinity appeared where a finite number is required."""
-
-
-class MissingCell(HraError):
+class MissingCell(ValidationFailure):
     """A dataset lacks values for one or more (dimension, measure,
     algorithm, function) tuples."""
 
@@ -51,41 +72,45 @@ class MissingCell(HraError):
         super().__init__(f"dataset is missing {len(self.missing)} cell(s): {preview}{more}")
 
 
-class EmptyRuns(HraError):
+class EmptyRuns(ValidationFailure):
     """A run list is empty; statistics are undefined."""
 
 
-class InconsistentStatistics(HraError):
+class InconsistentStatistics(ValidationFailure):
     """Statistic values violate best <= median/mean <= worst or std >= 0."""
 
 
 # -- parsing ----------------------------------------------------------------
 
-class ParseError(HraError):
+class ParseError(ParseFailure):
     """Malformed input file; message carries row/column diagnostics."""
 
 
-class DuplicateTuple(HraError):
+class DuplicateTuple(ParseFailure):
     """The same dataset cell appears twice in one file."""
 
 
-class EmptyMatrix(HraError):
+class EmptyMatrix(ParseFailure):
     """A matrix file contains no data rows or no criterion columns."""
+
+
+class NonFiniteValue(ParseFailure):
+    """A NaN or infinity appeared where a finite number is required."""
 
 
 # -- I/O and network --------------------------------------------------------
 
-class IoError(HraError):
+class IoError(IoFailure):
     """Filesystem operation failed."""
 
 
-class NetworkError(HraError):
+class NetworkError(IoFailure):
     """Download failed."""
 
 
-class ChecksumMismatch(HraError):
+class ChecksumMismatch(IoFailure):
     """Fetched file does not match its inventory checksum."""
 
 
-class UnknownLayout(HraError):
+class UnknownLayout(IoFailure):
     """Raw run file does not match any supported layout."""

@@ -24,9 +24,9 @@ import hashlib
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
-from .dataio import RawRuns, _parse_dimension
+from .dataio import RawRuns, _parse_dimension, _not_utf8
 from .exceptions import (
     ChecksumMismatch,
     IoError,
@@ -37,6 +37,7 @@ from .exceptions import (
 
 MANIFEST_NAME = "manifest.csv"
 INVENTORY_NAME = "inventory.txt"
+URL_TIMEOUT_S = 60.0  # per urlopen call; a stalled source fails, not hangs
 
 
 @dataclass(frozen=True)
@@ -67,13 +68,15 @@ def _sha256(path: Path) -> str:
 
 def _read_url(url: str) -> bytes:
     try:
-        with urllib.request.urlopen(url) as response:
+        with urllib.request.urlopen(url, timeout=URL_TIMEOUT_S) as response:
             return response.read()
     except (urllib.error.URLError, OSError) as exc:
         raise NetworkError(f"cannot fetch {url}: {exc}") from exc
 
 
 def parse_inventory(text: str, origin: str) -> list[ManifestEntry]:
+    """Entries of an inventory; every path must stay inside the mirror, so
+    an absolute or empty path or a '..' component is a ParseError."""
     entries = []
     for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -89,7 +92,12 @@ def parse_inventory(text: str, origin: str) -> list[ManifestEntry]:
         except ValueError:
             raise ParseError(f"{origin}:{number}: byte count is not an "
                              f"integer: {size_text!r}") from None
-        entries.append(ManifestEntry(path=path.strip(), size=size,
+        path = path.strip()
+        parts = PurePosixPath(path).parts
+        if not parts or path.startswith("/") or ".." in parts:
+            raise ParseError(f"{origin}:{number}: path must be relative and "
+                             f"stay inside the destination, got {path!r}")
+        entries.append(ManifestEntry(path=path, size=size,
                                      sha256=sha.strip().lower()))
     if not entries:
         raise ParseError(f"{origin}: inventory lists no files")
@@ -116,8 +124,11 @@ def fetch_raw(source_url: str, destination) -> FetchResult:
         raise IoError(f"cannot create {destination}: {exc}") from exc
     source_url = source_url.rstrip("/")
     inventory_url = f"{source_url}/{INVENTORY_NAME}"
-    entries = parse_inventory(_read_url(inventory_url).decode("utf-8"),
-                              inventory_url)
+    try:
+        inventory = _read_url(inventory_url).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(inventory_url, exc) from None
+    entries = parse_inventory(inventory, inventory_url)
     downloaded, skipped = [], []
     for entry in entries:
         local = destination / entry.path
@@ -145,8 +156,12 @@ def fetch_raw(source_url: str, destination) -> FetchResult:
 # -- run-file parsing -------------------------------------------------------
 
 def _parse_run_file(path: Path) -> tuple[float, ...]:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
     rows = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

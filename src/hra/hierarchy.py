@@ -162,11 +162,6 @@ def run_hra(dataset: PerformanceDataset,
     if config is None:
         config = HraConfig.for_dataset(dataset)
     block = dataset.block(config.dimensions, config.measures)
-    if config.function_weights is not None \
-            and len(config.function_weights) != len(dataset.functions):
-        raise ShapeMismatch(
-            f"function_weights has {len(config.function_weights)} entries, "
-            f"expected {len(dataset.functions)}")
     ranked = rank_block(block, [config.objective_for(p)
                                 for p in config.measures])
     algorithms = dataset.algorithms

@@ -5,8 +5,9 @@ import urllib.request
 
 import pytest
 
+import hra
 from conftest import SYNTHETIC_CSV
-from hra import fixtures
+from hra import cli, fixtures
 from hra.cli import main
 from test_fetch import make_source
 
@@ -205,11 +206,60 @@ class TestFetch:
         code, out, _ = run_cli(capsys, "fetch", url, "--out", str(dest))
         assert code == 0 and "0 downloaded" in out and "1 already" in out
 
+    def test_escaping_inventory_path_exits_2(self, capsys, tmp_path):
+        source = tmp_path / "src" / "site"
+        source.mkdir(parents=True)
+        url = make_source(source, {"ok_1_10.txt": "1\n",
+                                   "../outside.txt": "1 2 3\n"})
+        dest = tmp_path / "out" / "dest"
+        code, _, err = run_cli(capsys, "fetch", url, "--out", str(dest))
+        assert code == 2 and err.count("\n") == 1
+        assert "outside.txt" in err
+        assert sorted(p.relative_to(tmp_path).as_posix()
+                      for p in (tmp_path / "out").rglob("*")) == ["out/dest"]
+
     def test_unreachable_source_exits_4(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "fetch",
                                (tmp_path / "void").as_uri(), "--out",
                                str(tmp_path / "dest"))
         assert code == 4 and err.count("\n") == 1
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 is a parse error naming the file."""
+
+    def check(self, capsys, path, *argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith("hra: parse error: ") and str(path) in err
+
+    def test_long_csv(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        rows = "".join(f"10,best,f{i},a,1.0\n" for i in range(5000))
+        path.write_bytes(b"dimension,measure,function,algorithm,value\n"
+                         + rows.encode() + b"10,best,\xff,a,1.0\n")
+        self.check(capsys, path, "run", "--data", str(path), "--out",
+                   str(tmp_path / "report"))
+
+    def test_rank_matrix(self, capsys, tmp_path):
+        path = tmp_path / "matrix.csv"
+        path.write_bytes(b"algorithm,c1\na,1\n\xff,2\n")
+        self.check(capsys, path, "rtopsis", "--matrix", str(path))
+
+    def test_run_file(self, capsys, tmp_path):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "a_1_10.txt").write_text("1 2 3\n")
+        (runs / "b_1_10.txt").write_bytes(b"1 2\xff 3\n")
+        self.check(capsys, runs / "b_1_10.txt", "stats", str(runs),
+                   "--out", str(tmp_path / "stats.csv"))
+
+    def test_inventory(self, capsys, tmp_path):
+        source = tmp_path / "src"
+        source.mkdir()
+        (source / "inventory.txt").write_bytes(b"a\xff.txt,1,ff\n")
+        self.check(capsys, "inventory.txt", "fetch", source.as_uri(),
+                   "--out", str(tmp_path / "dest"))
 
 
 class TestUsage:
@@ -220,3 +270,44 @@ class TestUsage:
     def test_unknown_flag_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "rtopsis", "--nope")
         assert code == 1
+
+
+# exit code and stderr prefix of every error class the package exports;
+# the three family bases carry the codes their members inherit
+EXIT_CODES = {
+    "ParseFailure": (2, "parse"), "ParseError": (2, "parse"),
+    "DuplicateTuple": (2, "parse"), "EmptyMatrix": (2, "parse"),
+    "NonFiniteValue": (2, "parse"),
+    "ValidationFailure": (3, "validation"),
+    "ShapeMismatch": (3, "validation"), "DomainViolation": (3, "validation"),
+    "DegenerateDomain": (3, "validation"),
+    "ZeroUpperBound": (3, "validation"),
+    "DegenerateIdeals": (3, "validation"),
+    "InvalidWeights": (3, "validation"), "MissingCell": (3, "validation"),
+    "EmptyRuns": (3, "validation"),
+    "InconsistentStatistics": (3, "validation"),
+    "IoFailure": (4, "i/o"), "IoError": (4, "i/o"),
+    "NetworkError": (4, "i/o"), "ChecksumMismatch": (4, "i/o"),
+    "UnknownLayout": (4, "i/o"),
+}
+EXPORTED_ERRORS = sorted(
+    name for name, obj in vars(hra).items()
+    if isinstance(obj, type) and issubclass(obj, hra.HraError)
+    and obj is not hra.HraError)
+
+
+@pytest.mark.parametrize("name", EXPORTED_ERRORS)
+def test_error_class_exit_code(name, capsys, tmp_path, monkeypatch):
+    error = getattr(hra, name)
+
+    def fail(path):
+        raise error(["cell"]) if issubclass(error, hra.MissingCell) \
+            else error("boom")
+
+    monkeypatch.setattr(cli, "load_long_csv", fail)
+    code, out, err = run_cli(capsys, "run", "--data", "x.csv", "--out",
+                             str(tmp_path))
+    expected_code, prefix = EXIT_CODES[name]
+    assert code == expected_code
+    assert err.startswith(f"hra: {prefix} error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import SYNTHETIC_CSV
 from hra import (
+    DecisionMatrix,
     DuplicateTuple,
     EmptyMatrix,
     EmptyRuns,
@@ -238,6 +239,39 @@ class TestLongCsv:
         with pytest.raises(IoError, match="no_such"):
             load_long_csv(tmp_path / "no_such.csv")
 
+    def test_quoted_hash_label_is_data(self, tmp_path):
+        path = tmp_path / "hash.csv"
+        path.write_text('# provenance\n'
+                        'dimension,measure,function,algorithm,value\n'
+                        '10,best,f1,a,1.0\n'
+                        '"#top",best,f1,a,2.0\n'
+                        '#top,best,f1,a,9.0\n'
+                        '  # note,best,f1,a,9.0\n'
+                        '"#multi\nline",best,f1,a,3.0\n'
+                        '#c,"spans\n#two lines",f1,a,9.0\n'
+                        '"#top",best,f2,a,4.0\n'
+                        '10,best,f2,a,5.0\n')
+        ds = load_long_csv(path)
+        assert ds.dimensions == (10, "#top", "#multi\nline")
+        assert dict(ds.values) == {
+            (10, "best", "a", "f1"): 1.0, ("#top", "best", "a", "f1"): 2.0,
+            ("#multi\nline", "best", "a", "f1"): 3.0,
+            ("#top", "best", "a", "f2"): 4.0, (10, "best", "a", "f2"): 5.0}
+
+    def test_dimension_int_only_in_canonical_form(self, tmp_path):
+        path = tmp_path / "dims.csv"
+        path.write_text("dimension,measure,function,algorithm,value\n"
+                        "10,best,f1,a,1.0\n010,best,f1,a,2.0\n"
+                        "+10,best,f1,a,3.0\n -5 ,best,f1,a,4.0\n")
+        ds = load_long_csv(path)
+        assert ds.dimensions == (10, "010", "+10", -5)
+        save_long_csv(ds, tmp_path / "again.csv")
+        assert load_long_csv(tmp_path / "again.csv") == ds
+        path.write_text("dimension,measure,function,algorithm,value\n"
+                        "10,best,f1,a,1.0\n 10,best,f1,a,2.0\n")
+        with pytest.raises(DuplicateTuple, match=":3:"):
+            load_long_csv(path)
+
     def test_seventeen_digit_serialization(self):
         x = 0.1 + 0.2  # not exactly 0.3
         assert float(format_number(x)) == x
@@ -303,6 +337,18 @@ class TestRankMatrixCsv:
         path = tmp_path / "commented.csv"
         path.write_text("# provenance\nalgorithm,c1\n# mid comment\na,4\n")
         assert load_rank_matrix_csv(path).values[0, 0] == 4.0
+
+    def test_hash_label_round_trips(self, tmp_path):
+        matrix = DecisionMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]),
+                                ("#top", " #next"), ("#c1", "c2"))
+        path = save_rank_matrix_csv(matrix, tmp_path / "hash.csv")
+        assert path.read_text().splitlines() == [
+            "algorithm,#c1,c2",
+            '"#top",1,2', '" #next",3,4']
+        again = load_rank_matrix_csv(path)
+        assert again.alternative_labels == ("#top", "#next")
+        assert again.criterion_labels == ("#c1", "c2")
+        np.testing.assert_array_equal(again.values, matrix.values)
 
 
 def parse_markdown_table(text):
@@ -371,6 +417,33 @@ class TestEmitReport:
             rows = list(csv.reader(handle))
         assert [row[0] for row in rows[1:]] == list(relabeled.algorithms)
         assert {len(row) for row in rows} == {3}
+
+    def test_hash_labels_round_trip(self, synthetic_dataset, tmp_path):
+        ds = synthetic_dataset
+        algorithms = ("#top",) + ds.algorithms[1:]
+        dimensions = ("#d",) + ds.dimensions[1:]
+        relabeled = PerformanceDataset.from_array(
+            algorithms=algorithms, functions=ds.functions,
+            dimensions=dimensions, measures=ds.measures, array=ds.array)
+        save_long_csv(relabeled, tmp_path / "data.csv")
+        loaded = load_long_csv(tmp_path / "data.csv")
+        assert loaded == relabeled
+        report = run_hra(loaded)
+        emit_report(report, "csv", tmp_path / "report")
+        final = load_rank_matrix_csv(tmp_path / "report" / "final_matrix.csv")
+        assert final.alternative_labels == algorithms
+        np.testing.assert_array_equal(final.values,
+                                      report.final_matrix.values)
+        ranking = load_rank_matrix_csv(
+            tmp_path / "report" / "final_ranking.csv")
+        assert ranking.alternative_labels == algorithms
+        np.testing.assert_array_equal(ranking.values[:, 1],
+                                      report.final_ranks)
+        with open(tmp_path / "report" / "leaf_ranks.csv",
+                  newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert [row[0] for row in rows[1::len(algorithms) * len(ds.measures)]] == \
+            [str(d) for d in dimensions]
 
     def test_markdown_escapes_pipe(self, synthetic_dataset, tmp_path):
         report = run_hra(synthetic_dataset)

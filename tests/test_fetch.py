@@ -1,6 +1,8 @@
 """Tests for source mirroring and raw run-file parsing."""
 
 import hashlib
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -14,7 +16,7 @@ from hra import (
     fetch_raw,
     load_raw_runs,
 )
-from hra.fetch import MANIFEST_NAME, parse_inventory
+from hra.fetch import MANIFEST_NAME, URL_TIMEOUT_S, parse_inventory
 
 
 def make_source(root, files):
@@ -91,6 +93,24 @@ class TestFetchRaw:
         with pytest.raises(ParseError):
             parse_inventory("# only comments\n", "inv")
 
+    @pytest.mark.parametrize("path", ["/etc/passwd", "../outside.txt",
+                                      "deep/../../x.txt", "", ".", " ./ "])
+    def test_inventory_path_must_stay_inside(self, path):
+        with pytest.raises(ParseError, match=r"inv:2: path must be relative"):
+            parse_inventory(f"ok.txt,1,ff\n{path},1,ff\n", "inv")
+
+    def test_urlopen_has_timeout(self, tmp_path, monkeypatch):
+        calls = []
+
+        def urlopen(url, timeout=None):
+            calls.append(timeout)
+            raise urllib.error.URLError("refused")
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        with pytest.raises(NetworkError):
+            fetch_raw(tmp_path.as_uri(), tmp_path / "dest")
+        assert calls == [URL_TIMEOUT_S]
+
 
 class TestLoadRawRuns:
     def test_flat_single_line(self, tmp_path):
@@ -138,6 +158,12 @@ class TestLoadRawRuns:
         (tmp_path / "solver_1_10.txt").write_text("1 2 3\n")
         with pytest.raises(ParseError, match="expected 51"):
             load_raw_runs(tmp_path, expected_runs=51)
+
+    def test_dimension_int_only_in_canonical_form(self, tmp_path):
+        (tmp_path / "a_f_10.txt").write_text("1 2\n")
+        (tmp_path / "a_f_010.txt").write_text("3 4\n")
+        raw = load_raw_runs(tmp_path)
+        assert raw.dimensions() == [10, "010"]
 
     def test_negative_error_value(self, tmp_path):
         (tmp_path / "solver_1_10.txt").write_text("1 -2 3\n")
