@@ -5,9 +5,9 @@ Long CSV schema (one row per cell):
 Rank-matrix CSV schema (one row per alternative):
     algorithm,<criterion1>,<criterion2>,...
 In both formats a line whose raw text starts, after blanks, with '#' is a
-comment; a quoted first field such as "#top" is data, and the writers quote
-such a field. Numbers are written with 17 significant digits so a
-save/load round trip is exact.
+comment where a record would start; a quoted first field such as "#top" is
+data, and the writers quote such a field. Numbers are written with 17
+significant digits so a save/load round trip is exact.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import csv
 import io
 import itertools
 import math
-import re
 from collections.abc import ItemsView, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -370,69 +369,46 @@ def _not_utf8(source, exc: UnicodeDecodeError) -> ParseError:
                       f"{exc.object[exc.start:exc.end]!r}")
 
 
-_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+def _records(path: Path):
+    """Yield (line, row) for every CSV record of a UTF-8 file, unstripped;
+    line is the physical line the record starts on.
 
-
-class _Records:
-    """(number, row) of every CSV record of a UTF-8 file, unstripped.
-
-    A record is a comment when it is blank or its raw text starts, after
-    blanks, with '#'; a quoted first field such as "#top" is data. A parsed
-    row no longer shows its quotes, so is_comment reads the raw line from a
-    second handle, and only for a row whose first field starts with '#':
-    the row loop itself stays a bare csv.reader.
+    A line whose raw text starts, after blanks, with '#' is a comment when
+    it would start a record: csv never sees it, so a quote in it opens
+    nothing. A quoted first field such as "#top" is data, and so is a line
+    that continues a quoted field (csv pulls lines one at a time).
     """
+    try:
+        handle = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    line = start = 0
 
-    def __init__(self, path: Path):
-        self.path = path
-        self._reader = None
-        self._raw = None  # second handle, opened on first need
-        self._raw_lines = 0  # lines read from it so far
+    def lines():
+        nonlocal line, start
+        for line, text in enumerate(handle, start=1):
+            if start is None:  # the reader is between records
+                if "#" in text and text.lstrip().startswith("#"):
+                    continue
+                start = line
+            yield text
 
-    def _open(self):
+    with handle:
         try:
-            return open(self.path, "r", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise IoError(f"cannot read {self.path}: {exc}") from exc
-
-    def __iter__(self):
-        handle = self._open()
-        self._reader = csv.reader(handle)
-        try:
-            yield from enumerate(self._reader, start=1)
+            start = None
+            for row in csv.reader(lines()):
+                yield start, row
+                start = None
         except UnicodeDecodeError as exc:
-            raise _not_utf8(self.path, exc) from None
-        finally:
-            handle.close()
-            if self._raw is not None:
-                self._raw.close()
-
-    def is_comment(self, row: list[str]) -> bool:
-        """Whether the record just read is blank or a '#' comment."""
-        if not row:
-            return True
-        if not row[0].lstrip().startswith("#"):
-            return False
-        # csv keeps the line breaks of quoted fields, so they tell how many
-        # physical lines before the current one the record started
-        start = self._reader.line_num - sum(len(_LINE_BREAK.findall(cell))
-                                            for cell in row)
-        if self._raw is None:
-            self._raw = self._open()
-        try:
-            line = next(itertools.islice(
-                self._raw, start - self._raw_lines - 1, None))
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(self.path, exc) from None
-        self._raw_lines = start
-        return line.lstrip().startswith("#")
+            raise _not_utf8(path, exc) from None
+        except csv.Error as exc:  # a field over csv.field_size_limit()
+            raise ParseError(f"{path}:{line}: {exc}") from None
 
 
 def _data_rows(path: Path):
-    """Yield (line_number, row) skipping blank and '#' comment lines."""
-    records = _Records(path)
-    for number, row in records:
-        if not records.is_comment(row):
+    """Yield (line_number, row) of the stripped non-blank records."""
+    for number, row in _records(path):
+        if row:
             yield number, [cell.strip() for cell in row]
 
 
@@ -459,15 +435,28 @@ def _first_repeat(flat: np.ndarray) -> int | None:
 def load_long_csv(path) -> PerformanceDataset:
     """Load a long-format dataset; the result may be partial.
 
-    Axes keep the order in which their labels first appear. Rows fill the
-    (k, l, m, n) array directly; the first malformed row in file order
-    raises, whichever check it fails.
+    Axes keep the order in which their labels first appear. A plain file
+    (see _load_columns) is parsed column by column; any other file, and any
+    file with an error, goes through the row reader, which gives the same
+    dataset and is the source of every error.
     """
     path = Path(path)
-    records = _Records(path)
-    rows = iter(records)
-    header = next((row for _, row in rows if not records.is_comment(row)),
-                  None)
+    dataset = _load_columns(path)
+    return _load_rows(path) if dataset is None else dataset
+
+
+def _dataset(axes, cube: np.ndarray) -> PerformanceDataset:
+    dimensions, measures, algorithms, functions = map(tuple, axes)
+    return PerformanceDataset.from_array(
+        algorithms=algorithms, functions=functions, dimensions=dimensions,
+        measures=measures, array=cube)
+
+
+def _load_rows(path: Path) -> PerformanceDataset:
+    """The row reader: rows fill the (k, l, m, n) array directly; the first
+    malformed row in file order raises, whichever check it fails."""
+    rows = _records(path)
+    header = next((row for _, row in rows if row), None)
     if header is None:
         raise ParseError(f"{path}: file has no header row")
     header = [cell.strip() for cell in header]
@@ -489,7 +478,7 @@ def load_long_csv(path) -> PerformanceDataset:
             d_text, p, f, a, v_text = row
             di, pi, ai, fi = d_seen[d_text], p_seen[p], a_seen[a], f_seen[f]
         except (ValueError, KeyError):
-            if records.is_comment(row):
+            if not row:
                 continue
             if len(row) != 5:
                 error = ParseError(
@@ -528,9 +517,7 @@ def load_long_csv(path) -> PerformanceDataset:
         raise ParseError(f"{path}: no data rows")
     cube = np.full(shape, np.nan)
     cube[positions] = np.frombuffer(values)
-    return PerformanceDataset.from_array(
-        algorithms=tuple(axes[2]), functions=tuple(axes[3]),
-        dimensions=tuple(axes[0]), measures=tuple(axes[1]), array=cube)
+    return _dataset(axes, cube)
 
 
 def _register(row: list[str], axes, seen) -> tuple[int, int, int, int]:
@@ -543,11 +530,181 @@ def _register(row: list[str], axes, seen) -> tuple[int, int, int, int]:
                                           labels):
         by_text[text] = axis.setdefault(label, len(axis))
         position.append(by_text[text])
-    if d_text.lstrip().startswith("#"):
-        # a comment line can carry the same first field unquoted, so each
-        # such row goes through is_comment
-        del seen[0][d_text]
     return tuple(position)
+
+
+# The columnar path. Bytes that csv treats specially or a comment starts
+# with send a file to the row reader, and so do the ASCII separators
+# \x1c-\x1f: np.loadtxt strips them around a value as blanks, float() does not.
+_NOT_PLAIN = b'"\r\0#\x1c\x1d\x1e\x1f'
+_BLOCK_BYTES = 1 << 18  # whole lines parsed at once; bounds the temporaries
+_MAX_LABEL_WORDS = 32  # a longer label (over 256 bytes) takes the row reader
+# _BYTE_MASKS[n] keeps the first n bytes of a little-endian uint64 word
+_BYTE_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+_WORD_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _load_columns(path: Path) -> PerformanceDataset | None:
+    """The dataset of a plain long CSV, or None for any other file.
+
+    A plain file is UTF-8 with no _NOT_PLAIN byte; its header is the first
+    non-empty line, and every other non-empty line holds exactly four
+    commas, labels of at most 256 bytes, at most csv.field_size_limit()
+    bytes in all, and a finite value that np.loadtxt parses (it parses what
+    float() does, bit for bit, and rejects a few texts float() accepts, such
+    as '1_0'); no cell repeats. The file is read in blocks of whole lines:
+    numpy finds the newline and comma offsets, groups each label column by
+    packed bytes, and each distinct field text is decoded once.
+    """
+    axes = ({}, {}, {}, {})  # label -> position, per axis
+    seen = ({}, {}, {}, {})  # raw field bytes -> position, per axis
+    # typed columns grow in place, so the blocks' temporaries leave no holes
+    columns = tuple(array.array("i") for _ in axes) + (array.array("d"),)
+    try:
+        handle = open(path, "rb")
+    except OSError:
+        return None  # the row reader reports it
+    in_body = False  # past the header
+    with handle:
+        for block in _line_blocks(handle):
+            if block is None or not _is_plain(block):
+                return None
+            if not in_body:
+                header, _, block = block.lstrip(b"\n").partition(b"\n")
+                if not header:
+                    continue  # blank lines before the header
+                if tuple(cell.strip().lower() for cell
+                         in header.decode().split(",")) != LONG_CSV_HEADER:
+                    return None
+                in_body = True
+            if not _parse_block(block, axes, seen, columns):
+                return None
+    *positions, values = (np.frombuffer(column, dtype=column.typecode)
+                          for column in columns)
+    if not values.size:
+        return None
+    shape = tuple(map(len, axes))
+    cube = np.full(shape, np.nan)
+    cube.reshape(-1)[np.ravel_multi_index(positions, shape)] = values
+    if np.count_nonzero(~np.isnan(cube)) != values.size:
+        return None  # a repeated cell: its values are all finite
+    return _dataset(axes, cube)
+
+
+def _line_blocks(handle):
+    """Pieces of a binary file of about _BLOCK_BYTES whole lines each; None
+    in place of a line longer than that."""
+    rest = b""
+    while chunk := handle.read(_BLOCK_BYTES):
+        chunk = rest + chunk
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            yield None
+            return
+        yield chunk[:cut]
+        rest = chunk[cut:]
+    if rest:
+        yield rest
+
+
+def _is_plain(block: bytes) -> bool:
+    """UTF-8 with no _NOT_PLAIN byte."""
+    if any(byte in block for byte in _NOT_PLAIN):
+        return False
+    if not block.isascii():
+        try:
+            block.decode()
+        except UnicodeDecodeError:
+            return False
+    return True
+
+
+def _parse_block(block: bytes, axes, seen, columns) -> bool:
+    """Append the axis positions and the value of each non-empty line of a
+    plain block to columns, registering new labels; False if a line is not
+    plain."""
+    size = len(block)
+    padded = block + bytes(8)
+    text = np.frombuffer(padded, np.uint8, size)
+    ends = np.flatnonzero(text == ord("\n"))
+    if not block.endswith(b"\n"):
+        ends = np.append(ends, size)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    starts, ends = starts[ends > starts], ends[ends > starts]
+    if not starts.size:
+        return True
+    commas = np.flatnonzero(text == ord(","))
+    if commas.size != 4 * starts.size:
+        return False
+    commas = commas.reshape(-1, 4)
+    # with four commas per line on average, none before its line's start
+    # and none after its end means exactly four in each line
+    if (commas[:, 0] < starts).any() or (commas[:, 3] >= ends).any() \
+            or (ends - starts).max() > csv.field_size_limit():
+        return False
+    try:
+        values = np.loadtxt(io.BytesIO(block), delimiter=",", usecols=4,
+                            quotechar=None, comments=None, encoding="utf-8",
+                            ndmin=1)
+    except ValueError:
+        return False
+    if values.size != starts.size or not np.isfinite(values).all():
+        return False
+    # the 8 bytes from each offset, read as one little-endian word
+    words = np.ndarray((size,), "<u8", padded, 0, (1,))
+    # (dimension, measure, algorithm, function); the file orders the fields
+    # dimension, measure, function, algorithm
+    fields = ((starts, commas[:, 0]), (commas[:, 0] + 1, commas[:, 1]),
+              (commas[:, 2] + 1, commas[:, 3]),
+              (commas[:, 1] + 1, commas[:, 2]))
+    for number, (axis, by_text, (lo, hi)) in enumerate(zip(axes, seen,
+                                                           fields)):
+        groups = _group(words, lo, hi)
+        if groups is None:
+            return False
+        first, inverse = groups
+        position = np.empty(first.size, np.int32)
+        for g in np.argsort(first).tolist():  # first appearance order
+            i = first[g]
+            raw = block[lo[i]:hi[i]]
+            if raw not in by_text:
+                label = raw.decode()
+                label = _parse_dimension(label) if number == 0 \
+                    else label.strip()
+                by_text[raw] = axis.setdefault(label, len(axis))
+            position[g] = by_text[raw]
+        columns[number].frombytes(position[inverse].tobytes())
+    columns[4].frombytes(values.tobytes())
+    return True
+
+
+def _group(words: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """(first, inverse) of the distinct texts in [lo, hi) byte ranges:
+    the first index of each group and each range's group; None if a range
+    is over _MAX_LABEL_WORDS words or two texts share a hash.
+
+    A text is packed into 8-byte words, zero-padded (a plain file has no
+    NUL, so padding never looks like text). One word is the key itself;
+    longer texts are keyed by a hash of their words, and every member of a
+    group is then compared word for word with the group's first.
+    """
+    lengths = hi - lo
+    count = -(-int(lengths.max()) // 8)
+    if count > _MAX_LABEL_WORDS:
+        return None
+    last = words.size - 1
+    packed = [words[np.minimum(lo + 8 * w, last)]
+              & _BYTE_MASKS[np.clip(lengths - 8 * w, 0, 8)]
+              for w in range(count)]
+    key = packed[0] if packed else np.zeros(lo.size, np.uint64)
+    for word in packed[1:]:
+        key = key * _WORD_MIX + word  # wraps modulo 2**64
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    if count > 1:
+        leader = first[inverse]
+        if any((word != word[leader]).any() for word in packed):
+            return None
+    return first, inverse
 
 
 def save_long_csv(dataset: PerformanceDataset, path) -> Path:
@@ -581,13 +738,15 @@ def load_rank_matrix_csv(path) -> DecisionMatrix:
         raise EmptyMatrix(f"{path}: header has no criterion columns")
     criteria = tuple(header[1:])
     labels: list[str] = []
+    seen: set[str] = set()
     data: list[list[float]] = []
     for number, row in rows:
         if len(row) != len(header):
             raise ParseError(f"{path}:{number}: expected {len(header)} fields, "
                              f"got {len(row)}")
-        if row[0] in labels:
+        if row[0] in seen:
             raise ParseError(f"{path}:{number}: duplicate alternative {row[0]!r}")
+        seen.add(row[0])
         labels.append(row[0])
         parsed = []
         for name, cell in zip(criteria, row[1:]):

@@ -262,6 +262,31 @@ class TestNotUtf8:
                    "--out", str(tmp_path / "dest"))
 
 
+class TestFieldSizeLimit:
+    """A field over csv.field_size_limit() is a parse error naming its
+    line, not a traceback."""
+
+    LABEL = "x" * 140000
+
+    def check(self, capsys, path, line, *argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith(f"hra: parse error: {path}:{line}: field "
+                              "larger than field limit")
+
+    def test_long_csv(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("dimension,measure,function,algorithm,value\n"
+                        f"10,best,f1,{self.LABEL},1.0\n")
+        self.check(capsys, path, 2, "run", "--data", str(path), "--out",
+                   str(tmp_path / "report"))
+
+    def test_rank_matrix(self, capsys, tmp_path):
+        path = tmp_path / "matrix.csv"
+        path.write_text(f"algorithm,c1\na,1\n{self.LABEL},2\n")
+        self.check(capsys, path, 3, "rtopsis", "--matrix", str(path))
+
+
 class TestUsage:
     def test_no_subcommand_exits_1(self, capsys):
         code, _, err = run_cli(capsys)

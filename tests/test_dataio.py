@@ -4,16 +4,20 @@ import csv
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import SYNTHETIC_CSV
+from conftest import SYNTHETIC_CSV, random_dataset
 from hra import (
     DecisionMatrix,
     DuplicateTuple,
     EmptyMatrix,
     EmptyRuns,
+    HraError,
     InconsistentStatistics,
     IoError,
     MissingCell,
@@ -30,6 +34,7 @@ from hra import (
     save_long_csv,
     save_rank_matrix_csv,
 )
+from hra import dataio
 from hra.dataio import format_number
 
 
@@ -272,9 +277,183 @@ class TestLongCsv:
         with pytest.raises(DuplicateTuple, match=":3:"):
             load_long_csv(path)
 
+    def test_comment_with_open_quote_is_one_line(self, tmp_path):
+        path = tmp_path / "comment.csv"
+        path.write_text("dimension,measure,function,algorithm,value\n"
+                        "10,best,f1,a,1.0\n"
+                        '# see,"notes\n'
+                        "10,best,f2,a,2.0\n10,best,f1,b,3.0\n"
+                        "10,best,f2,b,4.0\n")
+        ds = load_long_csv(path)
+        assert len(ds.values) == 4 and ds.is_complete
+
+    def test_error_names_physical_line(self, tmp_path):
+        path = tmp_path / "lines.csv"
+        path.write_text('# "provenance\n'
+                        "dimension,measure,function,algorithm,value\n"
+                        '10,best,"f\n1",a,1.0\n'
+                        "10,best,f2,a,oops\n")
+        with pytest.raises(ParseError, match=":5: value column"):
+            load_long_csv(path)
+
+    def test_field_over_csv_limit_names_line(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("dimension,measure,function,algorithm,value\n"
+                        "10,best,f1,a,1.0\n"
+                        f"10,best,f1,{'x' * 140000},1.0\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:3: "
+                                             "field larger than field limit"):
+            load_long_csv(path)
+
     def test_seventeen_digit_serialization(self):
         x = 0.1 + 0.2  # not exactly 0.3
         assert float(format_number(x)) == x
+
+
+HEADER = "dimension,measure,function,algorithm,value\n"
+
+
+def described(ds):
+    return (ds.dimensions, ds.measures, ds.algorithms, ds.functions,
+            ds.array.tobytes())
+
+
+def load_outcome(load, path):
+    """A loader's dataset as axes plus array bytes, or its error."""
+    try:
+        return described(load(path))
+    except HraError as exc:
+        return type(exc), str(exc)
+
+
+DIMENSION_TEXTS = ("10", "010", "+10", " 10", "30 ", "-5", "dé")
+LABEL_TEXTS = ("best", "worst", "mean", "a", " a", "a ", "été",
+               "日本 x", "\u00a0b", "f\x0c1", "", "LSHADE-cnEpSin",
+               "L" * 250)
+VALUE_TEXTS = ("1.0", "1_0", " 1e3 ", "nan", "inf", "-0.0", "", "x", "1e500",
+               "\u00a02", "\x1c3", "4\x0b", "0x10", "\u0661")
+OTHER_LINES = ("", " ", "# provenance", '# see,"notes', "#,,,,1")
+
+
+@st.composite
+def long_csv_files(draw):
+    """Bytes of long CSVs: half of them clean, the rest with the row
+    reader's corners (odd values, ragged rows, quotes, comments, blanks,
+    repeated rows, CRLF, a bad header, a byte that is not UTF-8)."""
+    rough = draw(st.booleans())
+    value = st.one_of(st.floats(allow_nan=False, allow_infinity=False)
+                      .map(repr), st.integers(-3, 3).map(str))
+    if rough:
+        value = st.one_of(value, st.sampled_from(VALUE_TEXTS))
+    label = st.sampled_from(LABEL_TEXTS)
+    rows = draw(st.lists(st.tuples(st.sampled_from(DIMENSION_TEXTS), label,
+                                   label, label, value), max_size=8))
+    lines = []
+    for fields in map(list, rows):
+        corner = draw(st.integers(0, 11)) if rough else None
+        if corner == 0:
+            fields = fields[:4]
+        elif corner == 1:
+            fields.append("x")
+        elif corner == 2:
+            fields[3] = '"' + fields[3] + ',q"'
+        lines.append(",".join(fields))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(OTHER_LINES)) if rough else "")
+        if rough and draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(lines)))
+    head, ending = HEADER[:-1], "\n"
+    if rough:
+        head = draw(st.sampled_from((head,) * 4 + (
+            " Dimension , measure,function,algorithm,VALUE", "dim,m,f,a,v")))
+        ending = draw(st.sampled_from(("\n", "\n", "\r\n")))
+    text = ending.join([head] + lines)
+    if draw(st.booleans()):
+        text += ending
+    data = text.encode()
+    if rough and draw(st.integers(0, 9)) == 0:
+        data = data.replace(b"a", b"\xff", 1)
+    return data
+
+
+class TestColumnarLoader:
+    """load_long_csv parses plain files column by column; the row reader
+    is the reference for every file and the source of every error."""
+
+    def test_plain_file_takes_columnar_path(self):
+        ds = dataio._load_columns(SYNTHETIC_CSV)
+        assert ds is not None
+        assert described(ds) == load_outcome(dataio._load_rows, SYNTHETIC_CSV)
+
+    @pytest.mark.parametrize("body", [
+        '"10",best,f1,a,1.0\n',  # a quote
+        "# note\n10,best,f1,a,1.0\n",  # a comment
+        "10,best,f1,a,1.0\r\n",  # CRLF
+        "10,best,f1,a,1_0\n",  # float() accepts it, loadtxt does not
+        "10,best,f1,a,\x1c3\n",  # loadtxt accepts it, float() does not
+        "10,best,f1,a,1.0\n 10,best,f1,a,2.0\n",  # a repeated cell
+        "10,best,f1,a,nan\n",  # non-finite
+        "10,best,f1,a,-inf\n",
+        "10,best,f1,a\n",  # four fields
+        f"10,best,f1,{'L' * 257},1.0\n",  # a label over 256 bytes
+        "10,best,f1,a,1.0\n\t\n",  # a line of blanks
+    ])
+    def test_other_files_take_row_path(self, tmp_path, body):
+        path = tmp_path / "data.csv"
+        path.write_text(HEADER + body)
+        assert dataio._load_columns(path) is None
+        assert load_outcome(load_long_csv, path) \
+            == load_outcome(dataio._load_rows, path)
+
+    def test_blank_lines_and_missing_final_newline(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("\n\n" + HEADER + "\n10,best,f1,\u00e9,1.0\n\n"
+                        "30,best,f1,\u00e9,-0.0")
+        assert dataio._load_columns(path) is not None
+        assert load_outcome(load_long_csv, path) \
+            == load_outcome(dataio._load_rows, path)
+
+    def test_blocks_keep_first_appearance_order(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", 64)
+        path = tmp_path / "data.csv"
+        path.write_text(HEADER + "".join(
+            f"{d},p{i % 3},f{i % 5},a{i % 7},{i}\n"
+            for i, d in enumerate((30, 10) * 20)))
+        ds = dataio._load_columns(path)
+        assert ds is not None and ds.dimensions == (30, 10)
+        assert ds.algorithms[:3] == ("a0", "a1", "a2")
+        assert described(ds) == load_outcome(dataio._load_rows, path)
+
+    def test_hash_collision_takes_row_path(self, tmp_path, monkeypatch):
+        # with no mixing, a label's key is its last word, so these collide
+        monkeypatch.setattr(dataio, "_WORD_MIX", np.uint64(0))
+        path = tmp_path / "data.csv"
+        path.write_text(HEADER + "10,best,f1,aaaaaaaa-tail,1.0\n"
+                        "10,best,f2,bbbbbbbb-tail,2.0\n")
+        assert dataio._load_columns(path) is None
+        assert load_long_csv(path).algorithms == ("aaaaaaaa-tail",
+                                                  "bbbbbbbb-tail")
+
+    @given(long_csv_files())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_outcome_as_row_reader(self, tmp_path, data):
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        assert load_outcome(load_long_csv, path) \
+            == load_outcome(dataio._load_rows, path)
+
+    def test_peak_memory_within_three_file_sizes(self, tmp_path):
+        path = save_long_csv(random_dataset(50, 100, 4, 5, seed=11),
+                             tmp_path / "data.csv")
+        assert dataio._load_columns(path) is not None
+        tracemalloc.start()
+        try:
+            load_long_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * path.stat().st_size
 
 
 class TestRankMatrixCsv:
@@ -331,6 +510,28 @@ class TestRankMatrixCsv:
         path = tmp_path / "dup.csv"
         path.write_text("algorithm,c1\na,1\na,2\n")
         with pytest.raises(ParseError, match="duplicate"):
+            load_rank_matrix_csv(path)
+
+    def test_duplicate_label_names_line(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("algorithm,c1\n" + "".join(
+            f"a{i},{i}\n" for i in range(20000)) + "a7,1\n")
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}:20002: duplicate alternative 'a7'")):
+            load_rank_matrix_csv(path)
+
+    def test_comment_with_open_quote_is_one_line(self, tmp_path):
+        path = tmp_path / "comment.csv"
+        path.write_text('algorithm,c1\na,1\n# see,"notes\nb,2\n')
+        matrix = load_rank_matrix_csv(path)
+        assert matrix.alternative_labels == ("a", "b")
+        np.testing.assert_array_equal(matrix.values, [[1.0], [2.0]])
+
+    def test_field_over_csv_limit_names_line(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text(f"algorithm,c1\n{'x' * 140000},1\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: "
+                                             "field larger than field limit"):
             load_rank_matrix_csv(path)
 
     def test_comments_skipped(self, tmp_path):
