@@ -66,19 +66,31 @@ def compute_statistics(runs: Sequence[float],
 
     std is the sample standard deviation (denominator R-1) unless
     population_std is set; a single run has std 0 under either convention.
+    This is the one-row case of _statistics.
     """
-    runs = np.asarray(runs, dtype=float)
+    runs = np.asarray(runs, dtype=float).reshape(1, -1)
     if runs.size == 0:
         raise EmptyRuns("cannot summarize an empty run list")
     if not np.isfinite(runs).all():
         raise NonFiniteValue("run values must be finite")
-    if runs.size == 1:
-        std = 0.0
-    else:
-        std = float(runs.std(ddof=0 if population_std else 1))
-    return RunStatistics(best=float(runs.min()), worst=float(runs.max()),
-                         median=float(np.median(runs)),
-                         mean=float(runs.mean()), std=std)
+    return RunStatistics(*_statistics(runs, population_std)[0].tolist())
+
+
+def _statistics(runs: np.ndarray, population_std: bool) -> np.ndarray:
+    """(cells, 5) statistics in RunStatistics order of a C-contiguous
+    (cells, R) array of finite runs, R >= 1.
+
+    Every statistic reduces along the contiguous last axis, so a row's
+    result is bit for bit that of its 1-D computation.
+    """
+    stats = np.empty((runs.shape[0], 5))
+    stats[:, 0] = runs.min(axis=1)
+    stats[:, 1] = runs.max(axis=1)
+    stats[:, 2] = np.median(runs, axis=1)
+    stats[:, 3] = runs.mean(axis=1)
+    stats[:, 4] = 0.0 if runs.shape[1] == 1 else \
+        runs.std(axis=1, ddof=0 if population_std else 1)
+    return stats
 
 
 def _axis_index(axes) -> tuple[dict, ...]:
@@ -343,9 +355,14 @@ def dataset_from_runs(raw: RawRuns,
                                               functions))
     cube = np.full((len(dimensions), len(STAT_MEASURES), len(algorithms),
                     len(functions)), np.nan)
-    for (d, a, f), runs in raw.runs.items():
-        cube[d_index[d], :, a_index[a], f_index[f]] = compute_statistics(
-            runs, population_std=population_std)
+    by_count: dict[int, list] = {}  # one batch per distinct run count
+    for key, runs in raw.runs.items():
+        by_count.setdefault(len(runs), []).append((key, runs))
+    for cells in by_count.values():
+        keys, runs = zip(*cells)
+        i, j, k = np.array([(d_index[d], a_index[a], f_index[f])
+                            for d, a, f in keys]).T
+        cube[i, :, j, k] = _statistics(np.array(runs), population_std)
     return PerformanceDataset.from_array(
         algorithms=algorithms, functions=functions, dimensions=dimensions,
         measures=STAT_MEASURES, array=cube)
@@ -533,10 +550,10 @@ def _register(row: list[str], axes, seen) -> tuple[int, int, int, int]:
     return tuple(position)
 
 
-# The columnar path. Bytes that csv treats specially or a comment starts
-# with send a file to the row reader, and so do the ASCII separators
-# \x1c-\x1f: np.loadtxt strips them around a value as blanks, float() does not.
-_NOT_PLAIN = b'"\r\0#\x1c\x1d\x1e\x1f'
+# The columnar path. Bytes that csv treats specially send a file to the
+# row reader, and so do the ASCII separators \x1c-\x1f: np.loadtxt strips
+# them around a value as blanks, float() does not.
+_NOT_PLAIN = b'"\r\0\x1c\x1d\x1e\x1f'
 _BLOCK_BYTES = 1 << 18  # whole lines parsed at once; bounds the temporaries
 _MAX_LABEL_WORDS = 32  # a longer label (over 256 bytes) takes the row reader
 # _BYTE_MASKS[n] keeps the first n bytes of a little-endian uint64 word
@@ -547,14 +564,16 @@ _WORD_MIX = np.uint64(0x9E3779B97F4A7C15)
 def _load_columns(path: Path) -> PerformanceDataset | None:
     """The dataset of a plain long CSV, or None for any other file.
 
-    A plain file is UTF-8 with no _NOT_PLAIN byte; its header is the first
-    non-empty line, and every other non-empty line holds exactly four
-    commas, labels of at most 256 bytes, at most csv.field_size_limit()
-    bytes in all, and a finite value that np.loadtxt parses (it parses what
-    float() does, bit for bit, and rejects a few texts float() accepts, such
-    as '1_0'); no cell repeats. The file is read in blocks of whole lines:
-    numpy finds the newline and comma offsets, groups each label column by
-    packed bytes, and each distinct field text is decoded once.
+    A plain file is UTF-8 with no _NOT_PLAIN byte. Its comment lines are
+    dropped, as the row reader skips them (see _drop_comments); the header
+    is the first non-empty line left, and every other non-empty line holds
+    exactly four commas, labels of at most 256 bytes, at most
+    csv.field_size_limit() bytes in all, and a finite value that np.loadtxt
+    parses (it parses what float() does, bit for bit, and rejects a few
+    texts float() accepts, such as '1_0'); no cell repeats. The file is
+    read in blocks of whole lines: numpy finds the newline and comma
+    offsets, groups each label column by packed bytes, and each distinct
+    field text is decoded once.
     """
     axes = ({}, {}, {}, {})  # label -> position, per axis
     seen = ({}, {}, {}, {})  # raw field bytes -> position, per axis
@@ -569,6 +588,7 @@ def _load_columns(path: Path) -> PerformanceDataset | None:
         for block in _line_blocks(handle):
             if block is None or not _is_plain(block):
                 return None
+            block = _drop_comments(block)
             if not in_body:
                 header, _, block = block.lstrip(b"\n").partition(b"\n")
                 if not header:
@@ -617,6 +637,18 @@ def _is_plain(block: bytes) -> bool:
         except UnicodeDecodeError:
             return False
     return True
+
+
+def _drop_comments(block: bytes) -> bytes:
+    """A plain block without its comment lines, those whose text starts,
+    after blanks, with '#'; the rule of _records, for which every line of a
+    plain file starts a record. A '#' elsewhere in a line, as in the label
+    'C#', is data."""
+    if b"#" not in block:
+        return block
+    return b"".join(line for line in block.splitlines(keepends=True)
+                    if b"#" not in line
+                    or not line.decode().lstrip().startswith("#"))
 
 
 def _parse_block(block: bytes, axes, seen, columns) -> bool:

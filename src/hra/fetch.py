@@ -16,13 +16,15 @@ layouts are recognized:
   kept.
 
 Anything else raises UnknownLayout instead of guessing.
+
+A plain run file (see _plain_runs) is checked token by token without
+converting the rows it discards; any other file goes through the text loop,
+which gives the same values and is the source of every error.
 """
 
 from __future__ import annotations
 
-import hashlib
-import urllib.error
-import urllib.request
+import re
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 
@@ -59,6 +61,8 @@ class FetchResult:
 
 
 def _sha256(path: Path) -> str:
+    import hashlib  # only `hra fetch` needs it; keeps `import hra` lean
+
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 16), b""):
@@ -67,6 +71,9 @@ def _sha256(path: Path) -> str:
 
 
 def _read_url(url: str) -> bytes:
+    import urllib.error
+    import urllib.request  # loads http.client, ssl, email: only on fetch
+
     try:
         with urllib.request.urlopen(url, timeout=URL_TIMEOUT_S) as response:
             return response.read()
@@ -117,6 +124,8 @@ def fetch_raw(source_url: str, destination) -> FetchResult:
     download whose bytes do not match raises ChecksumMismatch naming the
     file and nothing is recorded for it.
     """
+    import hashlib
+
     destination = Path(destination)
     try:
         destination.mkdir(parents=True, exist_ok=True)
@@ -155,7 +164,53 @@ def fetch_raw(source_url: str, destination) -> FetchResult:
 
 # -- run-file parsing -------------------------------------------------------
 
-def _parse_run_file(path: Path) -> tuple[float, ...]:
+# A plain run file holds only ASCII digits, '.eE+-', space, tab and '\n',
+# and every token has this float-literal shape, a strict subset of what
+# float() accepts. Tokens are checked as shapes: _SHAPE_TABLE maps each
+# digit to '0' and any other byte outside that set to 'x', which no shape
+# holds, so the shapes alone decide whether a file is plain.
+_FLOAT_SHAPE = re.compile(rb"[+-]?(?:0+\.?0*|\.0+)(?:[eE][+-]?0+)?")
+_SHAPE_TABLE = bytes(ord("0") if b in b"0123456789"
+                     else b if b in b".eE+- \t\n" else ord("x")
+                     for b in range(256))
+
+
+def _parse_run_file(path: Path, known: set[bytes]) -> tuple[float, ...]:
+    """A run file's kept values: the plain path when the file is plain,
+    otherwise the text loop. known is as for _plain_runs."""
+    values = _plain_runs(path.read_bytes(), known)
+    return _parse_run_text(path) if values is None else values
+
+
+def _plain_runs(data: bytes, known: set[bytes]) -> tuple[float, ...] | None:
+    """The kept values of a plain run file that is one row, one value per
+    line or a rectangular matrix; None for any other file.
+
+    Every token is validated by its shape, but float() runs only on the
+    values that are kept. known holds shapes already matched, and the
+    shapes this file matches are added to it; files of one directory share
+    a few dozen shapes.
+    """
+    widths, shapes = set(), set()
+    for line in data.translate(_SHAPE_TABLE).split(b"\n"):
+        tokens = line.split()
+        if tokens:
+            widths.add(len(tokens))
+            shapes.update(tokens)
+    if len(widths) != 1:  # empty or ragged: the text loop says which
+        return None
+    unknown = shapes - known
+    if not all(map(_FLOAT_SHAPE.fullmatch, unknown)):
+        return None
+    known.update(unknown)
+    if widths == {1}:  # one number per line (or a single number)
+        return tuple(map(float, data.split()))
+    # one row, or a checkpoint matrix whose last row is the final errors
+    return tuple(map(float, data.rstrip().rpartition(b"\n")[2].split()))
+
+
+def _parse_run_text(path: Path) -> tuple[float, ...]:
+    """The reference text loop; the source of every run-file error."""
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -192,6 +247,7 @@ def load_raw_runs(directory, expected_runs: int | None = None) -> RawRuns:
     if not directory.is_dir():
         raise IoError(f"not a directory: {directory}")
     runs: dict[tuple, tuple[float, ...]] = {}
+    known: set[bytes] = set()  # token shapes matched so far
     for path in sorted(directory.rglob("*.txt")):
         parts = path.stem.rsplit("_", 2)
         if len(parts) != 3 or not parts[0]:
@@ -200,7 +256,7 @@ def load_raw_runs(directory, expected_runs: int | None = None) -> RawRuns:
         key = (_parse_dimension(dim_text), algorithm, function)
         if key in runs:
             raise ParseError(f"{path}: duplicate run file for {key}")
-        values = _parse_run_file(path)
+        values = _parse_run_file(path, known)
         if expected_runs is not None and len(values) != expected_runs:
             raise ParseError(f"{path}: {len(values)} runs, "
                              f"expected {expected_runs}")

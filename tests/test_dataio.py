@@ -24,8 +24,10 @@ from hra import (
     NonFiniteValue,
     ParseError,
     PerformanceDataset,
+    RawRuns,
     ShapeMismatch,
     compute_statistics,
+    dataset_from_runs,
     emit_report,
     fixtures,
     load_long_csv,
@@ -86,6 +88,50 @@ class TestComputeStatistics:
     def test_non_finite(self):
         with pytest.raises(NonFiniteValue):
             compute_statistics([1.0, float("inf")])
+
+
+def one_cell_statistics(runs, population_std):
+    """The per-cell numpy definition the batch must reproduce bit for bit."""
+    runs = np.asarray(runs, dtype=float)
+    std = 0.0 if runs.size == 1 else runs.std(ddof=0 if population_std else 1)
+    return [runs.min(), runs.max(), np.median(runs), runs.mean(), std]
+
+
+class TestBatchedStatistics:
+    """dataset_from_runs summarizes all cells of one run count at once."""
+
+    @pytest.mark.parametrize("population_std", [False, True])
+    def test_bit_identical_to_one_cell_at_a_time(self, population_std):
+        rng = np.random.default_rng(5)
+        runs = {}
+        for d, count in enumerate((1, 2, 51, 51, 2, 1, 7, 51)):
+            for f, kind in enumerate(("spread", "ties", "zeros", "tiny")):
+                if kind == "spread":
+                    values = rng.lognormal(0.0, 3.0, count)
+                elif kind == "ties":
+                    values = rng.integers(0, 3, count) * 100.0
+                elif kind == "zeros":  # -0.0 beside 0.0
+                    values = rng.choice([0.0, -0.0, 1e-300], count)
+                else:
+                    values = 1e5 + rng.uniform(0.0, 1e-9, count)
+                runs[(10 * (d + 1), "alg", f"f{f}")] = tuple(values.tolist())
+        ds = dataset_from_runs(RawRuns(runs), population_std=population_std)
+        for (d, a, f), values in runs.items():
+            got = np.array([ds.values[(d, p, a, f)] for p in ds.measures])
+            one = np.array(compute_statistics(values, population_std))
+            reference = np.array(one_cell_statistics(values, population_std))
+            assert got.view(np.uint64).tolist() \
+                == one.view(np.uint64).tolist() \
+                == reference.view(np.uint64).tolist(), (d, f, values)
+
+    def test_single_runs_have_zero_std(self):
+        raw = RawRuns({(10, "a", "f"): (-0.0,), (10, "a", "g"): (3.0,)})
+        for population_std in (False, True):
+            ds = dataset_from_runs(raw, population_std=population_std)
+            # numpy's median and mean of [-0.0] are +0.0
+            assert [v.hex() for v in ds.array[0, :, 0, 0].tolist()] \
+                == ["-0x0.0p+0"] * 2 + ["0x0.0p+0"] * 3
+            assert ds.array[0, 4, 0, 1] == 0.0
 
 
 class TestPerformanceDataset:
@@ -387,7 +433,6 @@ class TestColumnarLoader:
 
     @pytest.mark.parametrize("body", [
         '"10",best,f1,a,1.0\n',  # a quote
-        "# note\n10,best,f1,a,1.0\n",  # a comment
         "10,best,f1,a,1.0\r\n",  # CRLF
         "10,best,f1,a,1_0\n",  # float() accepts it, loadtxt does not
         "10,best,f1,a,\x1c3\n",  # loadtxt accepts it, float() does not
@@ -404,6 +449,25 @@ class TestColumnarLoader:
         assert dataio._load_columns(path) is None
         assert load_outcome(load_long_csv, path) \
             == load_outcome(dataio._load_rows, path)
+
+    @pytest.mark.parametrize("body", [
+        "# note\n10,best,f1,a,1.0\n",  # a comment
+        "10,best,f1,C#,1.0\n",  # a '#' inside a label is data
+        "10,best,f1,a,1.0\n \u00a0# note, with, commas\n#,,,,1\n",
+    ])
+    def test_comments_take_columnar_path(self, tmp_path, body):
+        path = tmp_path / "data.csv"
+        path.write_text(HEADER + body)
+        ds = dataio._load_columns(path)
+        assert ds is not None
+        assert described(ds) == load_outcome(dataio._load_rows, path)
+
+    def test_comment_before_header(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("# provenance\n\n" + HEADER + "10,best,f1,a,1.0\n")
+        ds = dataio._load_columns(path)
+        assert ds is not None and ds.algorithms == ("a",)
+        assert described(ds) == load_outcome(dataio._load_rows, path)
 
     def test_blank_lines_and_missing_final_newline(self, tmp_path):
         path = tmp_path / "data.csv"

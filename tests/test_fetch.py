@@ -1,13 +1,18 @@
 """Tests for source mirroring and raw run-file parsing."""
 
 import hashlib
+import subprocess
+import sys
 import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hra import (
     ChecksumMismatch,
+    HraError,
     NetworkError,
     ParseError,
     RawRuns,
@@ -16,6 +21,7 @@ from hra import (
     fetch_raw,
     load_raw_runs,
 )
+from hra import fetch
 from hra.fetch import MANIFEST_NAME, URL_TIMEOUT_S, parse_inventory
 
 
@@ -112,6 +118,14 @@ class TestFetchRaw:
         assert calls == [URL_TIMEOUT_S]
 
 
+def test_import_does_not_load_network_modules():
+    probe = ("import sys, hra; print(sorted({'urllib.request', 'http.client'}"
+             " & set(sys.modules)))")
+    found = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                           text=True, check=True)
+    assert found.stdout.strip() == "[]"
+
+
 class TestLoadRawRuns:
     def test_flat_single_line(self, tmp_path):
         (tmp_path / "solver_1_10.txt").write_text("3.0 1.0 2.0\n")
@@ -198,3 +212,131 @@ class TestDatasetFromRuns:
             raw, population_std=True).values[(10, "std", "s", "f")]
         assert sample == pytest.approx(1.0)
         assert population < sample
+
+
+def parse_run_file(path):
+    return fetch._parse_run_file(path, set())
+
+
+def run_outcome(parse, path):
+    """A run-file parser's values as exact float hex, or its error."""
+    try:
+        return [value.hex() for value in parse(path)]
+    except HraError as exc:
+        return type(exc), str(exc)
+
+
+PLAIN_TOKENS = ("0", "1.5", "1.", ".5", "+.5e-3", "1e5", "-2E+07", "007",
+                "1e500", "-0.0", "123456789.123456789e-300")
+ODD_TOKENS = ("1e", "e5", "1.2.3", "--1", ".", "+", "1e+", "1_0", "nan",
+              "-inf", "Infinity", "\u0661", "\uff11.5", "1\u00a02", "x")
+SEPARATORS = (" ", "  ", "\t", " \t ")
+
+
+@st.composite
+def run_files(draw):
+    """Bytes of run files: one row, one value per line, a matrix, a ragged
+    or an empty file; half of them plain, the rest with odd tokens, blank
+    and '#' lines, CRLF, a Unicode space, a BOM or a non-UTF-8 byte."""
+    rough = draw(st.booleans())
+    token = st.sampled_from(PLAIN_TOKENS)
+    if rough:
+        token = st.one_of(token, st.sampled_from(ODD_TOKENS))
+    layout = draw(st.sampled_from(("row", "column", "matrix", "ragged",
+                                   "empty")))
+    width = draw(st.integers(1, 5))
+    if layout == "row":
+        widths = [width]
+    elif layout == "column":
+        widths = [1] * draw(st.integers(1, 6))
+    elif layout == "matrix":
+        widths = [width] * draw(st.integers(2, 5))
+    elif layout == "ragged":
+        widths = draw(st.lists(st.integers(1, 5), min_size=2, max_size=5))
+    else:
+        widths = []
+    separator = st.sampled_from(SEPARATORS)
+    lines = []
+    for count in widths:
+        tokens = draw(st.lists(token, min_size=count, max_size=count))
+        line = "".join(draw(separator) + t for t in tokens)[1:]
+        if draw(st.integers(0, 3)) == 0:
+            line = draw(separator) + line + draw(separator)
+        lines.append(line)
+        if draw(st.integers(0, 4)) == 0:
+            extra = ("", "\t") + (("# provenance", " #x 1 2") if rough else ())
+            lines.append(draw(st.sampled_from(extra)))
+    ending = draw(st.sampled_from(("\n", "\r\n"))) if rough else "\n"
+    text = ending.join(lines) + draw(st.sampled_from(("", ending)))
+    if rough:
+        text = draw(st.sampled_from(("", "\ufeff", "\u2003"))) + text
+    data = text.encode()
+    if rough and draw(st.integers(0, 9)) == 0:
+        data += b"\xff"
+    return data
+
+
+class TestPlainRunFiles:
+    """A plain run file skips converting the rows it discards; the text
+    loop is the reference for every file and the source of every error."""
+
+    @given(run_files())
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_outcome_as_text_loop(self, tmp_path, data):
+        path = tmp_path / "solver_1_10.txt"
+        path.write_bytes(data)
+        expected = run_outcome(fetch._parse_run_text, path)
+        assert run_outcome(parse_run_file, path) == expected
+        plain = fetch._plain_runs(data, set())
+        if plain is not None:
+            assert [value.hex() for value in plain] == expected
+
+    @pytest.mark.parametrize("body", [
+        "1 2 3\n",  # one row
+        "3\n1\n2",  # one value per line, no final newline
+        "9 9\n5 5\n1.5 2.5\n",  # a checkpoint matrix
+        "\n\t1.\t.5  \n\n +.5e-3 1e5\n\n",  # blanks and tabs
+        "-0.0 1e500\n",  # a value float() overflows stays for RawRuns
+    ])
+    def test_plain_files_take_plain_path(self, tmp_path, body):
+        path = tmp_path / "solver_1_10.txt"
+        path.write_text(body)
+        assert fetch._plain_runs(path.read_bytes(), set()) is not None
+        assert run_outcome(parse_run_file, path) \
+            == run_outcome(fetch._parse_run_text, path)
+
+    @pytest.mark.parametrize("body", [
+        "",  # empty
+        " \n\t\n",  # only blanks
+        "1 2 3\n4 5\n",  # ragged
+        "# note\n1 2\n",  # a comment
+        "1 2\r\n3 4\r\n",  # CRLF
+        "1e 2\n", "e5\n", "1.2.3\n", "--1\n", ".\n",  # not a float
+        "1_0\n", "nan\n", "inf\n",  # float() accepts them
+        "\u0661\n",  # a Unicode digit
+        "1\u00a02\n",  # a Unicode space
+        "\ufeff1 2\n",  # a BOM
+        "1\x0b2\n", "1\x0c2\n",  # line breaks only to str.splitlines
+    ])
+    def test_other_files_take_text_loop(self, tmp_path, body):
+        path = tmp_path / "solver_1_10.txt"
+        path.write_text(body, encoding="utf-8")
+        assert fetch._plain_runs(path.read_bytes(), set()) is None
+        assert run_outcome(parse_run_file, path) \
+            == run_outcome(fetch._parse_run_text, path)
+
+    def test_non_utf8_byte_takes_text_loop(self, tmp_path):
+        path = tmp_path / "solver_1_10.txt"
+        path.write_bytes(b"1 2\xff\n")
+        assert fetch._plain_runs(path.read_bytes(), set()) is None
+        with pytest.raises(ParseError, match="not UTF-8"):
+            parse_run_file(path)
+
+    def test_known_shapes_grow_only_with_matched_shapes(self):
+        known = set()
+        assert fetch._plain_runs(b"1 22\n-3.5\t4e5\n", known) \
+            == (-3.5, 4e5)
+        assert known == {b"0", b"00", b"-0.0", b"0e0"}
+        assert fetch._plain_runs(b"1e 22 7\n", known) is None
+        assert known == {b"0", b"00", b"-0.0", b"0e0"}
