@@ -115,10 +115,10 @@ def cmd_run(args) -> int:
     report = run_hra(dataset, config)
     files = emit_report(report, args.format, args.out)
     if args.verbose:
-        for key, result in report.traces.items():
-            _print_trace("/".join(str(part) for part in key), result)
-    _print_ranking_table(report.algorithms, report.final_scores,
-                         report.final_ranks)
+        for node in report.nodes:
+            _print_trace("/".join(map(str, node.key)), node.result)
+    overall = report.nodes[-1].result
+    _print_ranking_table(report.algorithms, overall.closeness, overall.ranks)
     print(f"report written to {args.out} ({len(files)} files)")
     return EXIT_OK
 

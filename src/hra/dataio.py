@@ -13,6 +13,7 @@ significant digits so a save/load round trip is exact.
 from __future__ import annotations
 
 import array
+import codecs
 import csv
 import io
 import itertools
@@ -388,7 +389,8 @@ def _not_utf8(source, exc: UnicodeDecodeError) -> ParseError:
 
 def _records(path: Path):
     """Yield (line, row) for every CSV record of a UTF-8 file, unstripped;
-    line is the physical line the record starts on.
+    line is the physical line the record starts on. One leading
+    byte-order mark is skipped.
 
     A line whose raw text starts, after blanks, with '#' is a comment when
     it would start a record: csv never sees it, so a quote in it opens
@@ -396,7 +398,7 @@ def _records(path: Path):
     that continues a quoted field (csv pulls lines one at a time).
     """
     try:
-        handle = open(path, "r", encoding="utf-8", newline="")
+        handle = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     line = start = 0
@@ -564,9 +566,10 @@ _WORD_MIX = np.uint64(0x9E3779B97F4A7C15)
 def _load_columns(path: Path) -> PerformanceDataset | None:
     """The dataset of a plain long CSV, or None for any other file.
 
-    A plain file is UTF-8 with no _NOT_PLAIN byte. Its comment lines are
-    dropped, as the row reader skips them (see _drop_comments); the header
-    is the first non-empty line left, and every other non-empty line holds
+    A plain file is UTF-8 with no _NOT_PLAIN byte after one leading
+    byte-order mark, which both paths skip. Its comment lines are dropped,
+    as the row reader skips them (see _drop_comments); the header is the
+    first non-empty line left, and every other non-empty line holds
     exactly four commas, labels of at most 256 bytes, at most
     csv.field_size_limit() bytes in all, and a finite value that np.loadtxt
     parses (it parses what float() does, bit for bit, and rejects a few
@@ -585,6 +588,8 @@ def _load_columns(path: Path) -> PerformanceDataset | None:
         return None  # the row reader reports it
     in_body = False  # past the header
     with handle:
+        if handle.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+            handle.seek(0)  # one leading byte-order mark is skipped
         for block in _line_blocks(handle):
             if block is None or not _is_plain(block):
                 return None
@@ -826,13 +831,35 @@ def _render_table(header: Sequence[str], rows: Iterable[Sequence[str]],
     raise ValueError(f"unknown report format {fmt!r}")
 
 
+# an encoded label holds '%' only in these escapes, never as '%~'
+_FILE_NAME_ESCAPES = str.maketrans({"%": "%25", "/": "%2F", "\0": "%00"})
+_NAME_MAX = 255  # bytes in one file name on common file systems
+
+
+def dimension_file_name(label, ext: str) -> str:
+    """File name of a dimension's report table: dimension_<label>.<ext>
+    with '%', '/' and NUL percent-encoded. A name over _NAME_MAX bytes is
+    cut and ends in '%~' plus 16 hex digits of the label's sha256; no
+    encoded label holds '%~', so labels whose texts differ keep distinct
+    names (a loaded dataset never holds both 10 and '10')."""
+    text = str(label)
+    stem = "dimension_" + text.translate(_FILE_NAME_ESCAPES)
+    if len(stem.encode()) + 1 + len(ext) <= _NAME_MAX:
+        return f"{stem}.{ext}"
+    import hashlib  # only an over-long label needs it; keeps `import hra` lean
+
+    tail = f"%~{hashlib.sha256(text.encode()).hexdigest()[:16]}.{ext}"
+    head = stem.encode()[:_NAME_MAX - len(tail)]
+    return head.decode(errors="ignore") + tail
+
+
 def emit_report(report: "HraReport", fmt: str = "csv",
                 destination="report") -> list[Path]:
     """Write one file per aggregation level; byte-deterministic.
 
-    Files: leaf_ranks, dimension_<d> (one per dimension, matrix plus its
-    rank column), final_matrix, and final_ranking with header
-    algorithm,score,hra_rank.
+    Files: leaf_ranks, one per dimension node named by dimension_file_name
+    (matrix plus its rank column), final_matrix, and final_ranking with
+    header algorithm,score,hra_rank. Every table comes from report.nodes.
     """
     if fmt not in ("csv", "markdown"):
         raise ValueError(f"unknown report format {fmt!r}")
@@ -846,28 +873,30 @@ def emit_report(report: "HraReport", fmt: str = "csv",
     written: list[Path] = []
 
     def write(name: str, header, rows):
-        path = destination / f"{name}.{ext}"
+        path = destination / name
         try:
             path.write_text(_render_table(header, rows, fmt), encoding="utf-8")
         except OSError as exc:
             raise IoError(f"cannot write {path}: {exc}") from exc
         written.append(path)
 
-    write("leaf_ranks", ("dimension", "measure", "algorithm", "rank"),
-          [[str(d), str(p), a, format_number(r)]
-           for (d, p), ranks in report.leaf_ranks.items()
-           for a, r in zip(algorithms, ranks)])
-    for d, matrix in report.dimension_matrices.items():
-        write(f"dimension_{d}",
-              ("algorithm",) + matrix.criterion_labels + ("rank",),
+    write(f"leaf_ranks.{ext}", ("dimension", "measure", "algorithm", "rank"),
+          [[str(node.key[1]), str(node.key[2]), a, format_number(r)]
+           for node in report.level("leaf")
+           for a, r in zip(algorithms, node.result.ranks)])
+    for node in report.level("dimension"):
+        write(dimension_file_name(node.key[1], ext),
+              ("algorithm",) + node.matrix.criterion_labels + ("rank",),
               [[a] + [format_number(v) for v in row] + [format_number(r)]
-               for a, row, r in zip(algorithms, matrix.values,
-                                    report.dimension_ranks[d])])
-    write("final_matrix", ("algorithm",) + report.final_matrix.criterion_labels,
+               for a, row, r in zip(algorithms, node.matrix.values,
+                                    node.result.ranks)])
+    overall = report.nodes[-1]
+    write(f"final_matrix.{ext}",
+          ("algorithm",) + overall.matrix.criterion_labels,
           [[a] + [format_number(v) for v in row]
-           for a, row in zip(algorithms, report.final_matrix.values)])
-    write("final_ranking", ("algorithm", "score", "hra_rank"),
+           for a, row in zip(algorithms, overall.matrix.values)])
+    write(f"final_ranking.{ext}", ("algorithm", "score", "hra_rank"),
           [[a, format_number(s), format_number(r)]
-           for a, s, r in zip(algorithms, report.final_scores,
-                              report.final_ranks)])
+           for a, s, r in zip(algorithms, overall.result.closeness,
+                              overall.result.ranks)])
     return written

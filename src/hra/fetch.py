@@ -134,7 +134,7 @@ def fetch_raw(source_url: str, destination) -> FetchResult:
     source_url = source_url.rstrip("/")
     inventory_url = f"{source_url}/{INVENTORY_NAME}"
     try:
-        inventory = _read_url(inventory_url).decode("utf-8")
+        inventory = _read_url(inventory_url).decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise _not_utf8(inventory_url, exc) from None
     entries = parse_inventory(inventory, inventory_url)
@@ -210,9 +210,10 @@ def _plain_runs(data: bytes, known: set[bytes]) -> tuple[float, ...] | None:
 
 
 def _parse_run_text(path: Path) -> tuple[float, ...]:
-    """The reference text loop; the source of every run-file error."""
+    """The reference text loop; the source of every run-file error. One
+    leading byte-order mark is skipped."""
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
     rows = []

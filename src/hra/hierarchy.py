@@ -2,12 +2,12 @@
 
 Level 1 turns every (dimension, measure) leaf into a rank vector, level 2
 joins the measure vectors of each dimension into one per-dimension ranking,
-and level 3 joins the dimensions into the overall ranking. Every join is
-one fixed-domain TOPSIS evaluation, so a full run costs exactly
-1 + k + l*k evaluations for k dimensions and l measures.
+and level 3 joins the dimensions into the overall ranking. Every node of
+the tree is one fixed-domain TOPSIS evaluation made by `evaluate`, so a
+full run costs exactly 1 + k + l*k evaluations for k dimensions and l
+measures.
 
-Vectors passed between levels are ranks, not raw closeness scores; the
-scores of every evaluation are kept in the report's traces for audit.
+Vectors passed between levels are ranks, not raw closeness scores.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataio import PerformanceDataset
 from .exceptions import ShapeMismatch
-from .ranking import Objective, RankMatrix, rank_block
+from .ranking import Objective, RankMatrix, rank_leaves
 from .rtopsis import CriteriaSpec, DecisionMatrix, TopsisResult, rtopsis
 
 
@@ -72,50 +72,76 @@ class HraConfig:
 
 
 @dataclass(frozen=True)
+class Evaluation:
+    """One node of the tree: a single fixed-domain TOPSIS evaluation.
+
+    key is ("leaf", d, p), ("dimension", d) or ("overall",); spec holds the
+    weights actually used; children are the keys of the nodes whose rank
+    vectors are the matrix's columns, none for a leaf.
+    """
+
+    key: tuple
+    matrix: DecisionMatrix
+    spec: CriteriaSpec
+    result: TopsisResult
+    children: tuple[tuple, ...] = ()
+
+
+def evaluate(key: tuple, matrix: DecisionMatrix,
+             weights: Sequence[float] | None = None,
+             children: Sequence[tuple] = ()) -> Evaluation:
+    """The tree's one kernel: cost criteria on the rank domain
+    (0, domain_rows + 1), the given or equal weights, one rtopsis call."""
+    spec = CriteriaSpec.for_ranks(matrix.domain_rows, matrix.n, weights)
+    return Evaluation(key, matrix, spec, rtopsis(matrix, spec),
+                      tuple(children))
+
+
+@dataclass(frozen=True)
 class HraReport:
-    """Every level of one aggregation run, plus the evaluation traces."""
+    """One aggregation run: the algorithms, which label every matrix row,
+    and the nodes in evaluation order: the leaves dimension by dimension,
+    then the dimensions, then the overall node. The other attributes are
+    views derived from the nodes."""
 
     algorithms: tuple[str, ...]
-    leaf_ranks: dict
-    dimension_matrices: dict
-    dimension_ranks: dict
-    final_matrix: DecisionMatrix
-    final_scores: np.ndarray
-    final_ranks: np.ndarray
-    invocation_count: int
-    traces: dict = field(repr=False, default_factory=dict)
+    nodes: tuple[Evaluation, ...] = field(repr=False)
+
+    def level(self, name: str) -> tuple[Evaluation, ...]:
+        """The nodes whose key starts with name, in evaluation order."""
+        return tuple(node for node in self.nodes if node.key[0] == name)
+
+    traces = property(lambda self: {n.key: n.result for n in self.nodes})
+    invocation_count = property(lambda self: len(self.nodes))
+    leaf_ranks = property(lambda self: {
+        n.key[1:]: n.result.ranks for n in self.level("leaf")})
+    dimension_matrices = property(lambda self: {
+        n.key[1]: n.matrix for n in self.level("dimension")})
+    dimension_ranks = property(lambda self: {
+        n.key[1]: n.result.ranks for n in self.level("dimension")})
+    final_matrix = property(lambda self: self.nodes[-1].matrix)
+    final_scores = property(lambda self: self.nodes[-1].result.closeness)
+    final_ranks = property(lambda self: self.nodes[-1].result.ranks)
 
 
-def _rank_evaluation(matrix: DecisionMatrix,
-                     weights: Sequence[float] | None) -> TopsisResult:
-    """One fixed-domain TOPSIS pass over a rank-valued matrix."""
-    spec = CriteriaSpec.for_ranks(matrix.domain_rows, matrix.n, weights)
-    return rtopsis(matrix, spec)
-
-
-def _join(vectors: Sequence[np.ndarray], weights: Sequence[float] | None,
-          criterion_labels, alternative_labels
-          ) -> tuple[DecisionMatrix, TopsisResult]:
-    """Stack rank vectors as the columns of one matrix and evaluate it.
-
-    This is the dimension and the overall level; criterion labels become
-    strings, alternatives default to A1..Am.
-    """
+def _stack(vectors: Sequence[np.ndarray], criterion_labels,
+           alternative_labels) -> DecisionMatrix:
+    """Rank vectors as the columns of one matrix; criterion labels become
+    strings, alternatives default to A1..Am."""
     vectors = [np.asarray(v, dtype=float) for v in vectors]
     sizes = {v.shape for v in vectors}
     if len(sizes) != 1 or vectors[0].ndim != 1:
         raise ShapeMismatch(f"rank vectors have inconsistent shapes: {sizes}")
-    matrix = DecisionMatrix(np.column_stack(vectors),
-                            tuple(alternative_labels or ()),
-                            tuple(str(c) for c in criterion_labels))
-    return matrix, _rank_evaluation(matrix, weights)
+    return DecisionMatrix(np.column_stack(vectors),
+                          tuple(alternative_labels or ()),
+                          tuple(str(c) for c in criterion_labels))
 
 
 def aggregate_leaf(rank_matrix: RankMatrix,
                    function_weights: Sequence[float] | None = None
                    ) -> np.ndarray:
     """Rank vector of one (dimension, measure) leaf."""
-    return _rank_evaluation(rank_matrix, function_weights).ranks
+    return evaluate(("leaf",), rank_matrix, function_weights).result.ranks
 
 
 def aggregate_dimension(leaf_ranks: Sequence[np.ndarray],
@@ -123,16 +149,13 @@ def aggregate_dimension(leaf_ranks: Sequence[np.ndarray],
                         measure_labels: Sequence[str] | None = None,
                         alternative_labels: Sequence[str] | None = None,
                         ) -> tuple[DecisionMatrix, np.ndarray]:
-    """Join the per-measure rank vectors of one dimension.
-
-    Returns the intermediate matrix (columns in measure order) and the
-    dimension's rank vector.
-    """
+    """Join the per-measure rank vectors of one dimension: the matrix
+    (columns in measure order) and the dimension's rank vector."""
     if measure_labels is None:
         measure_labels = [f"P{i + 1}" for i in range(len(leaf_ranks))]
-    matrix, result = _join(leaf_ranks, measure_weights, measure_labels,
-                           alternative_labels)
-    return matrix, result.ranks
+    matrix = _stack(leaf_ranks, measure_labels, alternative_labels)
+    node = evaluate(("dimension",), matrix, measure_weights)
+    return node.matrix, node.result.ranks
 
 
 def aggregate_overall(dimension_ranks: Sequence[np.ndarray],
@@ -140,57 +163,38 @@ def aggregate_overall(dimension_ranks: Sequence[np.ndarray],
                       dimension_labels: Sequence[str] | None = None,
                       alternative_labels: Sequence[str] | None = None,
                       ) -> tuple[DecisionMatrix, np.ndarray, np.ndarray]:
-    """Join the per-dimension rank vectors into the final ranking.
-
-    Returns the final matrix, the closeness scores, and the overall ranks.
-    """
+    """Join the per-dimension rank vectors into the final ranking: the final
+    matrix, the closeness scores and the overall ranks."""
     if dimension_labels is None:
         dimension_labels = [f"D{i + 1}" for i in range(len(dimension_ranks))]
-    matrix, result = _join(dimension_ranks, dimension_weights,
-                           dimension_labels, alternative_labels)
-    return matrix, result.closeness, result.ranks
+    matrix = _stack(dimension_ranks, dimension_labels, alternative_labels)
+    node = evaluate(("overall",), matrix, dimension_weights)
+    return node.matrix, node.result.closeness, node.result.ranks
 
 
 def run_hra(dataset: PerformanceDataset,
             config: HraConfig | None = None) -> HraReport:
     """Full three-level aggregation of a complete dataset.
 
-    Deterministic: identical inputs give bit-identical reports. The
-    invocation count in the report counts actual TOPSIS evaluations and
-    always equals 1 + k + l*k.
+    Deterministic: identical inputs give bit-identical reports. The report
+    holds one node per TOPSIS evaluation, always 1 + k + l*k of them.
     """
     if config is None:
         config = HraConfig.for_dataset(dataset)
-    block = dataset.block(config.dimensions, config.measures)
-    ranked = rank_block(block, [config.objective_for(p)
-                                for p in config.measures])
-    algorithms = dataset.algorithms
-    traces: dict[tuple, TopsisResult] = {}
+    nodes: dict[tuple, Evaluation] = {}
+    for (d, p), leaf in rank_leaves(dataset, config.dimensions,
+                                    config.measures, config.objective_for):
+        nodes["leaf", d, p] = evaluate(("leaf", d, p), leaf,
+                                       config.function_weights)
 
-    leaf_ranks: dict[tuple, np.ndarray] = {}
-    for i, d in enumerate(config.dimensions):
-        for j, p in enumerate(config.measures):
-            leaf = RankMatrix(ranked[i, j], algorithms, dataset.functions)
-            traces[("leaf", d, p)] = _rank_evaluation(
-                leaf, config.function_weights)
-            leaf_ranks[(d, p)] = traces[("leaf", d, p)].ranks
+    def join(key, children, labels, weights):
+        matrix = _stack([nodes[c].result.ranks for c in children], labels,
+                        dataset.algorithms)
+        nodes[key] = evaluate(key, matrix, weights, children)
 
-    dimension_matrices: dict = {}
-    dimension_ranks: dict = {}
     for d in config.dimensions:
-        dimension_matrices[d], traces[("dimension", d)] = _join(
-            [leaf_ranks[(d, p)] for p in config.measures],
-            config.measure_weights, config.measures, algorithms)
-        dimension_ranks[d] = traces[("dimension", d)].ranks
-
-    final_matrix, final = _join(
-        [dimension_ranks[d] for d in config.dimensions],
-        config.dimension_weights, config.dimensions, algorithms)
-    traces[("overall",)] = final
-
-    return HraReport(algorithms=algorithms, leaf_ranks=leaf_ranks,
-                     dimension_matrices=dimension_matrices,
-                     dimension_ranks=dimension_ranks,
-                     final_matrix=final_matrix, final_scores=final.closeness,
-                     final_ranks=final.ranks, invocation_count=len(traces),
-                     traces=traces)
+        join(("dimension", d), [("leaf", d, p) for p in config.measures],
+             config.measures, config.measure_weights)
+    join(("overall",), [("dimension", d) for d in config.dimensions],
+         config.dimensions, config.dimension_weights)
+    return HraReport(dataset.algorithms, tuple(nodes.values()))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -75,32 +75,27 @@ def rank_columns(matrix: DecisionMatrix,
                       matrix.alternative_labels, matrix.criterion_labels)
 
 
-def rank_block(block: np.ndarray,
-               objectives: Sequence[Objective]) -> np.ndarray:
-    """Mean ranks of a complete (k, l, m, n) block along the algorithm axis.
+def rank_leaves(dataset: "PerformanceDataset", dimensions, measures,
+                objective_for: Callable[[str], Objective]):
+    """Yield ((d, p), RankMatrix) per leaf, dimension by dimension; a
+    MissingCell lists every absent cell of the block before any leaf is
+    ranked, then the leaves are ranked one at a time."""
+    block = dataset.block(dimensions, measures)
+    for i, d in enumerate(dimensions):
+        for j, p in enumerate(measures):
+            yield (d, p), rank_columns(
+                DecisionMatrix(block[i, j], dataset.algorithms,
+                               dataset.functions), objective_for(p))
 
-    objectives holds one entry per measure (axis 1). Every (dimension,
-    measure, function) column is ranked independently, in one batch.
-    """
-    signed = np.stack([_signed(block[:, j], objective)
-                       for j, objective in enumerate(objectives)], axis=1)
-    return mean_ranks(signed, axis=2)
 
-
-def rank_dataset(
-    dataset: "PerformanceDataset",
-    objectives: Mapping[str, Objective] | None = None,
-) -> dict[tuple, RankMatrix]:
+def rank_dataset(dataset: "PerformanceDataset",
+                 objectives: Mapping[str, Objective] | None = None
+                 ) -> dict[tuple, RankMatrix]:
     """One RankMatrix per (dimension, measure) leaf of a complete dataset.
 
     Measures default to MINIMIZE (all five CEC statistics are error values,
     smaller is better); pass an objectives map to override per measure.
     """
     objectives = dict(objectives or {})
-    ranks = rank_block(
-        dataset.block(dataset.dimensions, dataset.measures),
-        [objectives.get(p, Objective.MINIMIZE) for p in dataset.measures])
-    return {(d, p): RankMatrix(ranks[i, j], dataset.algorithms,
-                               dataset.functions)
-            for i, d in enumerate(dataset.dimensions)
-            for j, p in enumerate(dataset.measures)}
+    return dict(rank_leaves(dataset, dataset.dimensions, dataset.measures,
+                            lambda p: objectives.get(p, Objective.MINIMIZE)))

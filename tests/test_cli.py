@@ -1,13 +1,16 @@
 """End-to-end tests of the command-line surface."""
 
+import hashlib
 import shutil
 import urllib.request
 
+import numpy as np
 import pytest
 
 import hra
 from conftest import SYNTHETIC_CSV
-from hra import cli, fixtures
+from hra import (cli, fixtures, load_long_csv, load_rank_matrix_csv,
+                 run_hra)
 from hra.cli import main
 from test_fetch import make_source
 
@@ -73,6 +76,90 @@ class TestRun:
         assert code == 0
         assert "trace [leaf/10/best]" in out
         assert "PIS" in out and "S-" in out
+
+
+# sha256 of every report file and of stdout for `hra run --data
+# synthetic_5x6.csv --out report`, recorded before the report was rebuilt as
+# a tree of evaluation nodes: identical inputs give identical bytes
+REPORT_DIGESTS = {
+    "csv": {
+        "dimension_10.csv": "e81e98a2d7e27454fc6457db8a7ba922"
+                            "e7955be7f5c512617f4968bf0ea852ee",
+        "dimension_30.csv": "993b219b9b3ad48f1b5a182ba3737550"
+                            "d88a8fb78a3a3d9f5941552b1259c687",
+        "final_matrix.csv": "161bc504fe508f4b067537bce7089dc2"
+                            "503b834aad58502511cc4ccd6fae6d1c",
+        "final_ranking.csv": "506738501464e66875e1fb50ec539bbe"
+                             "7571d6cb8e4614b23f6fa5bd9b7ffaff",
+        "leaf_ranks.csv": "4c73075c3b3a91783d523b13ad9ca21f"
+                          "8fb583b552090acd529329e8667b4c1f",
+    },
+    "markdown": {
+        "dimension_10.md": "1f52f6b161d00f8443c8c9d2f1ba66fb"
+                           "2592c04cc5f988b4cadaa9f53ed500b2",
+        "dimension_30.md": "b186dcce430d85f1fe96b9d055e490ef"
+                           "60ef1cfb7757569392d63362d2e7d877",
+        "final_matrix.md": "e898ff67259bbd8307d4bc7023a5a41d"
+                           "8739b2e8340e021e7f2d199bda595bdb",
+        "final_ranking.md": "34fbc589e165eff6b659ad06317895b9"
+                            "bb3257b9340e02c2e5f1894a9610afa2",
+        "leaf_ranks.md": "82f097eaa5fea9b600a45d2754eda871"
+                         "eb5513dd16aa0da0430a851e16e51372",
+    },
+}
+STDOUT_DIGESTS = {
+    False: "35be7311e8c498182317cc71f4494e52"
+           "4dcec1d7fcd69e18088f10ae054c1459",
+    True: "2dc811b095de5c20dde543997a6b0007"
+          "540864b87ec7def4b15b0327941bb667",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestReportBytes:
+    @pytest.mark.parametrize("verbose", [False, True])
+    @pytest.mark.parametrize("fmt", ["csv", "markdown"])
+    def test_pinned_digests(self, capsys, tmp_path, monkeypatch, fmt,
+                            verbose):
+        monkeypatch.chdir(tmp_path)  # stdout names the relative --out
+        code, out, err = run_cli(
+            capsys, "run", "--data", str(SYNTHETIC_CSV), "--out", "report",
+            "--format", fmt, *(["--verbose"] if verbose else []))
+        assert code == 0 and err == ""
+        assert {path.name: sha256(path.read_bytes()) for path
+                in (tmp_path / "report").iterdir()} == REPORT_DIGESTS[fmt]
+        assert sha256(out.encode()) == STDOUT_DIGESTS[verbose]
+
+    @pytest.mark.parametrize("fmt,ext", [("csv", "csv"), ("markdown", "md")])
+    def test_dimension_labels_that_are_not_file_names(self, capsys, tmp_path,
+                                                      fmt, ext):
+        labels = ("a/b", "a%2Fb", "D" * 250)
+        data = tmp_path / "data.csv"
+        data.write_text("dimension,measure,function,algorithm,value\n" + "".join(
+            f"{d},p,{f},{a},{v}\n" for d in labels for f in ("f1", "f2")
+            for v, a in enumerate(("x", "y") if f == "f1" else ("y", "x"))))
+        out_dir = tmp_path / "report"
+        code, _, err = run_cli(capsys, "run", "--data", str(data), "--out",
+                               str(out_dir), "--format", fmt)
+        assert code == 0 and err == ""
+        digest = sha256(labels[2].encode())[:16]
+        names = {"a/b": f"dimension_a%2Fb.{ext}",
+                 "a%2Fb": f"dimension_a%252Fb.{ext}",
+                 labels[2]: ("dimension_" + labels[2])[:236 - len(ext)]
+                 + f"%~{digest}.{ext}"}
+        assert len(names[labels[2]].encode()) == 255
+        assert sorted(path.name for path in out_dir.iterdir()) == sorted(
+            [f"leaf_ranks.{ext}", f"final_matrix.{ext}",
+             f"final_ranking.{ext}", *names.values()])
+        if fmt == "csv":
+            report = run_hra(load_long_csv(data))
+            for d, name in names.items():
+                table = load_rank_matrix_csv(out_dir / name)
+                np.testing.assert_array_equal(table.values[:, -1],
+                                              report.dimension_ranks[d])
 
 
 class TestRtopsis:

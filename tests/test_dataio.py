@@ -1,7 +1,9 @@
 """Tests for statistics, CSV round trips, and report rendering."""
 
+import codecs
 import csv
 import dataclasses
+import hashlib
 import math
 import re
 import tracemalloc
@@ -385,7 +387,8 @@ OTHER_LINES = ("", " ", "# provenance", '# see,"notes', "#,,,,1")
 def long_csv_files(draw):
     """Bytes of long CSVs: half of them clean, the rest with the row
     reader's corners (odd values, ragged rows, quotes, comments, blanks,
-    repeated rows, CRLF, a bad header, a byte that is not UTF-8)."""
+    repeated rows, CRLF, a bad header, a byte that is not UTF-8); any of
+    them may start with one or two byte-order marks."""
     rough = draw(st.booleans())
     value = st.one_of(st.floats(allow_nan=False, allow_infinity=False)
                       .map(repr), st.integers(-3, 3).map(str))
@@ -419,6 +422,8 @@ def long_csv_files(draw):
     data = text.encode()
     if rough and draw(st.integers(0, 9)) == 0:
         data = data.replace(b"a", b"\xff", 1)
+    if draw(st.integers(0, 9)) == 0:
+        data = codecs.BOM_UTF8 * draw(st.integers(1, 2)) + data
     return data
 
 
@@ -468,6 +473,32 @@ class TestColumnarLoader:
         ds = dataio._load_columns(path)
         assert ds is not None and ds.algorithms == ("a",)
         assert described(ds) == load_outcome(dataio._load_rows, path)
+
+    @pytest.mark.parametrize("text", [
+        HEADER + "10,best,f1,a,1.0\n",
+        "# provenance\n" + HEADER + "10,best,f1,a,1.0\n",
+    ], ids=["header", "comment"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, text):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text)
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        ds = dataio._load_columns(marked)  # stays on the columnar path
+        assert ds is not None
+        assert described(ds) == load_outcome(dataio._load_rows, marked) \
+            == load_outcome(dataio._load_rows, plain)
+        # CRLF line endings send the marked file to the row reader
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(codecs.BOM_UTF8 + text.replace("\n", "\r\n").encode())
+        assert dataio._load_columns(crlf) is None
+        assert load_outcome(load_long_csv, crlf) == described(ds)
+
+    def test_second_byte_order_mark_is_data(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(codecs.BOM_UTF8 * 2 + (HEADER + "10,best,f1,a,1.0\n")
+                         .encode())
+        outcome = load_outcome(load_long_csv, path)
+        assert outcome == load_outcome(dataio._load_rows, path)
+        assert outcome[0] is ParseError and "\ufeffdimension" in outcome[1]
 
     def test_blank_lines_and_missing_final_newline(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -603,6 +634,13 @@ class TestRankMatrixCsv:
         path.write_text("# provenance\nalgorithm,c1\n# mid comment\na,4\n")
         assert load_rank_matrix_csv(path).values[0, 0] == 4.0
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "marked.csv"
+        path.write_bytes(codecs.BOM_UTF8 + b"# note\nalgorithm,c1\na,4\n")
+        matrix = load_rank_matrix_csv(path)
+        assert matrix.criterion_labels == ("c1",)
+        assert matrix.alternative_labels == ("a",)
+
     def test_hash_label_round_trips(self, tmp_path):
         matrix = DecisionMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]),
                                 ("#top", " #next"), ("#c1", "c2"))
@@ -719,6 +757,31 @@ class TestEmitReport:
         cells = re.split(r"(?<!\\)\|", lines[2].strip().strip("|"))
         assert [c.strip() for c in cells][0] == "a\\|b"
         assert len(cells) == 3
+
+    @pytest.mark.parametrize("label,name", [
+        (10, "dimension_10.csv"),
+        ("a b", "dimension_a b.csv"),
+        ("\u00e9" * 60, "dimension_" + "\u00e9" * 60 + ".csv"),
+        ("D" * 241, "dimension_" + "D" * 241 + ".csv"),  # 255 bytes
+        ("a/b", "dimension_a%2Fb.csv"),
+        ("a%2Fb", "dimension_a%252Fb.csv"),
+        ("a\0b", "dimension_a%00b.csv"),
+    ], ids=["int", "blank", "non-ascii", "255-bytes", "slash", "percent",
+            "nul"])
+    def test_dimension_file_name(self, label, name):
+        assert dataio.dimension_file_name(label, "csv") == name
+
+    def test_over_long_dimension_file_names_stay_distinct(self):
+        labels = ["D" * 243, "D" * 244, "\u00e9" * 200,
+                  "\u00e9" * 200 + "x", "/" * 100, "%" * 100]
+        names = [dataio.dimension_file_name(label, "md") for label in labels]
+        assert len(set(names)) == len(names)
+        for label, name in zip(labels, names):
+            digest = hashlib.sha256(label.encode()).hexdigest()[:16]
+            assert name.startswith("dimension_")
+            assert name.endswith(f"%~{digest}.md")
+            assert 250 <= len(name.encode()) <= 255
+            assert "/" not in name
 
     def test_destination_collision(self, synthetic_dataset, tmp_path):
         blocker = tmp_path / "blocked"

@@ -1,5 +1,6 @@
 """Tests for source mirroring and raw run-file parsing."""
 
+import codecs
 import hashlib
 import subprocess
 import sys
@@ -84,6 +85,14 @@ class TestFetchRaw:
         (source / "solver_1_10.txt").write_text("1 ")  # breaks the checksum
         with pytest.raises(ChecksumMismatch, match="solver_1_10.txt"):
             fetch_raw(url, tmp_path / "dest")
+
+    def test_inventory_byte_order_mark_is_skipped(self, tmp_path):
+        url = make_source(tmp_path / "src", {"a/run_F1_10.txt": "1 2\n"})
+        inventory = tmp_path / "src" / "inventory.txt"
+        inventory.write_bytes(codecs.BOM_UTF8 + inventory.read_bytes())
+        result = fetch_raw(url, tmp_path / "dest")
+        assert result.downloaded == ("a/run_F1_10.txt",)
+        assert (tmp_path / "dest" / "a" / "run_F1_10.txt").exists()
 
     def test_missing_inventory(self, tmp_path):
         empty = tmp_path / "src"
@@ -178,6 +187,12 @@ class TestLoadRawRuns:
         (tmp_path / "a_f_010.txt").write_text("3 4\n")
         raw = load_raw_runs(tmp_path)
         assert raw.dimensions() == [10, "010"]
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        (tmp_path / "solver_F1_10.txt").write_bytes(
+            codecs.BOM_UTF8 + b"1 2\n")
+        assert load_raw_runs(tmp_path).runs == {(10, "solver", "F1"):
+                                                (1.0, 2.0)}
 
     def test_negative_error_value(self, tmp_path):
         (tmp_path / "solver_1_10.txt").write_text("1 -2 3\n")

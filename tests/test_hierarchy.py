@@ -1,5 +1,8 @@
 """Unit and integration tests for the three-level aggregation."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,8 +18,10 @@ from hra import (
     aggregate_leaf,
     aggregate_overall,
     fixtures,
+    rank_dataset,
     run_hra,
 )
+from hra.hierarchy import Evaluation, HraReport
 
 
 class TestAggregateLeaf:
@@ -219,6 +224,120 @@ class TestRunHra:
                                        function_weights=(0.5, 0.5))
         with pytest.raises(ShapeMismatch):
             run_hra(synthetic_dataset, config)
+
+
+class TestEvaluationNodes:
+    """A report is its algorithms plus one node per TOPSIS evaluation."""
+
+    def test_report_fields(self):
+        assert [f.name for f in dataclasses.fields(HraReport)] == \
+            ["algorithms", "nodes"]
+
+    def test_nodes_in_evaluation_order(self):
+        ds = random_dataset(m=5, n=4, k=3, l=2, seed=3)
+        report = run_hra(ds)
+        leaves = [("leaf", d, p) for d in ds.dimensions for p in ds.measures]
+        dimensions = [("dimension", d) for d in ds.dimensions]
+        assert [node.key for node in report.nodes] == \
+            leaves + dimensions + [("overall",)]
+        assert len(report.nodes) == report.invocation_count == 1 + 3 + 2 * 3
+        assert all(isinstance(node, Evaluation) for node in report.nodes)
+        by_key = {node.key: node for node in report.nodes}
+        for d in ds.dimensions:
+            assert by_key["dimension", d].children == tuple(
+                ("leaf", d, p) for p in ds.measures)
+        assert by_key["overall",].children == tuple(dimensions)
+        assert all(by_key[key].children == () for key in leaves)
+        for node in report.nodes:
+            for j, child in enumerate(node.children):
+                np.testing.assert_array_equal(node.matrix.values[:, j],
+                                              by_key[child].result.ranks)
+
+    def test_specs_hold_the_weights_used(self):
+        ds = random_dataset(m=4, n=3, k=2, l=2, seed=99)
+        config = HraConfig.for_dataset(ds, function_weights=(0.5, 0.3, 0.2),
+                                       dimension_weights=(0.9, 0.1))
+        report = run_hra(ds, config)
+        expected = {"leaf": [0.5, 0.3, 0.2], "dimension": [0.5, 0.5],
+                    "overall": [0.9, 0.1]}
+        for node in report.nodes:
+            np.testing.assert_array_equal(node.spec.weights,
+                                          expected[node.key[0]])
+            assert node.spec.domains == ((0.0, 5.0),) * node.matrix.n
+
+    def test_views_are_read_from_the_nodes(self, synthetic_dataset):
+        report = run_hra(synthetic_dataset)
+        by_key = {node.key: node for node in report.nodes}
+        assert list(report.traces) == list(by_key)
+        for key, result in report.traces.items():
+            assert result is by_key[key].result
+        for (d, p), ranks in report.leaf_ranks.items():
+            assert ranks is by_key["leaf", d, p].result.ranks
+        for d, matrix in report.dimension_matrices.items():
+            assert matrix is by_key["dimension", d].matrix
+            assert report.dimension_ranks[d] is \
+                by_key["dimension", d].result.ranks
+        overall = report.nodes[-1]
+        assert report.final_matrix is overall.matrix
+        assert report.final_scores is overall.result.closeness
+        assert report.final_ranks is overall.result.ranks
+
+    def test_decomposed_calls_are_bit_identical(self, synthetic_dataset):
+        ds = synthetic_dataset
+        report = run_hra(ds)
+        by_key = {node.key: node for node in report.nodes}
+        leaves = rank_dataset(ds)
+        dimension_ranks = {}
+        for d in ds.dimensions:
+            vectors = []
+            for p in ds.measures:
+                np.testing.assert_array_equal(leaves[d, p].values,
+                                              by_key["leaf", d, p].matrix.values)
+                vectors.append(aggregate_leaf(leaves[d, p]))
+                assert vectors[-1].tobytes() == \
+                    by_key["leaf", d, p].result.ranks.tobytes()
+            _, dimension_ranks[d] = aggregate_dimension(
+                vectors, measure_labels=ds.measures,
+                alternative_labels=ds.algorithms)
+            assert dimension_ranks[d].tobytes() == \
+                by_key["dimension", d].result.ranks.tobytes()
+        matrix, scores, ranks = aggregate_overall(
+            [dimension_ranks[d] for d in ds.dimensions],
+            dimension_labels=ds.dimensions, alternative_labels=ds.algorithms)
+        assert matrix.criterion_labels == \
+            report.final_matrix.criterion_labels
+        assert scores.tobytes() == report.final_scores.tobytes()
+        assert ranks.tobytes() == report.final_ranks.tobytes()
+
+    def test_missing_cells_listed_before_any_evaluation(self, monkeypatch):
+        import hra
+        calls = []
+        monkeypatch.setattr(hra.hierarchy, "rtopsis",
+                            lambda *args: calls.append(args))
+        ds = random_dataset(m=3, n=2, k=2, l=2, seed=5)
+        values = dict(ds.values)
+        gone = [(10, "p1", "alg0", "f1"), (20, "p0", "alg2", "f0")]
+        for key in gone:
+            del values[key]
+        partial = PerformanceDataset(
+            algorithms=ds.algorithms, functions=ds.functions,
+            dimensions=ds.dimensions, measures=ds.measures, values=values)
+        with pytest.raises(MissingCell) as excinfo:
+            run_hra(partial)
+        assert excinfo.value.missing == gone
+        assert calls == []
+
+    def test_peak_memory_within_five_cube_sizes(self):
+        # the nodes keep every leaf's rank matrix and its normalized and
+        # weighted copies; ranking one leaf at a time keeps the rest small
+        dataset = random_dataset(50, 100, 4, 5, seed=11)
+        tracemalloc.start()
+        try:
+            run_hra(dataset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * dataset.array.nbytes
 
 
 class TestHraConfig:
