@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import array
 import codecs
+import contextlib
 import csv
 import io
 import itertools
 import math
-from collections.abc import ItemsView, Iterable, Mapping, Sequence
+import os
+from collections.abc import Callable, ItemsView, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -444,6 +447,35 @@ def _write_rows(handle, rows: Iterable[Sequence]) -> None:
         writerow(row)
 
 
+def write_files(writers: Mapping[Path, Callable]) -> list[Path]:
+    """Write all files or none; every text file hra writes comes here. Each
+    writer streams its path's text to a short O_EXCL temporary file beside
+    it, with a plain open's mode or the mode of the regular file it replaces,
+    and only then are all renamed. An existing path that is no regular file
+    fails first. Errors remove the temporaries; OSError raises IoError."""
+    pending: dict[Path, Path] = {}  # path -> its temporary file
+    try:
+        for path, writer in writers.items():
+            if path.exists() and not path.is_file():  # follows symlinks
+                raise OSError("not a regular file")
+            temporary = path.parent / f".hra-{os.urandom(8).hex()}.tmp"
+            with open(temporary, "x", encoding="utf-8", newline="") as handle:
+                pending[path] = temporary
+                if path.exists():  # keep the permission bits it replaces
+                    os.chmod(temporary, path.stat().st_mode & 0o7777)
+                writer(handle)
+        for path, temporary in list(pending.items()):
+            os.replace(temporary, path)
+            del pending[path]
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        for temporary in pending.values():  # left only by an error
+            with contextlib.suppress(OSError):
+                os.unlink(temporary)
+    return list(writers)
+
+
 def _first_repeat(flat: np.ndarray) -> int | None:
     """Position of the first entry equal to an earlier one, if any."""
     order = np.argsort(flat, kind="stable")
@@ -746,21 +778,14 @@ def _group(words: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 
 def save_long_csv(dataset: PerformanceDataset, path) -> Path:
     """Write a dataset in long format, in axis order; skips missing cells."""
-    path = Path(path)
     ordered = dataset.array.transpose(0, 1, 3, 2)  # rows run d, p, f, a
     present = ~np.isnan(ordered)
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            _write_rows(handle, itertools.chain(
-                [LONG_CSV_HEADER],
-                ([dataset.dimensions[i], dataset.measures[j],
-                  dataset.functions[f], dataset.algorithms[a],
-                  format_number(v)]
-                 for (i, j, f, a), v in zip(np.argwhere(present).tolist(),
-                                            ordered[present].tolist()))))
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-    return path
+    rows = ([dataset.dimensions[i], dataset.measures[j], dataset.functions[f],
+             dataset.algorithms[a], format_number(v)]
+            for (i, j, f, a), v in zip(np.argwhere(present).tolist(),
+                                       ordered[present].tolist()))
+    return write_files({Path(path): partial(
+        _write_rows, rows=itertools.chain([LONG_CSV_HEADER], rows))})[0]
 
 
 def load_rank_matrix_csv(path) -> DecisionMatrix:
@@ -799,36 +824,21 @@ def load_rank_matrix_csv(path) -> DecisionMatrix:
 
 
 def save_rank_matrix_csv(matrix: DecisionMatrix, path) -> Path:
-    path = Path(path)
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            _write_rows(handle, itertools.chain(
-                [("algorithm",) + matrix.criterion_labels],
-                ([label] + [format_number(v) for v in row]
-                 for label, row in zip(matrix.alternative_labels,
-                                       matrix.values))))
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-    return path
+    rows = itertools.chain([("algorithm",) + matrix.criterion_labels], (
+        [label] + [format_number(v) for v in row]
+        for label, row in zip(matrix.alternative_labels, matrix.values)))
+    return write_files({Path(path): partial(_write_rows, rows=rows)})[0]
 
 
 # -- report rendering -------------------------------------------------------
 
-def _render_table(header: Sequence[str], rows: Iterable[Sequence[str]],
-                  fmt: str) -> str:
-    if fmt == "csv":
-        buffer = io.StringIO()
-        _write_rows(buffer, itertools.chain([header], rows))
-        return buffer.getvalue()
-    if fmt == "markdown":
-        def line(cells):
-            return "| " + " | ".join(c.replace("|", "\\|")
-                                     for c in cells) + " |"
-
-        lines = [line(header), "|" + "|".join(" --- " for _ in header) + "|"]
-        lines += [line(row) for row in rows]
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown report format {fmt!r}")
+def _write_markdown(handle, rows: Iterable[Sequence[str]]) -> None:
+    """Rows, the header first, as a markdown table with '|' escaped."""
+    for number, cells in enumerate(rows):
+        handle.write("| " + " | ".join(c.replace("|", "\\|") for c in cells)
+                     + " |\n")
+        if number == 0:
+            handle.write("|" + "|".join(" --- " for _ in cells) + "|\n")
 
 
 # an encoded label holds '%' only in these escapes, never as '%~'
@@ -855,48 +865,38 @@ def dimension_file_name(label, ext: str) -> str:
 
 def emit_report(report: "HraReport", fmt: str = "csv",
                 destination="report") -> list[Path]:
-    """Write one file per aggregation level; byte-deterministic.
-
-    Files: leaf_ranks, one per dimension node named by dimension_file_name
-    (matrix plus its rank column), final_matrix, and final_ranking with
-    header algorithm,score,hra_rank. Every table comes from report.nodes.
-    """
+    """Write one file per aggregation level, all or nothing (write_files);
+    byte-deterministic. Files: leaf_ranks, one per dimension node named by
+    dimension_file_name (matrix plus its rank column), final_matrix, and
+    final_ranking (algorithm,score,hra_rank), all from report.nodes."""
     if fmt not in ("csv", "markdown"):
         raise ValueError(f"unknown report format {fmt!r}")
-    ext = "csv" if fmt == "csv" else "md"
+    write, ext = ((_write_rows, "csv") if fmt == "csv"
+                  else (_write_markdown, "md"))
     destination = Path(destination)
     try:
         destination.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create {destination}: {exc}") from exc
-    algorithms = report.algorithms
-    written: list[Path] = []
-
-    def write(name: str, header, rows):
-        path = destination / name
-        try:
-            path.write_text(_render_table(header, rows, fmt), encoding="utf-8")
-        except OSError as exc:
-            raise IoError(f"cannot write {path}: {exc}") from exc
-        written.append(path)
-
-    write(f"leaf_ranks.{ext}", ("dimension", "measure", "algorithm", "rank"),
-          [[str(node.key[1]), str(node.key[2]), a, format_number(r)]
-           for node in report.level("leaf")
-           for a, r in zip(algorithms, node.result.ranks)])
+    algorithms, overall = report.algorithms, report.nodes[-1]
+    tables = {f"leaf_ranks.{ext}": [
+        ("dimension", "measure", "algorithm", "rank"),
+        *([str(node.key[1]), str(node.key[2]), a, format_number(r)]
+          for node in report.level("leaf")
+          for a, r in zip(algorithms, node.result.ranks))]}
     for node in report.level("dimension"):
-        write(dimension_file_name(node.key[1], ext),
-              ("algorithm",) + node.matrix.criterion_labels + ("rank",),
-              [[a] + [format_number(v) for v in row] + [format_number(r)]
-               for a, row, r in zip(algorithms, node.matrix.values,
-                                    node.result.ranks)])
-    overall = report.nodes[-1]
-    write(f"final_matrix.{ext}",
-          ("algorithm",) + overall.matrix.criterion_labels,
-          [[a] + [format_number(v) for v in row]
-           for a, row in zip(algorithms, overall.matrix.values)])
-    write(f"final_ranking.{ext}", ("algorithm", "score", "hra_rank"),
-          [[a, format_number(s), format_number(r)]
-           for a, s, r in zip(algorithms, overall.result.closeness,
-                              overall.result.ranks)])
-    return written
+        tables[dimension_file_name(node.key[1], ext)] = [
+            ("algorithm",) + node.matrix.criterion_labels + ("rank",),
+            *([a] + [format_number(v) for v in row] + [format_number(r)]
+              for a, row, r in zip(algorithms, node.matrix.values,
+                                   node.result.ranks))]
+    tables[f"final_matrix.{ext}"] = [
+        ("algorithm",) + overall.matrix.criterion_labels,
+        *([a] + [format_number(v) for v in row]
+          for a, row in zip(algorithms, overall.matrix.values))]
+    tables[f"final_ranking.{ext}"] = [("algorithm", "score", "hra_rank")] + [
+        [a, format_number(s), format_number(r)]
+        for a, s, r in zip(algorithms, overall.result.closeness,
+                           overall.result.ranks)]
+    return write_files({destination / name: partial(write, rows=rows)
+                        for name, rows in tables.items()})

@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 
-from .dataio import RawRuns, _parse_dimension, _not_utf8
+from .dataio import RawRuns, _not_utf8, _parse_dimension, write_files
 from .exceptions import (
     ChecksumMismatch,
     IoError,
@@ -112,9 +112,8 @@ def parse_inventory(text: str, origin: str) -> list[ManifestEntry]:
 
 
 def write_manifest(entries, path: Path) -> Path:
-    path.write_text("".join(e.line() + "\n" for e in entries),
-                    encoding="utf-8")
-    return path
+    return write_files({path: lambda handle: handle.writelines(
+        e.line() + "\n" for e in entries)})[0]
 
 
 def fetch_raw(source_url: str, destination) -> FetchResult:
@@ -178,8 +177,11 @@ _SHAPE_TABLE = bytes(ord("0") if b in b"0123456789"
 def _parse_run_file(path: Path, known: set[bytes]) -> tuple[float, ...]:
     """A run file's kept values: the plain path when the file is plain,
     otherwise the text loop. known is as for _plain_runs."""
-    values = _plain_runs(path.read_bytes(), known)
-    return _parse_run_text(path) if values is None else values
+    try:
+        values = _plain_runs(path.read_bytes(), known)
+        return _parse_run_text(path) if values is None else values
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
 
 
 def _plain_runs(data: bytes, known: set[bytes]) -> tuple[float, ...] | None:
@@ -251,8 +253,8 @@ def load_raw_runs(directory, expected_runs: int | None = None) -> RawRuns:
     known: set[bytes] = set()  # token shapes matched so far
     for path in sorted(directory.rglob("*.txt")):
         parts = path.stem.rsplit("_", 2)
-        if len(parts) != 3 or not parts[0]:
-            continue  # not a run file (readme etc.)
+        if len(parts) != 3 or not parts[0] or not path.is_file():
+            continue  # not a run file (readme, directory etc.)
         algorithm, function, dim_text = parts
         key = (_parse_dimension(dim_text), algorithm, function)
         if key in runs:

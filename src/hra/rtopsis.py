@@ -339,9 +339,10 @@ def scores_to_ranks(scores: np.ndarray) -> np.ndarray:
     return mean_ranks(-scores)
 
 
-def rtopsis(matrix: DecisionMatrix, spec: CriteriaSpec | None = None,
-            mode: Normalization = Normalization.MAXMIN) -> TopsisResult:
-    """Full pipeline: normalize, weight, ideals, separations, closeness.
+def rtopsis(matrix: DecisionMatrix,
+            spec: CriteriaSpec | None = None) -> TopsisResult:
+    """Full pipeline: max-min normalize, weight, ideals, separations,
+    closeness.
 
     With spec=None the matrix is treated as rank data: cost criteria,
     equal weights, domain (0, m+1) anchored at the matrix's frozen
@@ -350,7 +351,7 @@ def rtopsis(matrix: DecisionMatrix, spec: CriteriaSpec | None = None,
     """
     if spec is None:
         spec = CriteriaSpec.for_ranks(matrix.domain_rows, matrix.n)
-    normalized = normalize(matrix, spec, mode)
+    normalized = normalize(matrix, spec)
     weighted = weight_matrix(normalized, spec)
     pis, nis = ideal_solutions(spec)
     s_plus, s_minus = separations(weighted, pis, nis)

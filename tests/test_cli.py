@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface."""
 
+import errno
 import hashlib
 import shutil
 import urllib.request
@@ -9,9 +10,10 @@ import pytest
 
 import hra
 from conftest import SYNTHETIC_CSV
-from hra import (cli, fixtures, load_long_csv, load_rank_matrix_csv,
-                 run_hra)
+from hra import (cli, dataio, fetch, fixtures, load_long_csv,
+                 load_rank_matrix_csv, run_hra)
 from hra.cli import main
+from test_dataio import failing_on_call, snapshot
 from test_fetch import make_source
 
 TABLE_PATH = fixtures.fixture_path(fixtures.DIMENSION_RANK_TABLE)
@@ -423,3 +425,111 @@ def test_error_class_exit_code(name, capsys, tmp_path, monkeypatch):
     assert code == expected_code
     assert err.startswith(f"hra: {prefix} error: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def swapped_labels(tmp_path):
+    """synthetic_5x6.csv with alg_a and alg_b swapped: another dataset
+    whose report has the same file names."""
+    text = SYNTHETIC_CSV.read_text()
+    path = tmp_path / "swapped.csv"
+    path.write_text(text.replace("alg_a", "alg_x").replace("alg_b", "alg_a")
+                    .replace("alg_x", "alg_b"))
+    return path
+
+
+class TestInterruptedWrites:
+    """A failed write leaves every earlier file byte-identical and no
+    temporary file, and exits 4 with one line."""
+
+    def assert_one_io_error(self, code, err, name):
+        assert code == 4
+        assert err.startswith("hra: i/o error: cannot write ")
+        assert name in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "markdown"])
+    def test_report_fails_on_third_file(self, capsys, tmp_path, monkeypatch,
+                                        fmt):
+        out_dir = tmp_path / "report"
+        code, _, _ = run_cli(capsys, "run", "--data", str(SYNTHETIC_CSV),
+                             "--out", str(out_dir), "--format", fmt)
+        assert code == 0
+        before = snapshot(out_dir)
+        writer = "_write_rows" if fmt == "csv" else "_write_markdown"
+        monkeypatch.setattr(dataio, writer,
+                            failing_on_call(getattr(dataio, writer), 3))
+        code, out, err = run_cli(capsys, "run", "--data",
+                                 str(swapped_labels(tmp_path)), "--out",
+                                 str(out_dir), "--format", fmt)
+        self.assert_one_io_error(code, err, "dimension_30.")
+        assert out == ""
+        assert snapshot(out_dir) == before
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(before)
+
+    def test_directory_at_a_report_path(self, capsys, tmp_path):
+        out_dir = tmp_path / "report"
+        run_cli(capsys, "run", "--data", str(SYNTHETIC_CSV), "--out",
+                str(out_dir))
+        (out_dir / "final_ranking.csv").unlink()
+        (out_dir / "final_ranking.csv").mkdir()
+        before = snapshot(out_dir)
+        code, _, err = run_cli(capsys, "run", "--data",
+                               str(swapped_labels(tmp_path)), "--out",
+                               str(out_dir))
+        self.assert_one_io_error(code, err, "final_ranking.csv")
+        assert "not a regular file" in err
+        assert snapshot(out_dir) == before
+        assert len(list(out_dir.iterdir())) == len(before) + 1
+
+    def test_rerun_leaves_only_report_files(self, capsys, tmp_path):
+        out_dir = tmp_path / "report"
+        for data in (SYNTHETIC_CSV, swapped_labels(tmp_path)):
+            code, _, _ = run_cli(capsys, "run", "--data", str(data),
+                                 "--out", str(out_dir))
+            assert code == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "dimension_10.csv", "dimension_30.csv", "final_matrix.csv",
+            "final_ranking.csv", "leaf_ranks.csv"]
+        assert "alg_b," in (out_dir / "final_ranking.csv").read_text(
+            ).splitlines()[1]
+
+    def test_stats_out(self, capsys, tmp_path, monkeypatch):
+        runs_dir = tmp_path / "runs"
+        runs_dir.mkdir()
+        (runs_dir / "solver_1_10.txt").write_text("1 2 3\n")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out_csv = out_dir / "stats.csv"
+        assert run_cli(capsys, "stats", str(runs_dir), "--out",
+                       str(out_csv))[0] == 0
+        before = snapshot(out_dir)
+        (runs_dir / "solver_1_10.txt").write_text("4 5 6\n")
+        monkeypatch.setattr(dataio, "_write_rows",
+                            failing_on_call(dataio._write_rows, 1))
+        code, _, err = run_cli(capsys, "stats", str(runs_dir), "--out",
+                               str(out_csv))
+        self.assert_one_io_error(code, err, "stats.csv")
+        assert snapshot(out_dir) == before
+
+    def test_fetch_manifest(self, capsys, tmp_path, monkeypatch):
+        one, two, dest = (tmp_path / name for name in ("one", "two", "dest"))
+        one.mkdir()
+        two.mkdir()
+        url = make_source(one, {"solver_1_10.txt": "1 2 3\n"})
+        assert run_cli(capsys, "fetch", url, "--out", str(dest))[0] == 0
+        before = snapshot(dest)
+        url = make_source(two, {"solver_2_10.txt": "4 5 6\n",
+                                "solver_1_10.txt": "1 2 3\n"})
+        line, calls = fetch.ManifestEntry.line, []
+
+        def failing_line(entry):
+            calls.append(entry)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return line(entry)
+
+        monkeypatch.setattr(fetch.ManifestEntry, "line", failing_line)
+        code, _, err = run_cli(capsys, "fetch", url, "--out", str(dest))
+        self.assert_one_io_error(code, err, "manifest.csv")
+        after = snapshot(dest)
+        assert after.pop("solver_2_10.txt") == b"4 5 6\n"  # a payload
+        assert after == before

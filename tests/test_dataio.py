@@ -3,9 +3,12 @@
 import codecs
 import csv
 import dataclasses
+import errno
 import hashlib
 import math
+import os
 import re
+import stat
 import tracemalloc
 
 import numpy as np
@@ -794,3 +797,156 @@ class TestEmitReport:
         report = run_hra(synthetic_dataset)
         with pytest.raises(ValueError):
             emit_report(report, "xml", "anywhere")
+
+
+def snapshot(directory):
+    """{name: bytes} of every file in a directory."""
+    return {path.name: path.read_bytes() for path in directory.iterdir()
+            if path.is_file()}
+
+
+def failing_on_call(writer, call, after_rows=2):
+    """A writer that, on its call-th use, writes after_rows rows and then
+    fails as a full disk does."""
+    calls = []
+
+    def wrapped(handle, rows):
+        calls.append(None)
+        if len(calls) != call:
+            return writer(handle, rows)
+        writer(handle, list(rows)[:after_rows])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    return wrapped
+
+
+class TestWriteFiles:
+    """write_files is all or nothing: before the renames nothing changes,
+    and after them every file is whole, old or new."""
+
+    def test_failure_before_renames_keeps_old_files(self, tmp_path):
+        paths = [tmp_path / f"{name}.txt" for name in "abc"]
+        for path in paths:
+            path.write_text(f"old {path.name}\n")
+        before = snapshot(tmp_path)
+
+        def fail(handle):
+            handle.write("half")
+            raise OSError(errno.EIO, "Input/output error")
+
+        writers = {paths[0]: lambda h: h.write("new\n"),
+                   paths[1]: lambda h: h.write("new\n"), paths[2]: fail}
+        with pytest.raises(IoError, match=r"cannot write .*c\.txt: "
+                                          r"Input/output error"):
+            dataio.write_files(writers)
+        assert snapshot(tmp_path) == before
+
+    def test_failure_during_renames_leaves_whole_files(self, tmp_path,
+                                                       monkeypatch):
+        paths = [tmp_path / f"{name}.txt" for name in "abc"]
+        for path in paths:
+            path.write_text("old\n")
+        replace, calls = dataio.os.replace, []
+
+        def flaky_replace(source, target):
+            calls.append(target)
+            if len(calls) == 2:
+                raise OSError(errno.EIO, "Input/output error")
+            replace(source, target)
+
+        monkeypatch.setattr(dataio.os, "replace", flaky_replace)
+        with pytest.raises(IoError, match=r"b\.txt"):
+            dataio.write_files({path: lambda h: h.write("new\n")
+                                for path in paths})
+        assert snapshot(tmp_path) == {"a.txt": b"new\n", "b.txt": b"old\n",
+                                      "c.txt": b"old\n"}
+
+    def test_other_errors_remove_temporary_files(self, tmp_path):
+        def interrupted(handle):
+            handle.write("half")
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            dataio.write_files({tmp_path / "a.txt": lambda h: h.write("x"),
+                                tmp_path / "b.txt": interrupted})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_directory_at_a_path_fails_before_writing(self, tmp_path):
+        (tmp_path / "a.txt").write_text("old\n")
+        (tmp_path / "b.txt").mkdir()
+        with pytest.raises(IoError, match=r"b\.txt: not a regular file"):
+            dataio.write_files({tmp_path / name: lambda h: h.write("new\n")
+                                for name in ("a.txt", "b.txt")})
+        assert (tmp_path / "a.txt").read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt",
+                                                              "b.txt"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_fifo_at_a_path_fails_before_writing(self, tmp_path):
+        """A device, FIFO or /dev/fd path is neither written through nor
+        renamed over, also behind a symlink (as /dev/stdout is)."""
+        fifo = tmp_path / "p.csv"
+        os.mkfifo(fifo)
+        link = tmp_path / "link.csv"
+        link.symlink_to(fifo)
+        for path in (fifo, link):
+            with pytest.raises(IoError, match=rf"{path.name}: not a regular"):
+                dataio.write_files({tmp_path / "a.txt": lambda h: h.write("x"),
+                                    path: lambda h: h.write("new\n")})
+        assert stat.S_ISFIFO(fifo.stat().st_mode) and link.is_symlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv",
+                                                              "p.csv"]
+
+    def test_temporary_name_never_takes_over_a_file(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setattr(dataio.os, "urandom", lambda n: bytes(n))
+        taken = tmp_path / f".hra-{bytes(8).hex()}.tmp"
+        taken.write_text("someone else's\n")
+        with pytest.raises(IoError, match="a.txt"):
+            dataio.write_files({tmp_path / "a.txt": lambda h: h.write("x")})
+        assert snapshot(tmp_path) == {taken.name: b"someone else's\n"}
+
+    def test_symlink_is_replaced_not_written_through(self, tmp_path):
+        outside = tmp_path / "outside.txt"
+        outside.write_text("keep\n")
+        link = tmp_path / "report.txt"
+        link.symlink_to(outside)
+        dataio.write_files({link: lambda h: h.write("new\n")})
+        assert not link.is_symlink() and link.read_text() == "new\n"
+        assert outside.read_text() == "keep\n"
+
+    def test_mode_is_what_open_gives(self, synthetic_dataset, tmp_path):
+        old = os.umask(0o027)
+        try:
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+            emit_report(run_hra(synthetic_dataset), "csv", tmp_path / "r")
+        finally:
+            os.umask(old)
+        expected = stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
+        assert expected == 0o640
+        for path in (tmp_path / "r").iterdir():
+            assert stat.S_IMODE(path.stat().st_mode) == expected
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        private, read_only = tmp_path / "private.csv", tmp_path / "ro.csv"
+        for path, mode in ((private, 0o600), (read_only, 0o444)):
+            path.write_text("old\n")
+            path.chmod(mode)
+        dataio.write_files({path: lambda h: h.write("new\n")
+                            for path in (private, read_only)})
+        for path, mode in ((private, 0o600), (read_only, 0o444)):
+            assert path.read_text() == "new\n"
+            assert stat.S_IMODE(path.stat().st_mode) == mode
+
+    def test_save_rank_matrix_csv_interrupted(self, dimension_table,
+                                              tmp_path, monkeypatch):
+        path = save_rank_matrix_csv(
+            DecisionMatrix(np.array([[1.0], [2.0]]), ("a", "b"), ("c",)),
+            tmp_path / "matrix.csv")
+        before = snapshot(tmp_path)
+        monkeypatch.setattr(dataio, "_write_rows",
+                            failing_on_call(dataio._write_rows, 1))
+        with pytest.raises(IoError, match="matrix.csv"):
+            save_rank_matrix_csv(dimension_table, path)
+        assert snapshot(tmp_path) == before

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from hra import (
     ChecksumMismatch,
     HraError,
+    IoError,
     NetworkError,
     ParseError,
     RawRuns,
@@ -176,6 +178,22 @@ class TestLoadRawRuns:
         (tmp_path / "solver_1_10.txt").write_text("1 2\n")
         raw = load_raw_runs(tmp_path)
         assert len(raw.runs) == 1
+
+    def test_directory_named_like_a_run_file_is_skipped(self, tmp_path):
+        (tmp_path / "a_f1_10.txt").mkdir()
+        (tmp_path / "a_f1_10.txt" / "solver_1_10.txt").write_text("1 2\n")
+        raw = load_raw_runs(tmp_path)
+        assert raw.runs == {(10, "solver", "1"): (1.0, 2.0)}
+
+    def test_unreadable_run_file_is_io_error(self, tmp_path, monkeypatch):
+        (tmp_path / "solver_1_10.txt").write_text("1 2\n")
+
+        def denied(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, "read_bytes", denied)
+        with pytest.raises(IoError, match=r"cannot read .*solver_1_10\.txt"):
+            load_raw_runs(tmp_path)
 
     def test_expected_run_count_enforced(self, tmp_path):
         (tmp_path / "solver_1_10.txt").write_text("1 2 3\n")
