@@ -16,7 +16,6 @@ import array
 import codecs
 import contextlib
 import csv
-import io
 import itertools
 import math
 import os
@@ -435,11 +434,17 @@ def _data_rows(path: Path):
 
 
 def _write_rows(handle, rows: Iterable[Sequence]) -> None:
-    """csv.writer rows, quoting a first field that starts, after blanks,
-    with '#' so that it reloads as data rather than as a comment."""
+    """csv.writer rows, quoting what csv leaves bare but would not reload
+    as written: a first field that starts, after blanks, with '#' (a
+    comment), and every field of a row with a field that holds '\r' (csv
+    quotes only the line terminator '\n')."""
     writerow = csv.writer(handle, lineterminator="\n").writerow
+    quoted = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
     first = csv.writer(handle, lineterminator=",", quoting=csv.QUOTE_ALL)
     for row in rows:
+        if any(isinstance(cell, str) and "\r" in cell for cell in row):
+            quoted.writerow(row)
+            continue
         head = row[0]
         if isinstance(head, str) and head.lstrip()[:1] == "#":
             first.writerow(row[:1])
@@ -448,11 +453,12 @@ def _write_rows(handle, rows: Iterable[Sequence]) -> None:
 
 
 def write_files(writers: Mapping[Path, Callable]) -> list[Path]:
-    """Write all files or none; every text file hra writes comes here. Each
-    writer streams its path's text to a short O_EXCL temporary file beside
-    it, with a plain open's mode or the mode of the regular file it replaces,
-    and only then are all renamed. An existing path that is no regular file
-    fails first. Errors remove the temporaries; OSError raises IoError."""
+    """Write all files or none; every file hra writes comes here. Each
+    writer streams its path's text (or bytes, to handle.buffer) to a short
+    O_EXCL temporary file beside it, with a plain open's mode or the mode of
+    the regular file it replaces, and only then are all renamed. An
+    existing path that is no regular file fails first. Errors remove the
+    temporaries; OSError raises IoError."""
     pending: dict[Path, Path] = {}  # path -> its temporary file
     try:
         for path, writer in writers.items():
@@ -585,14 +591,12 @@ def _register(row: list[str], axes, seen) -> tuple[int, int, int, int]:
 
 
 # The columnar path. Bytes that csv treats specially send a file to the
-# row reader, and so do the ASCII separators \x1c-\x1f: np.loadtxt strips
-# them around a value as blanks, float() does not.
-_NOT_PLAIN = b'"\r\0\x1c\x1d\x1e\x1f'
+# row reader; NUL also because numpy drops a fixed-width text's trailing NULs.
+_NOT_PLAIN = b'"\r\0'
 _BLOCK_BYTES = 1 << 18  # whole lines parsed at once; bounds the temporaries
-_MAX_LABEL_WORDS = 32  # a longer label (over 256 bytes) takes the row reader
+_MAX_FIELD_WORDS = 32  # a longer field (over 256 bytes) takes the row reader
 # _BYTE_MASKS[n] keeps the first n bytes of a little-endian uint64 word
 _BYTE_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
-_WORD_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _load_columns(path: Path) -> PerformanceDataset | None:
@@ -602,16 +606,15 @@ def _load_columns(path: Path) -> PerformanceDataset | None:
     byte-order mark, which both paths skip. Its comment lines are dropped,
     as the row reader skips them (see _drop_comments); the header is the
     first non-empty line left, and every other non-empty line holds
-    exactly four commas, labels of at most 256 bytes, at most
-    csv.field_size_limit() bytes in all, and a finite value that np.loadtxt
-    parses (it parses what float() does, bit for bit, and rejects a few
-    texts float() accepts, such as '1_0'); no cell repeats. The file is
-    read in blocks of whole lines: numpy finds the newline and comma
-    offsets, groups each label column by packed bytes, and each distinct
-    field text is decoded once.
+    exactly four commas, fields of at most 256 bytes, at most
+    csv.field_size_limit() bytes in all, and a value that float() parses
+    as a finite number; no cell repeats. The file is read in blocks of
+    whole lines: numpy finds the newline and comma offsets, cuts each
+    field's texts into one fixed-width bytes array, groups each label
+    column exactly, and casts the values, which parses them as float()
+    does; each distinct label text is decoded once per block.
     """
     axes = ({}, {}, {}, {})  # label -> position, per axis
-    seen = ({}, {}, {}, {})  # raw field bytes -> position, per axis
     # typed columns grow in place, so the blocks' temporaries leave no holes
     columns = tuple(array.array("i") for _ in axes) + (array.array("d"),)
     try:
@@ -634,7 +637,7 @@ def _load_columns(path: Path) -> PerformanceDataset | None:
                          in header.decode().split(",")) != LONG_CSV_HEADER:
                     return None
                 in_body = True
-            if not _parse_block(block, axes, seen, columns):
+            if not _parse_block(block, axes, columns):
                 return None
     *positions, values = (np.frombuffer(column, dtype=column.typecode)
                           for column in columns)
@@ -688,7 +691,7 @@ def _drop_comments(block: bytes) -> bytes:
                     or not line.decode().lstrip().startswith("#"))
 
 
-def _parse_block(block: bytes, axes, seen, columns) -> bool:
+def _parse_block(block: bytes, axes, columns) -> bool:
     """Append the axis positions and the value of each non-empty line of a
     plain block to columns, registering new labels; False if a line is not
     plain."""
@@ -711,69 +714,55 @@ def _parse_block(block: bytes, axes, seen, columns) -> bool:
     if (commas[:, 0] < starts).any() or (commas[:, 3] >= ends).any() \
             or (ends - starts).max() > csv.field_size_limit():
         return False
-    try:
-        values = np.loadtxt(io.BytesIO(block), delimiter=",", usecols=4,
-                            quotechar=None, comments=None, encoding="utf-8",
-                            ndmin=1)
-    except ValueError:
-        return False
-    if values.size != starts.size or not np.isfinite(values).all():
-        return False
     # the 8 bytes from each offset, read as one little-endian word
     words = np.ndarray((size,), "<u8", padded, 0, (1,))
-    # (dimension, measure, algorithm, function); the file orders the fields
-    # dimension, measure, function, algorithm
-    fields = ((starts, commas[:, 0]), (commas[:, 0] + 1, commas[:, 1]),
-              (commas[:, 2] + 1, commas[:, 3]),
-              (commas[:, 1] + 1, commas[:, 2]))
-    for number, (axis, by_text, (lo, hi)) in enumerate(zip(axes, seen,
-                                                           fields)):
-        groups = _group(words, lo, hi)
-        if groups is None:
-            return False
-        first, inverse = groups
+    # (dimension, measure, algorithm, function, value); the file orders the
+    # fields dimension, measure, function, algorithm, value
+    texts = [_texts(words, lo, hi) for lo, hi in (
+        (starts, commas[:, 0]), (commas[:, 0] + 1, commas[:, 1]),
+        (commas[:, 2] + 1, commas[:, 3]), (commas[:, 1] + 1, commas[:, 2]),
+        (commas[:, 3] + 1, ends))]
+    if any(field is None for field in texts):
+        return False
+    *labels, values = texts
+    try:
+        values = values.astype(float)  # float() of each text
+    except ValueError:
+        return False
+    if not np.isfinite(values).all():
+        return False
+    for number, (axis, field) in enumerate(zip(axes, labels)):
+        distinct, first, inverse = np.unique(field, return_index=True,
+                                             return_inverse=True)
+        distinct = distinct.tolist()
         position = np.empty(first.size, np.int32)
         for g in np.argsort(first).tolist():  # first appearance order
-            i = first[g]
-            raw = block[lo[i]:hi[i]]
-            if raw not in by_text:
-                label = raw.decode()
-                label = _parse_dimension(label) if number == 0 \
-                    else label.strip()
-                by_text[raw] = axis.setdefault(label, len(axis))
-            position[g] = by_text[raw]
+            label = distinct[g].decode()
+            label = _parse_dimension(label) if number == 0 else label.strip()
+            position[g] = axis.setdefault(label, len(axis))
         columns[number].frombytes(position[inverse].tobytes())
     columns[4].frombytes(values.tobytes())
     return True
 
 
-def _group(words: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """(first, inverse) of the distinct texts in [lo, hi) byte ranges:
-    the first index of each group and each range's group; None if a range
-    is over _MAX_LABEL_WORDS words or two texts share a hash.
+def _texts(words: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The texts of the [lo, hi) byte ranges as one fixed-width bytes array;
+    None if a range is over _MAX_FIELD_WORDS words.
 
-    A text is packed into 8-byte words, zero-padded (a plain file has no
-    NUL, so padding never looks like text). One word is the key itself;
-    longer texts are keyed by a hash of their words, and every member of a
-    group is then compared word for word with the group's first.
+    Each text is packed into little-endian 8-byte words, zero-padded; numpy
+    drops the trailing NULs, and a plain file has none, so each item is its
+    text exactly.
     """
     lengths = hi - lo
-    count = -(-int(lengths.max()) // 8)
-    if count > _MAX_LABEL_WORDS:
+    count = max(1, -(-int(lengths.max()) // 8))
+    if count > _MAX_FIELD_WORDS:
         return None
     last = words.size - 1
-    packed = [words[np.minimum(lo + 8 * w, last)]
-              & _BYTE_MASKS[np.clip(lengths - 8 * w, 0, 8)]
-              for w in range(count)]
-    key = packed[0] if packed else np.zeros(lo.size, np.uint64)
-    for word in packed[1:]:
-        key = key * _WORD_MIX + word  # wraps modulo 2**64
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    if count > 1:
-        leader = first[inverse]
-        if any((word != word[leader]).any() for word in packed):
-            return None
-    return first, inverse
+    packed = np.empty((lo.size, count), "<u8")
+    for w in range(count):
+        packed[:, w] = words[np.minimum(lo + 8 * w, last)] \
+            & _BYTE_MASKS[np.clip(lengths - 8 * w, 0, 8)]
+    return packed.view(f"S{8 * count}")[:, 0]
 
 
 def save_long_csv(dataset: PerformanceDataset, path) -> Path:

@@ -152,9 +152,9 @@ def fetch_raw(source_url: str, destination) -> FetchResult:
                 f"inventory says {entry.size} bytes / {entry.sha256}")
         try:
             local.parent.mkdir(parents=True, exist_ok=True)
-            local.write_bytes(payload)
         except OSError as exc:
             raise IoError(f"cannot write {local}: {exc}") from exc
+        write_files({local: lambda handle: handle.buffer.write(payload)})
         downloaded.append(entry.path)
     manifest = write_manifest(entries, destination / MANIFEST_NAME)
     return FetchResult(manifest_path=manifest, entries=tuple(entries),
@@ -178,10 +178,11 @@ def _parse_run_file(path: Path, known: set[bytes]) -> tuple[float, ...]:
     """A run file's kept values: the plain path when the file is plain,
     otherwise the text loop. known is as for _plain_runs."""
     try:
-        values = _plain_runs(path.read_bytes(), known)
-        return _parse_run_text(path) if values is None else values
+        data = path.read_bytes()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    values = _plain_runs(data, known)
+    return _parse_run_text(path, data) if values is None else values
 
 
 def _plain_runs(data: bytes, known: set[bytes]) -> tuple[float, ...] | None:
@@ -211,11 +212,12 @@ def _plain_runs(data: bytes, known: set[bytes]) -> tuple[float, ...] | None:
     return tuple(map(float, data.rstrip().rpartition(b"\n")[2].split()))
 
 
-def _parse_run_text(path: Path) -> tuple[float, ...]:
-    """The reference text loop; the source of every run-file error. One
-    leading byte-order mark is skipped."""
+def _parse_run_text(path: Path, data: bytes) -> tuple[float, ...]:
+    """The reference text loop over the bytes of the run file at path; the
+    source of every run-file error. One leading byte-order mark is
+    skipped."""
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
     rows = []

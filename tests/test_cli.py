@@ -510,6 +510,22 @@ class TestInterruptedWrites:
         self.assert_one_io_error(code, err, "stats.csv")
         assert snapshot(out_dir) == before
 
+    def test_fetch_payload(self, capsys, tmp_path, monkeypatch):
+        source, dest = tmp_path / "source", tmp_path / "dest"
+        source.mkdir()
+        dest.mkdir()
+        url = make_source(source, {"solver_1_10.txt": "4 5 6\n"})
+        (dest / "solver_1_10.txt").write_text("1 2 3\n")  # a stale copy
+        before = snapshot(dest)
+
+        def failing_replace(source, target):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(dataio.os, "replace", failing_replace)
+        code, _, err = run_cli(capsys, "fetch", url, "--out", str(dest))
+        self.assert_one_io_error(code, err, "solver_1_10.txt")
+        assert snapshot(dest) == before
+
     def test_fetch_manifest(self, capsys, tmp_path, monkeypatch):
         one, two, dest = (tmp_path / name for name in ("one", "two", "dest"))
         one.mkdir()

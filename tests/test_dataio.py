@@ -9,12 +9,14 @@ import math
 import os
 import re
 import stat
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import SYNTHETIC_CSV, random_dataset
 from hra import (
@@ -314,6 +316,22 @@ class TestLongCsv:
             ("#multi\nline", "best", "a", "f1"): 3.0,
             ("#top", "best", "a", "f2"): 4.0, (10, "best", "a", "f2"): 5.0}
 
+    def test_carriage_return_label_round_trips(self, synthetic_dataset,
+                                               tmp_path):
+        ds = synthetic_dataset
+        relabeled = PerformanceDataset.from_array(
+            algorithms=("c\rd",) + ds.algorithms[1:],
+            functions=("f\rg",) + ds.functions[1:],
+            dimensions=("d\r1",) + ds.dimensions[1:], measures=ds.measures,
+            array=ds.array)
+        path = save_long_csv(relabeled, tmp_path / "data.csv")
+        assert load_long_csv(path) == relabeled
+        # the rows without a carriage return keep their bytes
+        plain = save_long_csv(ds, tmp_path / "plain.csv").read_bytes()
+        kept = [line for line in path.read_bytes().split(b"\n")
+                if b"\r" not in line]
+        assert len(kept) > 1 and set(kept) <= set(plain.split(b"\n"))
+
     def test_dimension_int_only_in_canonical_form(self, tmp_path):
         path = tmp_path / "dims.csv"
         path.write_text("dimension,measure,function,algorithm,value\n"
@@ -380,7 +398,7 @@ def load_outcome(load, path):
 DIMENSION_TEXTS = ("10", "010", "+10", " 10", "30 ", "-5", "dé")
 LABEL_TEXTS = ("best", "worst", "mean", "a", " a", "a ", "été",
                "日本 x", "\u00a0b", "f\x0c1", "", "LSHADE-cnEpSin",
-               "L" * 250)
+               "L" * 250, "\x1cg")
 VALUE_TEXTS = ("1.0", "1_0", " 1e3 ", "nan", "inf", "-0.0", "", "x", "1e500",
                "\u00a02", "\x1c3", "4\x0b", "0x10", "\u0661")
 OTHER_LINES = ("", " ", "# provenance", '# see,"notes', "#,,,,1")
@@ -442,8 +460,7 @@ class TestColumnarLoader:
     @pytest.mark.parametrize("body", [
         '"10",best,f1,a,1.0\n',  # a quote
         "10,best,f1,a,1.0\r\n",  # CRLF
-        "10,best,f1,a,1_0\n",  # float() accepts it, loadtxt does not
-        "10,best,f1,a,\x1c3\n",  # loadtxt accepts it, float() does not
+        "10,best,f1,a,\x1c3\n",  # float() does not strip \x1c as a blank
         "10,best,f1,a,1.0\n 10,best,f1,a,2.0\n",  # a repeated cell
         "10,best,f1,a,nan\n",  # non-finite
         "10,best,f1,a,-inf\n",
@@ -522,15 +539,25 @@ class TestColumnarLoader:
         assert ds.algorithms[:3] == ("a0", "a1", "a2")
         assert described(ds) == load_outcome(dataio._load_rows, path)
 
-    def test_hash_collision_takes_row_path(self, tmp_path, monkeypatch):
-        # with no mixing, a label's key is its last word, so these collide
-        monkeypatch.setattr(dataio, "_WORD_MIX", np.uint64(0))
+    @pytest.mark.parametrize("value", ["1_0", "1_1.5e1_0", " +.5\x0b"])
+    def test_float_grammar_takes_columnar_path(self, tmp_path, value):
         path = tmp_path / "data.csv"
-        path.write_text(HEADER + "10,best,f1,aaaaaaaa-tail,1.0\n"
-                        "10,best,f2,bbbbbbbb-tail,2.0\n")
-        assert dataio._load_columns(path) is None
-        assert load_long_csv(path).algorithms == ("aaaaaaaa-tail",
-                                                  "bbbbbbbb-tail")
+        path.write_text(HEADER + f"10,best,f1,a,{value}\n")
+        ds = dataio._load_columns(path)
+        assert ds is not None and ds.array.ravel().tolist() == [float(value)]
+        assert described(ds) == load_outcome(dataio._load_rows, path)
+
+    def test_labels_sharing_a_prefix_stay_distinct(self, tmp_path):
+        labels = ["aaaaaaaa-x", "aaaaaaaa-y", "aaaaaaaabbbbbbbb-x",
+                  "aaaaaaaabbbbbbbb-y", "L" * 255 + "x", "L" * 255 + "y"]
+        path = tmp_path / "data.csv"
+        path.write_text(HEADER + "".join(
+            f"10,{label},{label},{label},{i}\n"
+            for i, label in enumerate(labels)))
+        ds = dataio._load_columns(path)
+        assert ds is not None
+        assert ds.measures == ds.functions == ds.algorithms == tuple(labels)
+        assert described(ds) == load_outcome(dataio._load_rows, path)
 
     @given(long_csv_files())
     @settings(max_examples=300, deadline=None,
@@ -656,6 +683,17 @@ class TestRankMatrixCsv:
         assert again.criterion_labels == ("#c1", "c2")
         np.testing.assert_array_equal(again.values, matrix.values)
 
+    def test_carriage_return_label_round_trips(self, tmp_path):
+        matrix = DecisionMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]),
+                                ("c\rd", "b"), ("c\r1", "c2"))
+        path = save_rank_matrix_csv(matrix, tmp_path / "cr.csv")
+        assert path.read_bytes().split(b"\n") == [
+            b'"algorithm","c\r1","c2"', b'"c\rd","1","2"', b"b,3,4", b""]
+        again = load_rank_matrix_csv(path)
+        assert again.alternative_labels == ("c\rd", "b")
+        assert again.criterion_labels == ("c\r1", "c2")
+        np.testing.assert_array_equal(again.values, matrix.values)
+
 
 def parse_markdown_table(text):
     """Invert the report renderer for round-trip checks."""
@@ -751,6 +789,28 @@ class TestEmitReport:
         assert [row[0] for row in rows[1::len(algorithms) * len(ds.measures)]] == \
             [str(d) for d in dimensions]
 
+    def test_carriage_return_labels_round_trip(self, synthetic_dataset,
+                                               tmp_path):
+        ds = synthetic_dataset
+        algorithms = ("c\rd",) + ds.algorithms[1:]
+        report = run_hra(PerformanceDataset.from_array(
+            algorithms=algorithms, functions=ds.functions,
+            dimensions=("d\r1",) + ds.dimensions[1:],
+            measures=("m\r",) + ds.measures[1:], array=ds.array))
+        emit_report(report, "csv", tmp_path)
+        ranking = load_rank_matrix_csv(tmp_path / "final_ranking.csv")
+        assert ranking.alternative_labels == algorithms
+        np.testing.assert_array_equal(ranking.values[:, 1],
+                                      report.final_ranks)
+        final = load_rank_matrix_csv(tmp_path / "final_matrix.csv")
+        assert final.criterion_labels == report.final_matrix.criterion_labels
+        with open(tmp_path / "leaf_ranks.csv", newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert rows == [[str(node.key[1]), str(node.key[2]), a,
+                         format_number(r)]
+                        for node in report.level("leaf")
+                        for a, r in zip(algorithms, node.result.ranks)]
+
     def test_markdown_escapes_pipe(self, synthetic_dataset, tmp_path):
         report = run_hra(synthetic_dataset)
         piped = dataclasses.replace(
@@ -797,6 +857,88 @@ class TestEmitReport:
         report = run_hra(synthetic_dataset)
         with pytest.raises(ValueError):
             emit_report(report, "xml", "anywhere")
+
+
+# pieces of round-trip labels: what csv must quote, what a comment rule or
+# a Unicode-aware strip could catch, and non-BMP text; csv reads NUL from
+# Python 3.11 on
+ROUND_TRIP_PIECES = (",", '"', "#", "|", "\r", "\n", "\r\n", " ", "\x1c", "é",
+                     "\U0001f600", "C#", "10") \
+    + (("\0",) if sys.version_info >= (3, 11) else ())
+# labels over 8 bytes that share a prefix, and labels of 256 and 257 bytes
+LONG_LABELS = ("P" * 20 + "a", "P" * 20 + "b", "L" * 255 + "x",
+               "L" * 255 + "y", "L" * 256 + "x", "L" * 256 + "y")
+
+
+@st.composite
+def round_trip_labels(draw, plain):
+    """A stripped label: printable ASCII without ',' or '"' when plain,
+    else Unicode text around ROUND_TRIP_PIECES; or one of LONG_LABELS."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.sampled_from(LONG_LABELS))
+    if plain:
+        return draw(st.text(st.characters(
+            min_codepoint=0x20, max_codepoint=0x7e,
+            blacklist_characters=',"'), max_size=12)).strip()
+    text = st.text(st.characters(
+        blacklist_categories=("Cs",),
+        blacklist_characters=() if "\0" in ROUND_TRIP_PIECES else "\0"),
+        min_size=1, max_size=3)
+    return "".join(draw(st.lists(st.one_of(
+        st.sampled_from(ROUND_TRIP_PIECES), text), max_size=5))).strip()
+
+
+@st.composite
+def round_trip_datasets(draw):
+    """Complete datasets; half of them have plain labels only. A dimension
+    is an int or a label that stays text."""
+    label = round_trip_labels(draw(st.booleans()))
+    dimension = st.one_of(st.integers(-20, 200), label.filter(
+        lambda t: isinstance(dataio._parse_dimension(t), str)))
+    axes = [draw(st.lists(strategy, min_size=1, max_size=size, unique=True))
+            for strategy, size in (
+                (dimension, 2),
+                (label.filter(lambda t: t not in dataio.STAT_MEASURES), 2),
+                (label, 3), (label, 3))]
+    values = draw(arrays(float, tuple(map(len, axes)), elements=st.floats(
+        allow_nan=False, allow_infinity=False)))
+    dimensions, measures, algorithms, functions = axes
+    return PerformanceDataset.from_array(
+        algorithms=algorithms, functions=functions, dimensions=dimensions,
+        measures=measures, array=values)
+
+
+class TestRoundTripProperty:
+    def test_labels_survive_save_load_run_emit_reload(self, tmp_path):
+        columnar = []  # per example: did the saved file take that path
+
+        @given(round_trip_datasets())
+        @settings(max_examples=150, deadline=None)
+        def round_trip(dataset):
+            directory = tmp_path / str(len(columnar))
+            directory.mkdir()
+            path = save_long_csv(dataset, directory / "data.csv")
+            columnar.append(dataio._load_columns(path) is not None)
+            loaded = load_long_csv(path)
+            assert loaded == dataset
+            report = run_hra(loaded)
+            emit_report(report, "csv", directory / "report")
+            ranking = load_rank_matrix_csv(
+                directory / "report" / "final_ranking.csv")
+            assert ranking.alternative_labels == report.algorithms
+            assert ranking.criterion_labels == ("score", "hra_rank")
+            np.testing.assert_array_equal(ranking.values, np.column_stack(
+                [report.final_scores, report.final_ranks]))
+            header, *rows = (row for _, row in dataio._data_rows(
+                directory / "report" / "leaf_ranks.csv"))
+            assert header == ["dimension", "measure", "algorithm", "rank"]
+            assert [(dataio._parse_dimension(d), p, a, float(r))
+                    for d, p, a, r in rows] == [
+                (d, p, a, r) for (d, p), ranks in report.leaf_ranks.items()
+                for a, r in zip(report.algorithms, ranks.tolist())]
+
+        round_trip()
+        assert set(columnar) == {False, True}  # both loader paths ran
 
 
 def snapshot(directory):

@@ -251,6 +251,10 @@ def parse_run_file(path):
     return fetch._parse_run_file(path, set())
 
 
+def parse_run_text(path):
+    return fetch._parse_run_text(path, path.read_bytes())
+
+
 def run_outcome(parse, path):
     """A run-file parser's values as exact float hex, or its error."""
     try:
@@ -319,7 +323,7 @@ class TestPlainRunFiles:
     def test_same_outcome_as_text_loop(self, tmp_path, data):
         path = tmp_path / "solver_1_10.txt"
         path.write_bytes(data)
-        expected = run_outcome(fetch._parse_run_text, path)
+        expected = run_outcome(parse_run_text, path)
         assert run_outcome(parse_run_file, path) == expected
         plain = fetch._plain_runs(data, set())
         if plain is not None:
@@ -337,7 +341,7 @@ class TestPlainRunFiles:
         path.write_text(body)
         assert fetch._plain_runs(path.read_bytes(), set()) is not None
         assert run_outcome(parse_run_file, path) \
-            == run_outcome(fetch._parse_run_text, path)
+            == run_outcome(parse_run_text, path)
 
     @pytest.mark.parametrize("body", [
         "",  # empty
@@ -357,7 +361,24 @@ class TestPlainRunFiles:
         path.write_text(body, encoding="utf-8")
         assert fetch._plain_runs(path.read_bytes(), set()) is None
         assert run_outcome(parse_run_file, path) \
-            == run_outcome(fetch._parse_run_text, path)
+            == run_outcome(parse_run_text, path)
+
+    def test_text_loop_reads_the_file_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "solver_1_10.txt"
+        path.write_bytes(b"# checkpoints x runs\r\n9 9\r\n1 2\r\n")
+        reads = []
+        read_bytes, read_text = Path.read_bytes, Path.read_text
+
+        def counted(kind, read):
+            def wrapper(self, *args, **kwargs):
+                reads.append(kind)
+                return read(self, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Path, "read_bytes", counted("bytes", read_bytes))
+        monkeypatch.setattr(Path, "read_text", counted("text", read_text))
+        assert load_raw_runs(tmp_path).runs == {(10, "solver", "1"): (1, 2)}
+        assert reads == ["bytes"]
 
     def test_non_utf8_byte_takes_text_loop(self, tmp_path):
         path = tmp_path / "solver_1_10.txt"
