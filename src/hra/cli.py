@@ -24,6 +24,7 @@ from .dataio import (
     emit_report,
     load_long_csv,
     load_rank_matrix_csv,
+    one_line,
     save_long_csv,
 )
 from .exceptions import HraError, InvalidWeights
@@ -76,6 +77,7 @@ def _format_rank(rank: float) -> str:
 
 
 def _print_ranking_table(labels, scores, ranks) -> None:
+    labels = [one_line(label) for label in labels]
     width = max(len("algorithm"), *(len(a) for a in labels))
     print(f"{'algorithm':<{width}}  {'score':>7}  rank")
     for label, score, rank in zip(labels, scores, ranks):
@@ -90,7 +92,7 @@ def _print_trace(name: str, result: TopsisResult) -> None:
                                suppress_small=True)
         print(f"  {tag}: {text}")
 
-    print(f"trace [{name}]")
+    print(f"trace [{one_line(name)}]")
     show("normalized", trace.normalized)
     show("weighted", trace.weighted)
     show("PIS", trace.pis)

@@ -457,13 +457,15 @@ def write_files(writers: Mapping[Path, Callable]) -> list[Path]:
     writer streams its path's text (or bytes, to handle.buffer) to a short
     O_EXCL temporary file beside it, with a plain open's mode or the mode of
     the regular file it replaces, and only then are all renamed. An
-    existing path that is no regular file fails first. Errors remove the
-    temporaries; OSError raises IoError."""
+    existing path that is no regular file fails first; missing parent
+    directories are created. Errors remove the temporaries, not the
+    directories; OSError raises IoError."""
     pending: dict[Path, Path] = {}  # path -> its temporary file
     try:
         for path, writer in writers.items():
             if path.exists() and not path.is_file():  # follows symlinks
                 raise OSError("not a regular file")
+            path.parent.mkdir(parents=True, exist_ok=True)
             temporary = path.parent / f".hra-{os.urandom(8).hex()}.tmp"
             with open(temporary, "x", encoding="utf-8", newline="") as handle:
                 pending[path] = temporary
@@ -821,11 +823,21 @@ def save_rank_matrix_csv(matrix: DecisionMatrix, path) -> Path:
 
 # -- report rendering -------------------------------------------------------
 
+_ONE_LINE = str.maketrans({"\r": "\\r", "\n": "\\n"})
+
+
+def one_line(text: str) -> str:
+    """text with each CR and LF shown as the two characters '\\r' or '\\n',
+    so a label keeps to one line of a table; other text keeps its bytes."""
+    return text.translate(_ONE_LINE)
+
+
 def _write_markdown(handle, rows: Iterable[Sequence[str]]) -> None:
-    """Rows, the header first, as a markdown table with '|' escaped."""
+    """Rows, the header first, as a markdown table with '|' escaped and CR
+    and LF shown by one_line."""
     for number, cells in enumerate(rows):
-        handle.write("| " + " | ".join(c.replace("|", "\\|") for c in cells)
-                     + " |\n")
+        handle.write("| " + " | ".join(one_line(c).replace("|", "\\|")
+                                       for c in cells) + " |\n")
         if number == 0:
             handle.write("|" + "|".join(" --- " for _ in cells) + "|\n")
 
@@ -863,10 +875,6 @@ def emit_report(report: "HraReport", fmt: str = "csv",
     write, ext = ((_write_rows, "csv") if fmt == "csv"
                   else (_write_markdown, "md"))
     destination = Path(destination)
-    try:
-        destination.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create {destination}: {exc}") from exc
     algorithms, overall = report.algorithms, report.nodes[-1]
     tables = {f"leaf_ranks.{ext}": [
         ("dimension", "measure", "algorithm", "rank"),

@@ -4,7 +4,8 @@ A source is any URL prefix (http(s) or file) that serves an inventory file
 listing `relative-path,byte-count,sha256-hex` per line. fetch_raw mirrors
 those files into a destination directory, verifies each against the
 inventory, skips files that already verify, and writes the same lines back
-out as `manifest.csv`.
+out as `manifest.csv`. A path is percent-encoded, '/' kept, in the URL it
+is fetched from; the local file and the manifest keep its text.
 
 Run files are named `<algorithm>_<function>_<dimension>.txt` (the algorithm
 part may itself contain underscores) anywhere under the directory. Two
@@ -27,6 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
+from urllib.parse import quote
 
 from .dataio import RawRuns, _not_utf8, _parse_dimension, write_files
 from .exceptions import (
@@ -40,6 +42,7 @@ from .exceptions import (
 MANIFEST_NAME = "manifest.csv"
 INVENTORY_NAME = "inventory.txt"
 URL_TIMEOUT_S = 60.0  # per urlopen call; a stalled source fails, not hangs
+_SHA256 = re.compile(r"[0-9a-fA-F]{64}")
 
 
 @dataclass(frozen=True)
@@ -71,19 +74,26 @@ def _sha256(path: Path) -> str:
 
 
 def _read_url(url: str) -> bytes:
+    """The body at url; any failure to get all of it is a NetworkError,
+    such as a malformed URL (ValueError) or a body cut short
+    (http.client.IncompleteRead)."""
+    import http.client
     import urllib.error
     import urllib.request  # loads http.client, ssl, email: only on fetch
 
     try:
         with urllib.request.urlopen(url, timeout=URL_TIMEOUT_S) as response:
             return response.read()
-    except (urllib.error.URLError, OSError) as exc:
+    except (urllib.error.URLError, OSError, ValueError,
+            http.client.HTTPException) as exc:
         raise NetworkError(f"cannot fetch {url}: {exc}") from exc
 
 
 def parse_inventory(text: str, origin: str) -> list[ManifestEntry]:
     """Entries of an inventory; every path must stay inside the mirror, so
-    an absolute or empty path or a '..' component is a ParseError."""
+    an absolute or empty path or a '..' component is a ParseError. The byte
+    count must be ASCII digits and the sha256 exactly 64 hex digits, both
+    after stripping blanks."""
     entries = []
     for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -93,19 +103,19 @@ def parse_inventory(text: str, origin: str) -> list[ManifestEntry]:
         if len(parts) != 3:
             raise ParseError(f"{origin}:{number}: expected "
                              f"'path,bytes,sha256', got {line!r}")
-        path, size_text, sha = parts
-        try:
-            size = int(size_text)
-        except ValueError:
-            raise ParseError(f"{origin}:{number}: byte count is not an "
-                             f"integer: {size_text!r}") from None
-        path = path.strip()
+        path, size_text, sha = (part.strip() for part in parts)
+        if not (size_text.isascii() and size_text.isdigit()):
+            raise ParseError(f"{origin}:{number}: byte count is not a "
+                             f"decimal integer: {size_text!r}")
+        if not _SHA256.fullmatch(sha):
+            raise ParseError(f"{origin}:{number}: sha256 is not 64 hex "
+                             f"digits: {sha!r}")
         parts = PurePosixPath(path).parts
         if not parts or path.startswith("/") or ".." in parts:
             raise ParseError(f"{origin}:{number}: path must be relative and "
                              f"stay inside the destination, got {path!r}")
-        entries.append(ManifestEntry(path=path, size=size,
-                                     sha256=sha.strip().lower()))
+        entries.append(ManifestEntry(path=path, size=int(size_text),
+                                     sha256=sha.lower()))
     if not entries:
         raise ParseError(f"{origin}: inventory lists no files")
     return entries
@@ -126,10 +136,6 @@ def fetch_raw(source_url: str, destination) -> FetchResult:
     import hashlib
 
     destination = Path(destination)
-    try:
-        destination.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create {destination}: {exc}") from exc
     source_url = source_url.rstrip("/")
     inventory_url = f"{source_url}/{INVENTORY_NAME}"
     try:
@@ -144,16 +150,12 @@ def fetch_raw(source_url: str, destination) -> FetchResult:
                 and _sha256(local) == entry.sha256:
             skipped.append(entry.path)
             continue
-        payload = _read_url(f"{source_url}/{entry.path}")
+        payload = _read_url(f"{source_url}/{quote(entry.path)}")
         actual = hashlib.sha256(payload).hexdigest()
         if len(payload) != entry.size or actual != entry.sha256:
             raise ChecksumMismatch(
                 f"{entry.path}: got {len(payload)} bytes / sha256 {actual}, "
                 f"inventory says {entry.size} bytes / {entry.sha256}")
-        try:
-            local.parent.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise IoError(f"cannot write {local}: {exc}") from exc
         write_files({local: lambda handle: handle.buffer.write(payload)})
         downloaded.append(entry.path)
     manifest = write_manifest(entries, destination / MANIFEST_NAME)
@@ -242,12 +244,8 @@ def _parse_run_text(path: Path, data: bytes) -> tuple[float, ...]:
                         "expected a flat list or a rectangular matrix")
 
 
-def load_raw_runs(directory, expected_runs: int | None = None) -> RawRuns:
-    """Parse every `<algorithm>_<function>_<dimension>.txt` under directory.
-
-    expected_runs, when given, enforces the per-cell run count (51 for
-    CEC'17).
-    """
+def load_raw_runs(directory) -> RawRuns:
+    """Parse every `<algorithm>_<function>_<dimension>.txt` under directory."""
     directory = Path(directory)
     if not directory.is_dir():
         raise IoError(f"not a directory: {directory}")
@@ -261,11 +259,7 @@ def load_raw_runs(directory, expected_runs: int | None = None) -> RawRuns:
         key = (_parse_dimension(dim_text), algorithm, function)
         if key in runs:
             raise ParseError(f"{path}: duplicate run file for {key}")
-        values = _parse_run_file(path, known)
-        if expected_runs is not None and len(values) != expected_runs:
-            raise ParseError(f"{path}: {len(values)} runs, "
-                             f"expected {expected_runs}")
-        runs[key] = values
+        runs[key] = _parse_run_file(path, known)
     if not runs:
         raise ParseError(f"{directory}: no run files found "
                          "(expected <algorithm>_<function>_<dimension>.txt)")

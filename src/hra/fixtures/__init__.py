@@ -1,20 +1,13 @@
-"""Bundled CEC'17 reference tables.
-
-The directory holding the CSVs can be overridden with the HRA_FIXTURES
-environment variable, which is how tests exercise corrupted-fixture
-handling.
-"""
+"""Bundled CEC'17 reference tables."""
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 from ..dataio import load_rank_matrix_csv
-from ..exceptions import IoError
 from ..rtopsis import DecisionMatrix
 
-FIXTURES_ENV = "HRA_FIXTURES"
+FIXTURES_DIR = Path(__file__).parent  # the directory holding the CSVs
 
 MEASURE_RANK_TABLES = {
     10: "cec17_measure_ranks_dim10.csv",
@@ -28,28 +21,16 @@ OVERALL_RANKING_TABLE = "cec17_overall_ranking.csv"
 CEC17_DIMENSIONS = (10, 30, 50, 100)
 
 
-def fixtures_dir() -> Path:
-    override = os.environ.get(FIXTURES_ENV)
-    return Path(override) if override else Path(__file__).parent
-
-
-def fixture_path(name: str) -> Path:
-    path = fixtures_dir() / name
-    if not path.is_file():
-        raise IoError(f"fixture not found: {path}")
-    return path
-
-
 def load_measure_ranks(dimension: int) -> DecisionMatrix:
     """13x5 rank table of one problem dimension (columns: the 5 statistics)."""
-    return load_rank_matrix_csv(fixture_path(MEASURE_RANK_TABLES[dimension]))
+    return load_rank_matrix_csv(FIXTURES_DIR / MEASURE_RANK_TABLES[dimension])
 
 
 def load_dimension_ranks() -> DecisionMatrix:
     """13x4 rank table whose columns are the per-dimension rankings."""
-    return load_rank_matrix_csv(fixture_path(DIMENSION_RANK_TABLE))
+    return load_rank_matrix_csv(FIXTURES_DIR / DIMENSION_RANK_TABLE)
 
 
 def load_overall_ranking() -> DecisionMatrix:
     """13x3 table: closeness score, aggregated rank, competition rank."""
-    return load_rank_matrix_csv(fixture_path(OVERALL_RANKING_TABLE))
+    return load_rank_matrix_csv(FIXTURES_DIR / OVERALL_RANKING_TABLE)

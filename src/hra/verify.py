@@ -1,8 +1,9 @@
 """Self-contained consistency checks of the bundled CEC'17 tables.
 
 Each aggregation level is recomputed from the level below it, fixtures
-only, no network: the four per-dimension rankings from the per-measure rank
-tables, and the overall scores and ranks from the per-dimension table.
+only, no network, by the same kernel `hra run` uses: the four per-dimension
+rankings from the per-measure rank tables (aggregate_dimension), and the
+overall scores and ranks from the per-dimension table (aggregate_overall).
 Scores are compared within a tolerance because the reference table prints
 four decimals; ranks must match exactly.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixtures
-from .rtopsis import rtopsis
+from .hierarchy import aggregate_dimension, aggregate_overall
 
 DEFAULT_TOLERANCE = 5e-4
 
@@ -49,15 +50,15 @@ def verify_reference_tables(tolerance: float = DEFAULT_TOLERANCE
     dimension_table = fixtures.load_dimension_ranks()
     for j, dim in enumerate(fixtures.CEC17_DIMENSIONS):
         measure_table = fixtures.load_measure_ranks(dim)
-        result = rtopsis(measure_table)
-        checks.append(_compare_ranks(f"dim{dim}-ranking", result.ranks,
+        _, ranks = aggregate_dimension(measure_table.values.T)
+        checks.append(_compare_ranks(f"dim{dim}-ranking", ranks,
                                      dimension_table.values[:, j],
                                      measure_table.alternative_labels))
 
     overall_table = fixtures.load_overall_ranking()
-    result = rtopsis(dimension_table)
+    _, scores, ranks = aggregate_overall(dimension_table.values.T)
     reference_scores = overall_table.values[:, 0]
-    errors = np.abs(result.closeness - reference_scores)
+    errors = np.abs(scores - reference_scores)
     worst = int(np.argmax(errors))
     if errors[worst] <= tolerance:
         detail = (f"max |score error| {errors[worst]:.2e} "
@@ -67,10 +68,10 @@ def verify_reference_tables(tolerance: float = DEFAULT_TOLERANCE
         label = overall_table.alternative_labels[worst]
         checks.append(CheckResult(
             "overall-scores", False,
-            f"{label}: computed {result.closeness[worst]:.6f}, reference "
+            f"{label}: computed {scores[worst]:.6f}, reference "
             f"{reference_scores[worst]:.4f}, error {errors[worst]:.2e} "
             f"> tolerance {tolerance:g}"))
-    checks.append(_compare_ranks("overall-ranks", result.ranks,
+    checks.append(_compare_ranks("overall-ranks", ranks,
                                  overall_table.values[:, 1],
                                  overall_table.alternative_labels))
     return checks

@@ -2,6 +2,7 @@
 
 import errno
 import hashlib
+import http.client
 import shutil
 import urllib.request
 
@@ -10,13 +11,14 @@ import pytest
 
 import hra
 from conftest import SYNTHETIC_CSV
-from hra import (cli, dataio, fetch, fixtures, load_long_csv,
-                 load_rank_matrix_csv, run_hra)
+from hra import (cli, dataio, fetch, fixtures, hierarchy, load_long_csv,
+                 load_rank_matrix_csv, rtopsis, run_hra)
 from hra.cli import main
+from hra.verify import verify_reference_tables
 from test_dataio import failing_on_call, snapshot
 from test_fetch import make_source
 
-TABLE_PATH = fixtures.fixture_path(fixtures.DIMENSION_RANK_TABLE)
+TABLE_PATH = fixtures.FIXTURES_DIR / fixtures.DIMENSION_RANK_TABLE
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +80,27 @@ class TestRun:
         assert code == 0
         assert "trace [leaf/10/best]" in out
         assert "PIS" in out and "S-" in out
+
+    def test_line_break_in_a_label_keeps_one_line_per_row(self, capsys,
+                                                          tmp_path):
+        data = tmp_path / "nl.csv"
+        data.write_bytes(b'dimension,measure,function,algorithm,value\n'
+                         b'10,"be\rst",f1,"c\nd",1.0\n10,"be\rst",f1,b,2.0\n'
+                         b'10,"be\rst",f2,"c\nd",3.0\n10,"be\rst",f2,b,1.0\n')
+        code, out, err = run_cli(capsys, "run", "--data", str(data), "--out",
+                                 str(tmp_path / "rep"), "--format",
+                                 "markdown", "--verbose")
+        assert code == 0 and err == ""
+        assert "trace [leaf/10/be\\rst]\n" in out and "\r" not in out
+        assert out.splitlines()[-4:-1] == ["algorithm    score  rank",
+                                           "c\\nd        0.5000   1.5",
+                                           "b           0.5000   1.5"]
+        assert (tmp_path / "rep" / "final_ranking.md").read_bytes() == (
+            b"| algorithm | score | hra_rank |\n| --- | --- | --- |\n"
+            b"| c\\nd | 0.5 | 1.5 |\n| b | 0.5 | 1.5 |\n")
+        leaves = (tmp_path / "rep" / "leaf_ranks.md").read_bytes().decode()
+        assert "| 10 | be\\rst | c\\nd | 1.5 |\n" in leaves
+        assert leaves.count("\n") == 4 and "\r" not in leaves
 
 
 # sha256 of every report file and of stdout for `hra run --data
@@ -229,11 +252,11 @@ class TestVerifyPaper:
 
     def test_corrupted_fixture_named(self, capsys, tmp_path, monkeypatch):
         corrupt = tmp_path / "fixtures"
-        shutil.copytree(fixtures.fixtures_dir(), corrupt)
+        shutil.copytree(fixtures.FIXTURES_DIR, corrupt)
         target = corrupt / fixtures.MEASURE_RANK_TABLES[30]
         target.write_text(target.read_text().replace("EBOwithCMAR,1,1,1,1,3",
                                                      "EBOwithCMAR,9,9,9,9,9"))
-        monkeypatch.setenv(fixtures.FIXTURES_ENV, str(corrupt))
+        monkeypatch.setattr(fixtures, "FIXTURES_DIR", corrupt)
         code, out, _ = run_cli(capsys, "verify-paper")
         assert code == 1
         assert "FAIL dim30-ranking" in out
@@ -246,6 +269,25 @@ class TestVerifyPaper:
         monkeypatch.setattr(urllib.request, "urlopen", refuse)
         code, out, _ = run_cli(capsys, "verify-paper")
         assert code == 0 and "6/6 checks PASS" in out
+
+    def test_reads_only_the_bundled_tables(self, capsys, tmp_path,
+                                           monkeypatch):
+        monkeypatch.setenv("HRA_FIXTURES", str(tmp_path / "nonexistent"))
+        code, out, _ = run_cli(capsys, "verify-paper")
+        assert code == 0 and "6/6 checks PASS" in out
+
+    def test_checks_the_kernel_of_run(self, monkeypatch):
+        """Every recomputed level is one evaluation of hierarchy.evaluate:
+        four dimensions and the overall ranking."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return rtopsis(*args, **kwargs)
+
+        monkeypatch.setattr(hierarchy, "rtopsis", counted)
+        assert all(check.passed for check in verify_reference_tables())
+        assert len(calls) == 5
 
 
 class TestStats:
@@ -265,6 +307,17 @@ class TestStats:
             rows[p] = float(v)
         assert rows == {"best": 1.0, "worst": 3.0, "median": 2.0,
                         "mean": 2.0, "std": 1.0}
+
+    def test_out_into_missing_nested_directory(self, capsys, tmp_path):
+        runs_dir = tmp_path / "runs"
+        runs_dir.mkdir()
+        (runs_dir / "solver_1_10.txt").write_text("1 2 3\n4 5 6\n")
+        flat, nested = tmp_path / "x.csv", tmp_path / "new" / "dir" / "x.csv"
+        for out_csv in (flat, nested):
+            code, _, err = run_cli(capsys, "stats", str(runs_dir), "--out",
+                                   str(out_csv))
+            assert code == 0 and err == ""
+        assert nested.read_bytes() == flat.read_bytes()
 
     def test_empty_directory_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "stats", str(tmp_path), "--out",
@@ -304,8 +357,29 @@ class TestFetch:
         code, _, err = run_cli(capsys, "fetch", url, "--out", str(dest))
         assert code == 2 and err.count("\n") == 1
         assert "outside.txt" in err
-        assert sorted(p.relative_to(tmp_path).as_posix()
-                      for p in (tmp_path / "out").rglob("*")) == ["out/dest"]
+        assert not (tmp_path / "out").exists()
+
+    def test_hostile_inventory_rejected_before_download(self, capsys,
+                                                        tmp_path,
+                                                        monkeypatch):
+        source = tmp_path / "src"
+        source.mkdir()
+        (source / "a.txt").write_text("1 2\n")
+        (source / "inventory.txt").write_text("a.txt,-5,abc\n")
+        urlopen, urls = urllib.request.urlopen, []
+
+        def recorded(url, **kwargs):
+            urls.append(url)
+            return urlopen(url, **kwargs)
+
+        monkeypatch.setattr(urllib.request, "urlopen", recorded)
+        dest = tmp_path / "out" / "dest"
+        code, _, err = run_cli(capsys, "fetch", source.as_uri(), "--out",
+                               str(dest))
+        assert code == 2 and err.count("\n") == 1
+        assert "inventory.txt:1: byte count" in err
+        assert urls == [f"{source.as_uri()}/inventory.txt"]
+        assert not (tmp_path / "out").exists()
 
     def test_unreachable_source_exits_4(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "fetch",
@@ -509,6 +583,68 @@ class TestInterruptedWrites:
                                str(out_csv))
         self.assert_one_io_error(code, err, "stats.csv")
         assert snapshot(out_dir) == before
+
+    @pytest.mark.parametrize("command", ["run", "stats", "fetch"])
+    def test_regular_file_at_an_out_directory(self, capsys, tmp_path,
+                                              command):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("old\n")
+        runs_dir = tmp_path / "runs"
+        runs_dir.mkdir()
+        (runs_dir / "solver_1_10.txt").write_text("1 2 3\n")
+        argv = {"run": ("run", "--data", str(SYNTHETIC_CSV), "--out",
+                        str(blocker)),
+                "stats": ("stats", str(runs_dir), "--out",
+                          str(blocker / "stats.csv")),
+                "fetch": ("fetch", make_source(tmp_path / "src", {
+                    "solver_1_10.txt": "1 2 3\n"}), "--out", str(blocker))}
+        code, out, err = run_cli(capsys, *argv[command])
+        self.assert_one_io_error(code, err, str(blocker))
+        assert out == "" and blocker.read_text() == "old\n"
+        assert not list(tmp_path.rglob(".hra-*.tmp"))
+
+    def test_fetch_from_no_url(self, capsys, tmp_path, monkeypatch):
+        dest = tmp_path / "dest"
+        dest.mkdir()
+        (dest / "solver_1_10.txt").write_text("1 2 3\n")
+        before = snapshot(dest)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "fetch", "notaurl", "--out", "dest")
+        assert code == 4 and out == "" and err.count("\n") == 1
+        assert err.startswith("hra: i/o error: cannot fetch notaurl/")
+        assert snapshot(dest) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dest"]
+
+    def test_fetch_cut_off_after_half_a_payload(self, capsys, tmp_path,
+                                                monkeypatch):
+        source, dest = tmp_path / "source", tmp_path / "dest"
+        url = make_source(source, {"solver_1_10.txt": "4 5 6\n"})
+        dest.mkdir()
+        (dest / "solver_1_10.txt").write_text("1 2 3\n")  # a stale copy
+        before = snapshot(dest)
+        urlopen = urllib.request.urlopen
+
+        class CutOff:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def read(self):
+                raise http.client.IncompleteRead(b"4 5", 3)
+
+        def cut_payload(url, **kwargs):
+            return CutOff() if url.endswith("solver_1_10.txt") \
+                else urlopen(url, **kwargs)
+
+        monkeypatch.setattr(urllib.request, "urlopen", cut_payload)
+        code, out, err = run_cli(capsys, "fetch", url, "--out", str(dest))
+        assert code == 4 and out == "" and err.count("\n") == 1
+        assert err.startswith("hra: i/o error: cannot fetch ")
+        assert "solver_1_10.txt" in err and "IncompleteRead" in err
+        assert snapshot(dest) == before
+        assert sorted(p.name for p in dest.iterdir()) == ["solver_1_10.txt"]
 
     def test_fetch_payload(self, capsys, tmp_path, monkeypatch):
         source, dest = tmp_path / "source", tmp_path / "dest"

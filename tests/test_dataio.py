@@ -1092,3 +1092,11 @@ class TestWriteFiles:
         with pytest.raises(IoError, match="matrix.csv"):
             save_rank_matrix_csv(dimension_table, path)
         assert snapshot(tmp_path) == before
+
+    def test_missing_parent_directories_are_created(self, dimension_table,
+                                                    tmp_path):
+        flat = save_rank_matrix_csv(dimension_table, tmp_path / "m.csv")
+        nested = save_rank_matrix_csv(dimension_table,
+                                      tmp_path / "new" / "nested" / "m.csv")
+        assert nested.read_bytes() == flat.read_bytes()
+        assert sorted(p.name for p in nested.parent.iterdir()) == ["m.csv"]

@@ -28,6 +28,9 @@ from hra import fetch
 from hra.fetch import MANIFEST_NAME, URL_TIMEOUT_S, parse_inventory
 
 
+SHA = "0" * 64  # a well-formed sha256 field
+
+
 def make_source(root, files):
     """Write files plus a matching inventory; return the file:// URL."""
     lines = []
@@ -114,7 +117,35 @@ class TestFetchRaw:
                                       "deep/../../x.txt", "", ".", " ./ "])
     def test_inventory_path_must_stay_inside(self, path):
         with pytest.raises(ParseError, match=r"inv:2: path must be relative"):
-            parse_inventory(f"ok.txt,1,ff\n{path},1,ff\n", "inv")
+            parse_inventory(f"ok.txt,1,{SHA}\n{path},1,{SHA}\n", "inv")
+
+    @pytest.mark.parametrize("size, sha", [
+        ("-5", SHA), ("+5", SHA), ("1_000", SHA), ("\uff15", SHA),
+        ("", SHA), ("5", "abc"), ("5", "0" * 63), ("5", "0" * 65),
+        ("5", "0" * 63 + "g")], ids=[
+        "minus", "plus", "underscore", "fullwidth-digit", "empty-count",
+        "abc", "63-digits", "65-digits", "non-hex"])
+    def test_hostile_fields_rejected(self, size, sha):
+        with pytest.raises(ParseError, match=r"inv:2: (byte count|sha256) "):
+            parse_inventory(f"ok.txt,1,{SHA}\na.txt,{size},{sha}\n", "inv")
+
+    def test_fields_are_stripped(self):
+        digest = "AB" * 32
+        [entry] = parse_inventory(f" a b.txt , 007 ,{digest} \n", "inv")
+        assert entry == fetch.ManifestEntry("a b.txt", 7, digest.lower())
+
+    def test_paths_are_percent_encoded_in_urls(self, tmp_path):
+        names = [f"{algorithm}_f1_10.txt"
+                 for algorithm in ("a#b", "c d", "e?f", "50%")]
+        url = make_source(tmp_path / "src", {name: f"{i} 1\n"
+                                             for i, name in enumerate(names)})
+        dest = tmp_path / "dest"
+        assert sorted(fetch_raw(url, dest).downloaded) == sorted(names)
+        assert sorted(fetch_raw(url, dest).skipped) == sorted(names)
+        assert (dest / MANIFEST_NAME).read_bytes() == \
+            (tmp_path / "src" / "inventory.txt").read_bytes()
+        assert load_raw_runs(dest).algorithms() == ["50%", "a#b", "c d",
+                                                    "e?f"]
 
     def test_urlopen_has_timeout(self, tmp_path, monkeypatch):
         calls = []
@@ -194,11 +225,6 @@ class TestLoadRawRuns:
         monkeypatch.setattr(Path, "read_bytes", denied)
         with pytest.raises(IoError, match=r"cannot read .*solver_1_10\.txt"):
             load_raw_runs(tmp_path)
-
-    def test_expected_run_count_enforced(self, tmp_path):
-        (tmp_path / "solver_1_10.txt").write_text("1 2 3\n")
-        with pytest.raises(ParseError, match="expected 51"):
-            load_raw_runs(tmp_path, expected_runs=51)
 
     def test_dimension_int_only_in_canonical_form(self, tmp_path):
         (tmp_path / "a_f_10.txt").write_text("1 2\n")
