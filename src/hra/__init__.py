@@ -8,6 +8,24 @@ independent of which other alternatives are present.
 
 __version__ = "0.1.0"
 
+import os as _os
+import sys as _sys
+
+# hra calls no BLAS routine, but OpenBLAS starts its worker threads when
+# numpy loads, and each idle worker spins for about 0.1 s of CPU before it
+# sleeps. So numpy is loaded with one BLAS thread, unless numpy is already
+# loaded or the user has set a thread count. OpenBLAS reads the variable
+# once, at load, so it is removed again: os.environ and child processes
+# never see it.
+if "numpy" not in _sys.modules and not any(
+        name in _os.environ for name in
+        ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .dataio import (
     STAT_MEASURES,
     PerformanceDataset,

@@ -91,10 +91,12 @@ def _read_url(url: str) -> bytes:
 
 def parse_inventory(text: str, origin: str) -> list[ManifestEntry]:
     """Entries of an inventory; every path must stay inside the mirror, so
-    an absolute or empty path or a '..' component is a ParseError. The byte
-    count must be ASCII digits and the sha256 exactly 64 hex digits, both
-    after stripping blanks."""
-    entries = []
+    an absolute or empty path or a '..' component is a ParseError, and so
+    is a path that names the manifest or repeats an earlier line's path,
+    compared as normalised paths ('./a//b' is 'a/b'). The byte count must
+    be ASCII digits and the sha256 exactly 64 hex digits, both after
+    stripping blanks."""
+    entries, first_line = [], {}
     for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -110,10 +112,18 @@ def parse_inventory(text: str, origin: str) -> list[ManifestEntry]:
         if not _SHA256.fullmatch(sha):
             raise ParseError(f"{origin}:{number}: sha256 is not 64 hex "
                              f"digits: {sha!r}")
-        parts = PurePosixPath(path).parts
+        normalised = PurePosixPath(path)
+        parts = normalised.parts
         if not parts or path.startswith("/") or ".." in parts:
             raise ParseError(f"{origin}:{number}: path must be relative and "
                              f"stay inside the destination, got {path!r}")
+        if normalised == PurePosixPath(MANIFEST_NAME):
+            raise ParseError(f"{origin}:{number}: path {path!r} is where "
+                             f"the manifest is written")
+        if normalised in first_line:
+            raise ParseError(f"{origin}:{number}: path {path!r} repeats "
+                             f"line {first_line[normalised]}")
+        first_line[normalised] = number
         entries.append(ManifestEntry(path=path, size=int(size_text),
                                      sha256=sha.lower()))
     if not entries:

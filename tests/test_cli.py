@@ -359,13 +359,9 @@ class TestFetch:
         assert "outside.txt" in err
         assert not (tmp_path / "out").exists()
 
-    def test_hostile_inventory_rejected_before_download(self, capsys,
-                                                        tmp_path,
-                                                        monkeypatch):
-        source = tmp_path / "src"
-        source.mkdir()
-        (source / "a.txt").write_text("1 2\n")
-        (source / "inventory.txt").write_text("a.txt,-5,abc\n")
+    @pytest.fixture
+    def urls(self, monkeypatch):
+        """Every URL opened during the test, in order."""
         urlopen, urls = urllib.request.urlopen, []
 
         def recorded(url, **kwargs):
@@ -373,11 +369,39 @@ class TestFetch:
             return urlopen(url, **kwargs)
 
         monkeypatch.setattr(urllib.request, "urlopen", recorded)
+        return urls
+
+    def test_hostile_inventory_rejected_before_download(self, capsys,
+                                                        tmp_path, urls):
+        source = tmp_path / "src"
+        source.mkdir()
+        (source / "a.txt").write_text("1 2\n")
+        (source / "inventory.txt").write_text("a.txt,-5,abc\n")
         dest = tmp_path / "out" / "dest"
         code, _, err = run_cli(capsys, "fetch", source.as_uri(), "--out",
                                str(dest))
         assert code == 2 and err.count("\n") == 1
         assert "inventory.txt:1: byte count" in err
+        assert urls == [f"{source.as_uri()}/inventory.txt"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("second, message", [
+        ("./manifest.csv", "is where the manifest is written"),
+        ("a//run_1_10.txt", "repeats line 1")], ids=["manifest", "repeat"])
+    def test_colliding_inventory_path_rejected_before_download(
+            self, capsys, tmp_path, urls, second, message):
+        source = tmp_path / "src"
+        (source / "a").mkdir(parents=True)
+        (source / "a" / "run_1_10.txt").write_text("1 2\n")
+        (source / "manifest.csv").write_text("1 2\n")
+        digest = hashlib.sha256(b"1 2\n").hexdigest()
+        (source / "inventory.txt").write_text(
+            f"a/run_1_10.txt,4,{digest}\n{second},4,{digest}\n")
+        dest = tmp_path / "out" / "dest"
+        code, _, err = run_cli(capsys, "fetch", source.as_uri(), "--out",
+                               str(dest))
+        assert code == 2 and err.count("\n") == 1
+        assert f"inventory.txt:2: path {second!r} {message}" in err
         assert urls == [f"{source.as_uri()}/inventory.txt"]
         assert not (tmp_path / "out").exists()
 

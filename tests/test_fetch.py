@@ -119,6 +119,21 @@ class TestFetchRaw:
         with pytest.raises(ParseError, match=r"inv:2: path must be relative"):
             parse_inventory(f"ok.txt,1,{SHA}\n{path},1,{SHA}\n", "inv")
 
+    @pytest.mark.parametrize("path", ["manifest.csv", "./manifest.csv",
+                                      " .//manifest.csv "])
+    def test_inventory_path_must_not_be_the_manifest(self, path):
+        with pytest.raises(ParseError, match=r"inv:2: path .* is where the "
+                                             r"manifest is written"):
+            parse_inventory(f"ok.txt,1,{SHA}\n{path},1,{SHA}\n", "inv")
+
+    @pytest.mark.parametrize("first, again", [
+        ("ok.txt", "ok.txt"), ("ok.txt", "./ok.txt"), ("a/b.txt", "a//b.txt"),
+        ("a/b.txt", "a/./b.txt/")])
+    def test_inventory_path_must_not_repeat(self, first, again):
+        with pytest.raises(ParseError, match=r"inv:3: path .* repeats line 1"):
+            parse_inventory(f"{first},1,{SHA}\n# note\n{again},2,{SHA}\n",
+                            "inv")
+
     @pytest.mark.parametrize("size, sha", [
         ("-5", SHA), ("+5", SHA), ("1_000", SHA), ("\uff15", SHA),
         ("", SHA), ("5", "abc"), ("5", "0" * 63), ("5", "0" * 65),
