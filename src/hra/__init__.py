@@ -93,6 +93,7 @@ from .rtopsis import (
     rtopsis,
     scores_to_ranks,
     separations,
+    squared_gaps,
     weight_matrix,
 )
 from .verify import CheckResult, verify_reference_tables

@@ -75,16 +75,18 @@ class HraConfig:
 class Evaluation:
     """One node of the tree: a single fixed-domain TOPSIS evaluation.
 
-    key is ("leaf", d, p), ("dimension", d) or ("overall",); spec holds the
-    weights actually used; children are the keys of the nodes whose rank
-    vectors are the matrix's columns, none for a leaf.
+    key is ("leaf", d, p), ("dimension", d) or ("overall",); result holds
+    the matrix and spec it read (the spec has the weights actually used);
+    children are the keys of the nodes whose rank vectors are the matrix's
+    columns, none for a leaf.
     """
 
     key: tuple
-    matrix: DecisionMatrix
-    spec: CriteriaSpec
     result: TopsisResult
     children: tuple[tuple, ...] = ()
+
+    matrix = property(lambda self: self.result.matrix)
+    spec = property(lambda self: self.result.spec)
 
 
 def evaluate(key: tuple, matrix: DecisionMatrix,
@@ -93,8 +95,7 @@ def evaluate(key: tuple, matrix: DecisionMatrix,
     """The tree's one kernel: cost criteria on the rank domain
     (0, domain_rows + 1), the given or equal weights, one rtopsis call."""
     spec = CriteriaSpec.for_ranks(matrix.domain_rows, matrix.n, weights)
-    return Evaluation(key, matrix, spec, rtopsis(matrix, spec),
-                      tuple(children))
+    return Evaluation(key, rtopsis(matrix, spec), tuple(children))
 
 
 @dataclass(frozen=True)

@@ -198,7 +198,8 @@ def equal_weights(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TopsisTrace:
-    """Intermediate quantities of one evaluation, kept for auditing."""
+    """Intermediate quantities of one evaluation, for auditing; built by
+    TopsisResult.trace."""
 
     normalized: np.ndarray
     weighted: np.ndarray
@@ -210,12 +211,29 @@ class TopsisTrace:
 
 @dataclass(frozen=True)
 class TopsisResult:
-    """Closeness coefficients, the derived ranks, and the full trace."""
+    """One evaluation: the matrix and spec it read, and the per-row vectors
+    it computed (separations, closeness coefficients and ranks)."""
 
+    matrix: DecisionMatrix
+    spec: CriteriaSpec
+    s_plus: np.ndarray
+    s_minus: np.ndarray
     closeness: np.ndarray
     ranks: np.ndarray
-    trace: TopsisTrace
-    alternative_labels: tuple[str, ...]
+
+    @property
+    def alternative_labels(self) -> tuple[str, ...]:
+        return self.matrix.alternative_labels
+
+    @property
+    def trace(self) -> TopsisTrace:
+        """The full trace, rebuilt on every read by the calls rtopsis made,
+        so its bits are the stored ones. It is not cached: a result keeps no
+        m x n array beyond its matrix."""
+        normalized = normalize(self.matrix, self.spec)
+        pis, nis = ideal_solutions(self.spec)
+        return TopsisTrace(normalized, weight_matrix(normalized, self.spec),
+                           pis, nis, self.s_plus, self.s_minus)
 
 
 def _spec_matrix_agree(spec: CriteriaSpec, n: int) -> None:
@@ -271,9 +289,10 @@ def ideal_solutions(spec: CriteriaSpec) -> tuple[np.ndarray, np.ndarray]:
     return pis, nis
 
 
-def separations(weighted: np.ndarray, pis: np.ndarray,
-                nis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Euclidean distances of each row to PIS and NIS."""
+def squared_gaps(weighted: np.ndarray, pis: np.ndarray,
+                 nis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-criterion squared gaps (r_ij - PIS_j)^2 and (r_ij - NIS_j)^2, two
+    (m, n) arrays; row i of each sums to S+_i^2 and S-_i^2."""
     weighted = np.atleast_2d(np.asarray(weighted, dtype=float))
     pis = np.asarray(pis, dtype=float)
     nis = np.asarray(nis, dtype=float)
@@ -281,9 +300,14 @@ def separations(weighted: np.ndarray, pis: np.ndarray,
         raise ShapeMismatch(
             f"weighted matrix has {weighted.shape[1]} columns, ideals have "
             f"{pis.shape[0]} and {nis.shape[0]}")
-    s_plus = np.sqrt(((weighted - pis) ** 2).sum(axis=1))
-    s_minus = np.sqrt(((weighted - nis) ** 2).sum(axis=1))
-    return s_plus, s_minus
+    return (weighted - pis) ** 2, (weighted - nis) ** 2
+
+
+def separations(weighted: np.ndarray, pis: np.ndarray,
+                nis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Euclidean distances of each row to PIS and NIS."""
+    gaps_plus, gaps_minus = squared_gaps(weighted, pis, nis)
+    return np.sqrt(gaps_plus.sum(axis=1)), np.sqrt(gaps_minus.sum(axis=1))
 
 
 def closeness(s_plus: np.ndarray, s_minus: np.ndarray) -> np.ndarray:
@@ -351,15 +375,10 @@ def rtopsis(matrix: DecisionMatrix,
     """
     if spec is None:
         spec = CriteriaSpec.for_ranks(matrix.domain_rows, matrix.n)
-    normalized = normalize(matrix, spec)
-    weighted = weight_matrix(normalized, spec)
-    pis, nis = ideal_solutions(spec)
-    s_plus, s_minus = separations(weighted, pis, nis)
+    weighted = weight_matrix(normalize(matrix, spec), spec)
+    s_plus, s_minus = separations(weighted, *ideal_solutions(spec))
     scores = closeness(s_plus, s_minus)
-    trace = TopsisTrace(normalized=_freeze(normalized),
-                        weighted=_freeze(weighted), pis=_freeze(pis),
-                        nis=_freeze(nis), s_plus=_freeze(s_plus),
-                        s_minus=_freeze(s_minus))
-    return TopsisResult(closeness=_freeze(scores),
-                        ranks=_freeze(scores_to_ranks(scores)), trace=trace,
-                        alternative_labels=matrix.alternative_labels)
+    ranks = scores_to_ranks(scores)
+    for array in (s_plus, s_minus, scores, ranks):
+        array.flags.writeable = False
+    return TopsisResult(matrix, spec, s_plus, s_minus, scores, ranks)

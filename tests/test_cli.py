@@ -3,8 +3,11 @@
 import errno
 import hashlib
 import http.client
+import re
+import runpy
 import shutil
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from test_dataio import failing_on_call, snapshot
 from test_fetch import make_source
 
 TABLE_PATH = fixtures.FIXTURES_DIR / fixtures.DIMENSION_RANK_TABLE
+DEMOS_DIR = Path(__file__).resolve().parents[1] / "demos"
 
 
 def run_cli(capsys, *argv):
@@ -185,6 +189,29 @@ class TestReportBytes:
                 table = load_rank_matrix_csv(out_dir / name)
                 np.testing.assert_array_equal(table.values[:, -1],
                                               report.dimension_ranks[d])
+
+
+# sha256 of the derived traces as printed before a TopsisResult stopped
+# storing them; the verbose `hra run` output is pinned above
+RTOPSIS_VERBOSE_DIGEST = ("48c4075df6fe9f271cd1ffb9bb19cf4f"
+                          "54cc5c8786bfebf24b4086c357934fd1")
+DEMO_01_DIGEST = ("7555c63585af75a0c3c50acb134cbc7c"
+                  "3e6760dc1d297103d5b7236ec1b1999c")
+
+
+class TestTraceBytes:
+    def test_rtopsis_verbose(self, capsys):
+        code, out, err = run_cli(capsys, "rtopsis", "--verbose", "--matrix",
+                                 str(TABLE_PATH))
+        assert code == 0 and err == ""
+        out = re.sub(r"(?m)^trace \[.*\]$", "trace [M]", out)
+        assert out.count("trace [M]\n") == 1
+        assert sha256(out.encode()) == RTOPSIS_VERBOSE_DIGEST
+
+    def test_demo_01(self, capsys):
+        runpy.run_path(str(DEMOS_DIR / "01_fixed_domain_topsis.py"),
+                       run_name="__main__")
+        assert sha256(capsys.readouterr().out.encode()) == DEMO_01_DIGEST
 
 
 class TestRtopsis:

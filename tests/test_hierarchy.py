@@ -18,10 +18,13 @@ from hra import (
     aggregate_leaf,
     aggregate_overall,
     fixtures,
+    TopsisResult,
     rank_dataset,
     run_hra,
+    squared_gaps,
 )
 from hra.hierarchy import Evaluation, HraReport
+from test_properties import assert_gaps_rebuild
 
 
 class TestAggregateLeaf:
@@ -232,6 +235,32 @@ class TestEvaluationNodes:
     def test_report_fields(self):
         assert [f.name for f in dataclasses.fields(HraReport)] == \
             ["algorithms", "nodes"]
+        assert [f.name for f in dataclasses.fields(Evaluation)] == \
+            ["key", "result", "children"]
+        assert [f.name for f in dataclasses.fields(TopsisResult)] == \
+            ["matrix", "spec", "s_plus", "s_minus", "closeness", "ranks"]
+
+    def test_stored_arrays_are_read_only(self, synthetic_dataset):
+        for node in run_hra(synthetic_dataset).nodes:
+            result = node.result
+            assert node.matrix is result.matrix and node.spec is result.spec
+            for array in (result.matrix.values, result.spec.weights,
+                          result.s_plus, result.s_minus, result.closeness,
+                          result.ranks):
+                assert not array.flags.writeable
+        # each read of the trace is built afresh, so writing into one
+        # leaves the stored state and the next read as they were
+        trace = result.trace
+        expected = trace.normalized.copy()
+        trace.normalized[...] = -1.0
+        np.testing.assert_array_equal(result.trace.normalized, expected)
+
+    def test_squared_gaps_rebuild_every_node(self, synthetic_dataset):
+        for node in run_hra(synthetic_dataset).nodes:
+            trace = node.result.trace
+            assert_gaps_rebuild(
+                squared_gaps(trace.weighted, trace.pis, trace.nis),
+                (node.result.s_plus, node.result.s_minus))
 
     def test_nodes_in_evaluation_order(self):
         ds = random_dataset(m=5, n=4, k=3, l=2, seed=3)
@@ -327,17 +356,21 @@ class TestEvaluationNodes:
         assert excinfo.value.missing == gone
         assert calls == []
 
-    def test_peak_memory_within_five_cube_sizes(self):
-        # the nodes keep every leaf's rank matrix and its normalized and
-        # weighted copies; ranking one leaf at a time keeps the rest small
+    def test_peak_memory_within_three_cube_sizes_and_one_and_a_half_kept(
+            self):
+        # the nodes keep each leaf's rank matrix and their per-row vectors,
+        # and derive the trace on read; ranking one leaf at a time keeps the
+        # rest small
         dataset = random_dataset(50, 100, 4, 5, seed=11)
         tracemalloc.start()
         try:
-            run_hra(dataset)
-            peak = tracemalloc.get_traced_memory()[1]
+            report = run_hra(dataset)
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * dataset.array.nbytes
+        assert report.invocation_count == 1 + 4 + 5 * 4
+        assert peak <= 3 * dataset.array.nbytes
+        assert kept <= 1.5 * dataset.array.nbytes
 
 
 class TestHraConfig:

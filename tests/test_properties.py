@@ -12,12 +12,15 @@ from hra import (
     DecisionMatrix,
     Direction,
     Normalization,
+    ideal_solutions,
     mean_rank_column,
     mean_ranks,
     normalize,
     rank_columns,
     rtopsis,
     scores_to_ranks,
+    squared_gaps,
+    weight_matrix,
 )
 
 DOMAIN_HI = 100.0
@@ -35,19 +38,50 @@ def matrices(draw, max_m=8, max_n=6):
 
 
 @st.composite
-def matrix_with_spec(draw):
-    dm = draw(matrices())
-    directions = tuple(draw(st.sampled_from((Direction.COST,
-                                             Direction.BENEFIT)))
-                       for _ in range(dm.n))
-    raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=dm.n,
-                                 max_size=dm.n)))
+def weight_vectors(draw, n):
+    raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n,
+                                 max_size=n)))
     weights = raw / raw.sum()
     if abs(weights.sum() - 1.0) > 1e-12:  # guard against pathological sums
-        weights = np.full(dm.n, 1.0 / dm.n)
-    spec = CriteriaSpec(directions=directions,
-                        domains=((0.0, DOMAIN_HI),) * dm.n, weights=weights)
+        weights = np.full(n, 1.0 / n)
+    return weights
+
+
+directions = st.sampled_from((Direction.COST, Direction.BENEFIT))
+
+
+@st.composite
+def matrix_with_spec(draw):
+    dm = draw(matrices())
+    spec = CriteriaSpec(directions=draw(st.tuples(*[directions] * dm.n)),
+                        domains=((0.0, DOMAIN_HI),) * dm.n,
+                        weights=draw(weight_vectors(dm.n)))
     return dm, spec
+
+
+@st.composite
+def matrix_with_shifted_domains(draw):
+    """Up to 20 rows; each criterion has its own domain [d1, d2], often
+    with d1 > 0, and the values lie inside it."""
+    m = draw(st.integers(1, 20))
+    n = draw(st.integers(1, 6))
+    lows = draw(arrays(float, n, elements=st.floats(0.0, 50.0)))
+    spans = draw(arrays(float, n, elements=st.floats(0.5, 50.0)))
+    fractions = draw(arrays(float, (m, n), elements=st.floats(0.0, 1.0)))
+    spec = CriteriaSpec(directions=draw(st.tuples(*[directions] * n)),
+                        domains=tuple(zip(lows, lows + spans)),
+                        weights=draw(weight_vectors(n)))
+    return DecisionMatrix(lows + fractions * spans), spec
+
+
+def assert_gaps_rebuild(gaps, separations):
+    """Each row of squared gaps gives its separation bit for bit, and the
+    per-criterion shares sum to S^2 (relative error is meaningless below
+    the smallest normal float, hence the absolute floor)."""
+    for gap, s in zip(gaps, separations):
+        assert np.sqrt(gap.sum(axis=1)).tobytes() == s.tobytes()
+        np.testing.assert_allclose(gap.sum(axis=1), s ** 2, rtol=1e-12,
+                                   atol=np.finfo(float).tiny)
 
 
 @given(matrix_with_spec())
@@ -65,6 +99,23 @@ def test_max_equals_maxmin_when_lower_bound_zero(pair):
     a = normalize(dm, spec, Normalization.MAX)
     b = normalize(dm, spec, Normalization.MAXMIN)
     assert np.array_equal(a, b)  # bit-identical, not merely close
+
+
+@given(matrix_with_shifted_domains(), st.sampled_from(Normalization))
+@settings(max_examples=150, deadline=None)
+def test_squared_gaps_rebuild_the_separations(pair, mode):
+    dm, spec = pair
+    if mode is Normalization.MAXMIN:  # the trace rtopsis derives on read
+        result = rtopsis(dm, spec)
+        trace = result.trace
+        weighted, pis, nis = trace.weighted, trace.pis, trace.nis
+        separations = result.s_plus, result.s_minus
+    else:
+        weighted = weight_matrix(normalize(dm, spec, mode), spec)
+        pis, nis = ideal_solutions(spec)
+        separations = [np.sqrt(((weighted - ideal) ** 2).sum(axis=1))
+                       for ideal in (pis, nis)]
+    assert_gaps_rebuild(squared_gaps(weighted, pis, nis), separations)
 
 
 @given(matrix_with_spec(), st.data())

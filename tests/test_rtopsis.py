@@ -26,6 +26,7 @@ from hra import (
     rtopsis,
     scores_to_ranks,
     separations,
+    squared_gaps,
     weight_matrix,
 )
 
@@ -230,10 +231,21 @@ class TestSeparations:
                                                          rel=1e-14)
         assert result.trace.s_minus[jso] == pytest.approx(math.sqrt(490) / 56,
                                                           rel=1e-14)
+        # jSO ranks (3, 2, 2, 5) on the (0, 14) domain with equal weights:
+        # its squared gaps are (rank / 56)^2 and ((14 - rank) / 56)^2
+        trace = result.trace
+        gaps_plus, gaps_minus = squared_gaps(trace.weighted, trace.pis,
+                                             trace.nis)
+        ranks = dimension_table.row("jSO")
+        np.testing.assert_allclose(gaps_plus[jso], (ranks / 56) ** 2,
+                                   rtol=1e-14)
+        np.testing.assert_allclose(gaps_minus[jso], ((14 - ranks) / 56) ** 2,
+                                   rtol=1e-14)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            separations(np.zeros((2, 3)), np.zeros(2), np.zeros(2))
+        for function in (separations, squared_gaps):
+            with pytest.raises(ShapeMismatch):
+                function(np.zeros((2, 3)), np.zeros(2), np.zeros(2))
 
 
 class TestCloseness:
@@ -297,9 +309,15 @@ class TestRtopsis:
 
     def test_default_spec_is_rank_spec(self):
         dm = DecisionMatrix([[1.0, 2.0], [2.0, 1.0]])
+        result = rtopsis(dm)
         np.testing.assert_array_equal(
-            rtopsis(dm).closeness,
+            result.closeness,
             rtopsis(dm, CriteriaSpec.for_ranks(2, 2)).closeness)
+        assert result.matrix is dm
+        assert result.alternative_labels == ("A1", "A2")
+        assert result.spec.directions == (COST, COST)
+        assert result.spec.domains == ((0.0, 3.0),) * 2
+        np.testing.assert_array_equal(result.spec.weights, [0.5, 0.5])
 
     def test_matches_reference_on_random_matrices(self):
         rng = np.random.default_rng(11)
