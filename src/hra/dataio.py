@@ -271,28 +271,20 @@ class PerformanceDataset:
                  self.functions[f])
                 for i, j, a, f in np.argwhere(mask).tolist()]
 
-    def block(self, dimensions, measures) -> np.ndarray:
-        """Complete (k', l', m, n) copy of the given dimensions and measures.
-
-        Raises MissingCell listing every absent cell in axis order; a label
-        outside the dataset's axes lacks all of its cells.
-        """
-        dimensions, measures = tuple(dimensions), tuple(measures)
+    def missing_cells(self, dimensions=None, measures=None) -> list[Cell]:
+        """(d, p, a, f) tuples without a value, in axis order, over the given
+        dimensions and measures (all of an axis when None); a label outside
+        the dataset's axes lacks all of its cells."""
+        dimensions = self.dimensions if dimensions is None else tuple(dimensions)
+        measures = self.measures if measures is None else tuple(measures)
         d_index, p_index = self._index[:2]
-        block = np.full((len(dimensions), len(measures))
-                        + self.array.shape[2:], np.nan)
+        missing = np.ones((len(dimensions), len(measures))
+                          + self.array.shape[2:], dtype=bool)
         for i, d in enumerate(dimensions):
             for j, p in enumerate(measures):
                 if d in d_index and p in p_index:
-                    block[i, j] = self.array[d_index[d], p_index[p]]
-        missing = np.isnan(block)
-        if missing.any():
-            raise MissingCell(self._cells(missing, dimensions, measures))
-        return block
-
-    def missing_cells(self) -> list[Cell]:
-        """All (d, p, a, f) tuples without a value, in axis order."""
-        return self._cells(np.isnan(self.array))
+                    missing[i, j] = np.isnan(self.array[d_index[d], p_index[p]])
+        return self._cells(missing, dimensions, measures)
 
     @property
     def is_complete(self) -> bool:
@@ -306,8 +298,13 @@ class PerformanceDataset:
             raise MissingCell([key]) from None
 
     def matrix(self, dimension, measure) -> DecisionMatrix:
-        """Algorithms x functions decision matrix for one (d, p) leaf."""
-        return DecisionMatrix(self.block((dimension,), (measure,))[0, 0],
+        """Algorithms x functions decision matrix for one (d, p) leaf;
+        MissingCell lists the leaf's absent cells in axis order."""
+        missing = self.missing_cells((dimension,), (measure,))
+        if missing:
+            raise MissingCell(missing)
+        d_index, p_index = self._index[:2]
+        return DecisionMatrix(self.array[d_index[dimension], p_index[measure]],
                               self.algorithms, self.functions)
 
 

@@ -50,7 +50,8 @@ class DegenerateDomain(ValidationFailure):
 
 
 class ZeroUpperBound(ValidationFailure):
-    """Criterion domain upper bound d2 <= 0; the d1/d2 anchor is undefined."""
+    """Criterion domain upper bound d2 <= 0; max normalization's x/d2 needs
+    d2 > 0."""
 
 
 class DegenerateIdeals(ValidationFailure):

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .exceptions import NonFiniteValue, ShapeMismatch
+from .exceptions import MissingCell, NonFiniteValue, ShapeMismatch
 from .rtopsis import DecisionMatrix, mean_ranks
 
 if TYPE_CHECKING:
@@ -77,15 +77,15 @@ def rank_columns(matrix: DecisionMatrix,
 
 def rank_leaves(dataset: "PerformanceDataset", dimensions, measures,
                 objective_for: Callable[[str], Objective]):
-    """Yield ((d, p), RankMatrix) per leaf, dimension by dimension; a
-    MissingCell lists every absent cell of the block before any leaf is
-    ranked, then the leaves are ranked one at a time."""
-    block = dataset.block(dimensions, measures)
-    for i, d in enumerate(dimensions):
-        for j, p in enumerate(measures):
-            yield (d, p), rank_columns(
-                DecisionMatrix(block[i, j], dataset.algorithms,
-                               dataset.functions), objective_for(p))
+    """Yield ((d, p), RankMatrix) per leaf, dimension by dimension. A
+    MissingCell lists every absent cell of the selection before any leaf is
+    ranked; then each leaf is gathered by dataset.matrix and ranked."""
+    missing = dataset.missing_cells(dimensions, measures)
+    if missing:
+        raise MissingCell(missing)
+    for d in dimensions:
+        for p in measures:
+            yield (d, p), rank_columns(dataset.matrix(d, p), objective_for(p))
 
 
 def rank_dataset(dataset: "PerformanceDataset",

@@ -129,8 +129,8 @@ class CriteriaSpec:
 
     Weights must be strictly positive and sum to 1 within 1e-12; an
     out-of-tolerance vector is rejected rather than silently renormalized.
-    Domains must satisfy d1 < d2 and d2 > 0 (the ideal-solution anchor
-    d1/d2 is meaningless otherwise).
+    Domains must satisfy d1 < d2 and d2 > 0 (max normalization divides
+    by d2).
     """
 
     directions: tuple[Direction, ...]
@@ -278,15 +278,13 @@ def weight_matrix(normalized: np.ndarray, spec: CriteriaSpec) -> np.ndarray:
 def ideal_solutions(spec: CriteriaSpec) -> tuple[np.ndarray, np.ndarray]:
     """(PIS, NIS) in weighted-normalized space, from the criteria alone.
 
-    Benefit criterion: r+ = w, r- = (d1/d2) w.  Cost criterion: swapped.
+    Max-min normalization puts a domain's ends at 0 and 1, so a benefit
+    criterion has r+ = w and r- = 0, and a cost criterion the reverse.
     Data never enters, which is exactly what makes scores reversal-proof.
     """
-    anchors = np.array([(d1 / d2) * w
-                        for (d1, d2), w in zip(spec.domains, spec.weights)])
     benefit = np.array([d is Direction.BENEFIT for d in spec.directions])
-    pis = np.where(benefit, spec.weights, anchors)
-    nis = np.where(benefit, anchors, spec.weights)
-    return pis, nis
+    return (np.where(benefit, spec.weights, 0.0),
+            np.where(benefit, 0.0, spec.weights))
 
 
 def squared_gaps(weighted: np.ndarray, pis: np.ndarray,

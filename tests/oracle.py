@@ -33,16 +33,25 @@ def weight(normalized, weights):
     return [[w * x for x, w in zip(row, weights)] for row in normalized]
 
 
-def ideal_solutions(weights, domains, directions):
-    """directions: 'benefit' or 'cost' per criterion; returns (pis, nis)."""
+def ideal_solutions(weights, domains, directions, mode="maxmin"):
+    """directions: 'benefit' or 'cost' per criterion; returns (pis, nis).
+
+    The worst end of a domain sits where the normalization puts d1: at 0
+    for 'maxmin', at (d1/d2)*w for 'max'.
+    """
     pis, nis = [], []
     for w, (d1, d2), kind in zip(weights, domains, directions):
-        ratio = (d1 / d2) * w
+        if mode == "max":
+            low = (d1 / d2) * w
+        elif mode == "maxmin":
+            low = 0.0
+        else:
+            raise ValueError(mode)
         if kind == "benefit":
             pis.append(w)
-            nis.append(ratio)
+            nis.append(low)
         elif kind == "cost":
-            pis.append(ratio)
+            pis.append(low)
             nis.append(w)
         else:
             raise ValueError(kind)
@@ -64,7 +73,7 @@ def closeness(s_plus, s_minus):
 def rtopsis_scores(matrix, weights, domains, directions, mode="maxmin"):
     n = normalize(matrix, domains, mode)
     r = weight(n, weights)
-    pis, nis = ideal_solutions(weights, domains, directions)
+    pis, nis = ideal_solutions(weights, domains, directions, mode)
     s_plus, s_minus = separations(r, pis, nis)
     return closeness(s_plus, s_minus)
 

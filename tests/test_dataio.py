@@ -153,6 +153,46 @@ class TestPerformanceDataset:
         dm = ds.matrix(ds.dimensions[0], "mean")
         assert dm.alternative_labels == ds.algorithms
         assert dm.criterion_labels == ds.functions
+        leaf = ds.array[0, ds.measures.index("mean")]
+        assert dm.values.tobytes() == leaf.tobytes()
+        assert not np.shares_memory(dm.values, ds.array)
+
+    def test_missing_cells_of_unknown_labels(self, synthetic_dataset):
+        # a label outside the axes lacks every cell, listed in the order of
+        # the selection and then of the algorithm and function axes
+        ds = synthetic_dataset
+        d = ds.dimensions[0]
+
+        def every(d, p):
+            return [(d, p, a, f) for a in ds.algorithms for f in ds.functions]
+
+        assert ds.missing_cells((d,), ("gone",)) == every(d, "gone")
+        assert ds.missing_cells((999,), ("best",)) == every(999, "best")
+        assert ds.missing_cells((999, d), ("best", "gone")) == \
+            every(999, "best") + every(999, "gone") + every(d, "gone")
+        assert ds.missing_cells((d,), ("best",)) == []
+
+    def test_matrix_of_partial_leaf_lists_its_cells(self, synthetic_dataset):
+        ds = synthetic_dataset
+        d, p = ds.dimensions[1], "mean"
+        gone = [(d, p, ds.algorithms[0], ds.functions[4]),
+                (d, p, ds.algorithms[3], ds.functions[1])]
+        other = (d, "best", ds.algorithms[2], ds.functions[2])
+        values = dict(ds.values)
+        for key in (other, *reversed(gone)):
+            del values[key]
+        partial = PerformanceDataset(algorithms=ds.algorithms,
+                                     functions=ds.functions,
+                                     dimensions=ds.dimensions,
+                                     measures=ds.measures, values=values)
+        with pytest.raises(MissingCell) as excinfo:
+            partial.matrix(d, p)
+        assert excinfo.value.missing == gone
+        assert partial.missing_cells((d,), (p,)) == gone
+        assert partial.missing_cells() == [other] + gone
+        complete = partial.matrix(ds.dimensions[0], p)
+        assert complete.values.tobytes() == \
+            ds.matrix(ds.dimensions[0], p).values.tobytes()
 
     def test_rejects_cell_outside_axes(self):
         with pytest.raises(ShapeMismatch):

@@ -118,20 +118,21 @@ def test_squared_gaps_rebuild_the_separations(pair, mode):
     assert_gaps_rebuild(squared_gaps(weighted, pis, nis), separations)
 
 
-@given(matrix_with_spec(), st.data())
-@settings(max_examples=150, deadline=None)
+@given(st.one_of(matrix_with_spec(), matrix_with_shifted_domains()),
+       st.data())
+@settings(max_examples=300, deadline=None)
 def test_dominance_monotonicity(pair, data):
     dm, spec = pair
+    lo, hi = np.array(spec.domains).T
+    cost = np.array([d is Direction.COST for d in spec.directions])
     base = dm.values[data.draw(st.integers(0, dm.m - 1))]
-    # nudge every criterion the "worse" way, strictly on at least one
-    margin = np.array([DOMAIN_HI - b if d is Direction.COST else b
-                       for b, d in zip(base, spec.directions)])
+    # nudge every criterion the "worse" way, toward the worst end of its
+    # domain, strictly on at least one
+    margin = np.where(cost, hi - base, base - lo)
     fractions = np.array(data.draw(st.lists(st.floats(0.01, 0.9),
                                             min_size=dm.n, max_size=dm.n)))
-    deltas = fractions * margin
-    signs = np.array([1.0 if d is Direction.COST else -1.0
-                      for d in spec.directions])
-    worse = np.clip(base + signs * deltas, 0.0, DOMAIN_HI)
+    worse = np.clip(base + np.where(cost, 1.0, -1.0) * fractions * margin,
+                    lo, hi)
     if np.abs(worse - base).max() < 1e-3:
         return  # perturbation too small to outweigh rounding, skip case
     stacked = DecisionMatrix(np.vstack([dm.values, base, worse]))

@@ -202,9 +202,11 @@ class TestIdealSolutions:
         np.testing.assert_array_equal(nis, np.zeros(4))
 
     def test_nonzero_lower_bound(self):
+        # max-min normalization puts d1 = 7 at 0, so a cost criterion's PIS
+        # is 0 whatever d1 is
         spec = cost_spec([0.2, 0.8], ((7.0, 14.0), (0.0, 1.0)))
         pis, nis = ideal_solutions(spec)
-        assert pis[0] == pytest.approx(0.1, abs=1e-15)
+        assert pis[0] == 0.0
         assert nis[0] == 0.2
 
     def test_data_independent(self):
@@ -320,22 +322,43 @@ class TestRtopsis:
         np.testing.assert_array_equal(result.spec.weights, [0.5, 0.5])
 
     def test_matches_reference_on_random_matrices(self):
+        # half the trials use the domain [0, 10]; the other half give each
+        # criterion its own domain with d1 > 0
         rng = np.random.default_rng(11)
-        for trial in range(25):
+        for trial in range(50):
             m = int(rng.integers(1, 9))
             n = int(rng.integers(1, 6))
-            values = rng.uniform(0.5, 9.5, size=(m, n))
+            if trial % 2:
+                lows = rng.uniform(0.5, 10.0, size=n)
+                spans = rng.uniform(0.5, 20.0, size=n)
+            else:
+                lows, spans = np.zeros(n), np.full(n, 10.0)
+            values = lows + rng.uniform(0.05, 0.95, size=(m, n)) * spans
             weights = rng.uniform(0.1, 1.0, size=n)
             weights /= weights.sum()
             directions = tuple(rng.choice([COST, BENEFIT], size=n))
             spec = CriteriaSpec(directions=directions,
-                                domains=((0.0, 10.0),) * n, weights=weights)
+                                domains=tuple(zip(lows, lows + spans)),
+                                weights=weights)
             expected = oracle.rtopsis_scores(
                 values.tolist(), weights.tolist(), spec.domains,
                 [d.value for d in directions])
             result = rtopsis(DecisionMatrix(values), spec)
             np.testing.assert_allclose(result.closeness, expected,
                                        rtol=1e-12, atol=1e-15)
+
+    def test_domain_ends_rank_in_order(self):
+        # on [1, 14] the worst value 1 scores 0 and the best value 14 scores
+        # 1, in either direction
+        dm = DecisionMatrix([[1.0], [2.0], [14.0]])
+        benefit = rtopsis(dm, CriteriaSpec(directions=(BENEFIT,),
+                                           domains=((1.0, 14.0),),
+                                           weights=[1.0]))
+        assert benefit.closeness[0] == 0.0 and benefit.closeness[2] == 1.0
+        assert benefit.closeness[1] == pytest.approx(1 / 13, rel=1e-15)
+        np.testing.assert_array_equal(benefit.ranks, [3, 2, 1])
+        cost = rtopsis(dm, cost_spec([1.0], ((1.0, 14.0),)))
+        np.testing.assert_array_equal(cost.ranks, [1, 2, 3])
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(EmptyMatrix):
