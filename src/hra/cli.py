@@ -14,6 +14,7 @@ prints exactly one diagnostic line on stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 import numpy as np
@@ -38,14 +39,24 @@ EXIT_USAGE = 1
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as one stderr line, exit 1."""
+    """argparse that reports usage problems as one stderr line, exit 1,
+    and returns from --help and --version instead of exiting."""
 
     def error(self, message):
         raise _UsageError(message)
 
+    def exit(self, status=0, message=None):
+        # with error() overridden, only --help and --version call this,
+        # after printing their text and with no message
+        raise _Exited(status)
+
 
 class _UsageError(Exception):
     pass
+
+
+class _Exited(Exception):
+    """--help or --version has printed its text; args[0] is the status."""
 
 
 def _parse_weights(text: str, expected: int, flag: str) -> tuple:
@@ -222,6 +233,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except _Exited as exc:
+        return exc.args[0]
     except _UsageError as exc:
         print(f"hra: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -233,5 +246,17 @@ def main(argv=None) -> int:
         return 4  # as IoFailure
 
 
+def entry() -> int:
+    """The `hra` program: main() on sys.argv, in a process of its own.
+
+    gc.freeze() moves every object alive after import into the permanent
+    generation, so no collection during the command, and none at exit,
+    walks them again. What is alive here lives until the process exits
+    anyway. Library use (`import hra`, main()) leaves the collector alone.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -84,12 +84,18 @@ def _statistics(runs: np.ndarray, population_std: bool) -> np.ndarray:
     (cells, R) array of finite runs, R >= 1.
 
     Every statistic reduces along the contiguous last axis, so a row's
-    result is bit for bit that of its 1-D computation.
+    result is bit for bit that of its 1-D computation. The median takes
+    np.median's steps without its NaN check, which imports numpy.ma and
+    cannot fire on finite runs: partition at the one or two middle
+    positions, then take their mean, so that a middle -0.0 reads +0.0 as
+    in np.median.
     """
+    half, odd = divmod(runs.shape[1], 2)
+    middle = np.partition(runs, [half] if odd else [half - 1, half], axis=1)
     stats = np.empty((runs.shape[0], 5))
     stats[:, 0] = runs.min(axis=1)
     stats[:, 1] = runs.max(axis=1)
-    stats[:, 2] = np.median(runs, axis=1)
+    stats[:, 2] = middle[:, half - 1 + odd:half + 1].mean(axis=1)
     stats[:, 3] = runs.mean(axis=1)
     stats[:, 4] = 0.0 if runs.shape[1] == 1 else \
         runs.std(axis=1, ddof=0 if population_std else 1)

@@ -3,9 +3,13 @@
 import errno
 import hashlib
 import http.client
+import json
+import os
 import re
 import runpy
 import shutil
+import subprocess
+import sys
 import urllib.request
 from pathlib import Path
 
@@ -509,6 +513,106 @@ class TestUsage:
     def test_unknown_flag_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "rtopsis", "--nope")
         assert code == 1
+
+
+SRC_DIR = Path(hra.__file__).resolve().parents[1]
+
+# runs `python -m hra.cli ARGS` in-process, through the module's __main__
+# block, then prints the exit code and the collector's state
+ENTRY_PROBE = """
+import gc, json, runpy, sys
+try:
+    runpy.run_module("hra.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "frozen": gc.get_freeze_count(),
+                  "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+# `import hra` and one main(ARGS), as a library caller does
+LIBRARY_PROBE = """
+import gc, json, sys
+import hra
+from hra.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "frozen": gc.get_freeze_count(),
+                  "enabled": gc.isenabled()}))
+"""
+
+
+def run_python(*args, cwd=None):
+    """A fresh interpreter that imports the hra under test."""
+    path = os.pathsep.join(filter(None, (str(SRC_DIR),
+                                         os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+
+
+def probe(script, *argv):
+    """The JSON line a probe script prints last."""
+    process = run_python("-c", script, *argv)
+    assert process.returncode == 0, process.stderr
+    return json.loads(process.stdout.splitlines()[-1])
+
+
+class TestProcess:
+    """`python -m hra.cli` runs cli.entry, as the installed script does."""
+
+    def test_run_writes_what_main_writes(self, capsys, tmp_path,
+                                          monkeypatch):
+        args = ("run", "--data", str(SYNTHETIC_CSV), "--out", "report")
+        for side in ("process", "main"):
+            (tmp_path / side).mkdir()
+        process = run_python("-m", "hra.cli", *args, cwd=tmp_path / "process")
+        monkeypatch.chdir(tmp_path / "main")
+        code, out, err = run_cli(capsys, *args)
+        assert process.returncode == code == 0
+        assert process.stdout == out and process.stderr == err == ""
+        assert snapshot(tmp_path / "process" / "report") \
+            == snapshot(tmp_path / "main" / "report")
+
+    def test_missing_file_exits_4(self, tmp_path):
+        missing = tmp_path / "nowhere.csv"
+        process = run_python("-m", "hra.cli", "run", "--data", str(missing),
+                             "--out", str(tmp_path / "report"))
+        assert process.returncode == 4 and process.stdout == ""
+        assert process.stderr.count("\n") == 1 and str(missing) in \
+            process.stderr
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("argv, start", [
+        (["--version"], f"hra {hra.__version__}\n"),
+        (["run", "--help"], "usage: hra run ")])
+    def test_help_and_version_return_0(self, argv, start, capsys,
+                                       monkeypatch):
+        """In-process main returns 0 and prints what the process prints."""
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to it
+        process = run_python("-m", "hra.cli", *argv)
+        code, out, err = run_cli(capsys, *argv)
+        assert process.returncode == code == 0
+        assert process.stdout == out and out.startswith(start)
+        assert process.stderr == err == ""
+
+    def test_entry_freezes_the_import_time_heap(self):
+        found = probe(ENTRY_PROBE, "--version")
+        assert found["code"] == 0 and found["frozen"] > 0
+
+    def test_library_use_leaves_the_collector_alone(self, tmp_path):
+        found = probe(LIBRARY_PROBE, "run", "--data", str(SYNTHETIC_CSV),
+                      "--out", str(tmp_path))
+        assert found == {"code": 0, "frozen": 0, "enabled": True}
+
+    def test_stats_does_not_load_numpy_ma(self, tmp_path):
+        """The median of the runs takes np.median's steps without its NaN
+        check, which imports numpy.ma."""
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "solver_1_10.txt").write_text("1 2 3\n4 5 6\n")
+        (runs / "solver_2_10.txt").write_text("1 2\n4 -0.0\n")
+        found = probe(ENTRY_PROBE, "stats", str(runs), "--out",
+                      str(tmp_path / "stats.csv"))
+        assert found["code"] == 0 and not found["numpy.ma"]
 
 
 # exit code and stderr prefix of every error class the package exports;
