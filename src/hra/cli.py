@@ -32,7 +32,7 @@ from .exceptions import HraError, InvalidWeights
 from .fetch import fetch_raw, load_raw_runs
 from .hierarchy import HraConfig, run_hra
 from .rtopsis import CriteriaSpec, Direction, TopsisResult, rtopsis
-from .verify import DEFAULT_TOLERANCE, verify_reference_tables
+from .verify import verify_reference_tables
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -153,7 +153,7 @@ def cmd_rtopsis(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    checks = verify_reference_tables(tolerance=args.tolerance)
+    checks = verify_reference_tables()
     for check in checks:
         print(check.line())
     passed = sum(check.passed for check in checks)
@@ -207,9 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify-paper",
                             help="recompute the bundled reference tables")
-    verify.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                        help="allowed |score error| (reference prints "
-                             "4 decimals)")
     verify.set_defaults(func=cmd_verify_paper)
 
     stats = sub.add_parser("stats", help="summarize raw run files")

@@ -835,11 +835,15 @@ def one_line(text: str) -> str:
     return text.translate(_ONE_LINE)
 
 
+# one pass: a cell's own '\' is doubled, so no '|' escape can be undone
+_MARKDOWN_CELL = {**_ONE_LINE, ord("\\"): "\\\\", ord("|"): "\\|"}
+
+
 def _write_markdown(handle, rows: Iterable[Sequence[str]]) -> None:
-    """Rows, the header first, as a markdown table with '|' escaped and CR
-    and LF shown by one_line."""
+    """Rows, the header first, as a markdown table with '\\' and '|'
+    escaped and CR and LF shown by one_line."""
     for number, cells in enumerate(rows):
-        handle.write("| " + " | ".join(one_line(c).replace("|", "\\|")
+        handle.write("| " + " | ".join(c.translate(_MARKDOWN_CELL)
                                        for c in cells) + " |\n")
         if number == 0:
             handle.write("|" + "|".join(" --- " for _ in cells) + "|\n")

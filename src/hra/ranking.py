@@ -33,7 +33,8 @@ class RankMatrix(DecisionMatrix):
     """Decision matrix whose columns are mean ranks.
 
     Same labels and shape as its source; every column lies in [1, m] and
-    sums to m(m+1)/2.
+    sums to m(m+1)/2. Mean ranks are halves, so the sums are exact in
+    float64 and are compared exactly.
     """
 
     def __post_init__(self):
@@ -41,7 +42,7 @@ class RankMatrix(DecisionMatrix):
         m = self.m
         expected = m * (m + 1) / 2.0
         sums = self.values.sum(axis=0)
-        bad = ~np.isclose(sums, expected, rtol=0.0, atol=1e-9 * max(expected, 1.0))
+        bad = sums != expected
         if bad.any():
             j = int(np.argmax(bad))
             raise ShapeMismatch(
@@ -94,8 +95,11 @@ def rank_dataset(dataset: "PerformanceDataset",
     """One RankMatrix per (dimension, measure) leaf of a complete dataset.
 
     Measures default to MINIMIZE (all five CEC statistics are error values,
-    smaller is better); pass an objectives map to override per measure.
+    smaller is better); pass an objectives map to override per measure. The
+    map is checked as HraConfig checks it, so an unknown measure raises.
     """
-    objectives = dict(objectives or {})
-    return dict(rank_leaves(dataset, dataset.dimensions, dataset.measures,
-                            lambda p: objectives.get(p, Objective.MINIMIZE)))
+    from .hierarchy import HraConfig  # hierarchy imports this module
+
+    config = HraConfig.for_dataset(dataset, objectives=objectives)
+    return dict(rank_leaves(dataset, config.dimensions, config.measures,
+                            config.objective_for))

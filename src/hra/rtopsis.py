@@ -144,10 +144,14 @@ class CriteriaSpec:
         n = len(directions)
         if n == 0:
             raise EmptyMatrix("criteria spec must cover at least one criterion")
-        if len(domains) != n or weights.shape != (n,):
+        if len(domains) != n:
             raise ShapeMismatch(
                 f"directions ({n}), domains ({len(domains)}) and weights "
                 f"({weights.shape}) must have equal length")
+        if weights.shape != (n,):
+            got = (weights.size if weights.ndim == 1
+                   else f"an array of shape {weights.shape}")
+            raise ShapeMismatch(f"expected {n} weights, got {got}")
         for j, (d1, d2) in enumerate(domains):
             if not (np.isfinite(d1) and np.isfinite(d2)):
                 raise DegenerateDomain(f"domain of criterion {j} is not finite")

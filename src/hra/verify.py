@@ -4,20 +4,18 @@ Each aggregation level is recomputed from the level below it, fixtures
 only, no network, by the same kernel `hra run` uses: the four per-dimension
 rankings from the per-measure rank tables (aggregate_dimension), and the
 overall scores and ranks from the per-dimension table (aggregate_overall).
-Scores are compared within a tolerance because the reference table prints
-four decimals; ranks must match exactly.
+Every check compares each recomputed value, printed the way its table
+prints it, with the table's text: ranks with `g`, scores with four
+decimals. So a score passes exactly when it rounds to its printed value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import fixtures
 from .hierarchy import aggregate_dimension, aggregate_overall
-
-DEFAULT_TOLERANCE = 5e-4
+from .rtopsis import DecisionMatrix
 
 
 @dataclass(frozen=True)
@@ -31,47 +29,35 @@ class CheckResult:
         return f"{status} {self.name}: {self.detail}"
 
 
-def _compare_ranks(name: str, computed: np.ndarray, expected: np.ndarray,
-                   labels) -> CheckResult:
-    mismatches = [
-        f"{label} computed {c:g} expected {e:g}"
-        for label, c, e in zip(labels, computed, expected)
-        if c != e
-    ]
+def _check(name: str, computed, table: DecisionMatrix, column: int,
+           fmt: str, agreement: str) -> CheckResult:
+    """Names every algorithm whose computed value, formatted with fmt,
+    differs from its table entry formatted the same way."""
+    mismatches = []
+    for label, c, e in zip(table.alternative_labels, computed,
+                           table.values[:, column]):
+        c, e = format(c, fmt), format(e, fmt)
+        if c != e:
+            mismatches.append(f"{label} computed {c} expected {e}")
     if mismatches:
         return CheckResult(name, False, "; ".join(mismatches))
-    return CheckResult(name, True, f"all {len(labels)} ranks agree exactly")
+    return CheckResult(name, True, f"all {table.m} {agreement}")
 
 
-def verify_reference_tables(tolerance: float = DEFAULT_TOLERANCE
-                            ) -> list[CheckResult]:
+def verify_reference_tables() -> list[CheckResult]:
     """Run all six checks; hermetic (bundled fixtures only)."""
     checks: list[CheckResult] = []
     dimension_table = fixtures.load_dimension_ranks()
     for j, dim in enumerate(fixtures.CEC17_DIMENSIONS):
-        measure_table = fixtures.load_measure_ranks(dim)
-        _, ranks = aggregate_dimension(measure_table.values.T)
-        checks.append(_compare_ranks(f"dim{dim}-ranking", ranks,
-                                     dimension_table.values[:, j],
-                                     measure_table.alternative_labels))
+        _, ranks = aggregate_dimension(
+            fixtures.load_measure_ranks(dim).values.T)
+        checks.append(_check(f"dim{dim}-ranking", ranks, dimension_table, j,
+                             "g", "ranks agree exactly"))
 
     overall_table = fixtures.load_overall_ranking()
     _, scores, ranks = aggregate_overall(dimension_table.values.T)
-    reference_scores = overall_table.values[:, 0]
-    errors = np.abs(scores - reference_scores)
-    worst = int(np.argmax(errors))
-    if errors[worst] <= tolerance:
-        detail = (f"max |score error| {errors[worst]:.2e} "
-                  f"<= tolerance {tolerance:g}")
-        checks.append(CheckResult("overall-scores", True, detail))
-    else:
-        label = overall_table.alternative_labels[worst]
-        checks.append(CheckResult(
-            "overall-scores", False,
-            f"{label}: computed {scores[worst]:.6f}, reference "
-            f"{reference_scores[worst]:.4f}, error {errors[worst]:.2e} "
-            f"> tolerance {tolerance:g}"))
-    checks.append(_compare_ranks("overall-ranks", ranks,
-                                 overall_table.values[:, 1],
-                                 overall_table.alternative_labels))
+    checks.append(_check("overall-scores", scores, overall_table, 0, ".4f",
+                         "scores agree to 4 decimals"))
+    checks.append(_check("overall-ranks", ranks, overall_table, 1, "g",
+                         "ranks agree exactly"))
     return checks

@@ -8,6 +8,7 @@ import os
 import re
 import runpy
 import shutil
+import string
 import subprocess
 import sys
 import urllib.request
@@ -19,7 +20,7 @@ import pytest
 import hra
 from conftest import SYNTHETIC_CSV
 from hra import (cli, dataio, fetch, fixtures, hierarchy, load_long_csv,
-                 load_rank_matrix_csv, rtopsis, run_hra)
+                 load_rank_matrix_csv, rtopsis, run_hra, verify)
 from hra.cli import main
 from hra.verify import verify_reference_tables
 from test_dataio import failing_on_call, snapshot
@@ -73,7 +74,9 @@ class TestRun:
     def test_wrong_weight_count_exits_3(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "run", "--data", str(SYNTHETIC_CSV),
                                "--out", str(tmp_path), "--weights", "0.5,0.5")
-        assert code == 3 and "--weights" in err
+        assert code == 3
+        assert err == ("hra: validation error: --weights: expected 6 "
+                       "weights, got 2\n")
 
     def test_markdown_format(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "run", "--data", str(SYNTHETIC_CSV),
@@ -194,6 +197,39 @@ class TestReportBytes:
                 np.testing.assert_array_equal(table.values[:, -1],
                                               report.dimension_ranks[d])
 
+    def test_backslash_before_pipe_in_a_label(self, capsys, tmp_path):
+        """A markdown cell doubles the label's own '\\', so the escaped '|'
+        after it cannot end the cell; csv keeps the label's bytes."""
+        data = tmp_path / "data.csv"
+        data.write_text("dimension,measure,function,algorithm,value\n" + "".join(
+            f"10,p,{f},{a},{v}\n" for f in ("f1", "f2")
+            for v, a in enumerate(("x\\|y", "z"))))
+        for fmt in ("csv", "markdown"):
+            assert run_cli(capsys, "run", "--data", str(data), "--out",
+                           str(tmp_path / fmt), "--format", fmt)[0] == 0
+        csv_row = (tmp_path / "csv/final_ranking.csv").read_text() \
+            .splitlines()[1]
+        md_row = (tmp_path / "markdown/final_ranking.md").read_text() \
+            .splitlines()[2]
+        assert csv_row.startswith("x\\|y,")
+        assert md_row.startswith("| x\\\\\\|y | ")
+        assert gfm_cells(md_row)[0] == "x\\|y" and len(gfm_cells(md_row)) == 3
+
+
+def gfm_cells(row: str) -> list[str]:
+    """The cells of a GFM table row: a '|' ends a cell unless a backslash
+    escapes it, and a backslash before ASCII punctuation escapes it."""
+    cells, cell = [], ""
+    for token in re.findall(r"\\.|.", row.strip()[1:-1]) + ["|"]:
+        if token == "|":
+            cells.append(cell.strip())
+            cell = ""
+        elif token[0] == "\\" and token[1] in string.punctuation:
+            cell += token[1]
+        else:
+            cell += token
+    return cells
+
 
 # sha256 of the derived traces as printed before a TopsisResult stopped
 # storing them; the verbose `hra run` output is pinned above
@@ -275,11 +311,36 @@ class TestVerifyPaper:
         assert "6/6 checks PASS" in out
         assert out.count("PASS") == 7  # six lines plus the summary
 
-    def test_zero_tolerance_fails_scores_only(self, capsys):
-        code, out, _ = run_cli(capsys, "verify-paper", "--tolerance", "0")
+    def test_moved_printed_score_fails_scores_only(self, capsys, tmp_path,
+                                                   monkeypatch):
+        """A printed score one unit of its 4th decimal off fails the score
+        check alone, and names the algorithm."""
+        corrupt = tmp_path / "fixtures"
+        shutil.copytree(fixtures.FIXTURES_DIR, corrupt)
+        target = corrupt / fixtures.OVERALL_RANKING_TABLE
+        text = target.read_text()
+        assert "jSO,0.7735,2,2" in text
+        target.write_text(text.replace("jSO,0.7735,2,2", "jSO,0.7736,2,2"))
+        monkeypatch.setattr(fixtures, "FIXTURES_DIR", corrupt)
+        code, out, _ = run_cli(capsys, "verify-paper")
         assert code == 1
-        assert "FAIL overall-scores" in out
+        assert [line for line in out.splitlines() if "FAIL" in line] == [
+            "FAIL overall-scores: jSO computed 0.7735 expected 0.7736"]
         assert "5/6 checks PASS" in out
+
+    def test_shifted_dimension_weights_fail_scores(self, capsys,
+                                                   monkeypatch):
+        """Scores off by less than 1e-4 fail once one no longer rounds to
+        its printed value: the 4 decimals the table prints are the bound."""
+        def shifted(ranks):
+            return hierarchy.aggregate_overall(
+                ranks, dimension_weights=(0.2501, 0.2499, 0.25, 0.25))
+
+        monkeypatch.setattr(verify, "aggregate_overall", shifted)
+        code, out, _ = run_cli(capsys, "verify-paper")
+        assert code == 1
+        assert "FAIL overall-scores: TLBO_FL computed 0.0939 expected " \
+               "0.0940" in out.splitlines()
 
     def test_corrupted_fixture_named(self, capsys, tmp_path, monkeypatch):
         corrupt = tmp_path / "fixtures"
@@ -503,6 +564,19 @@ class TestFieldSizeLimit:
         path = tmp_path / "matrix.csv"
         path.write_text(f"algorithm,c1\na,1\n{self.LABEL},2\n")
         self.check(capsys, path, 3, "rtopsis", "--matrix", str(path))
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (("run", "--data", str(SYNTHETIC_CSV), "--weights", "a,b"), 3,
+     "hra: validation error: --weights: expected 'equal' or comma-separated "
+     "numbers, got 'a,b'"),
+    (("rtopsis", "--matrix", str(TABLE_PATH), "--domain", "a:b"), 1,
+     "hra: error: --domain expects numbers, got 'a:b'"),
+], ids=["run-weights-not-numbers", "rtopsis-domain-not-numbers"])
+def test_raise_sites(capsys, tmp_path, monkeypatch, argv, code, line):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *argv) == (code, "", line + "\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestUsage:

@@ -1140,3 +1140,50 @@ class TestWriteFiles:
                                       tmp_path / "new" / "nested" / "m.csv")
         assert nested.read_bytes() == flat.read_bytes()
         assert sorted(p.name for p in nested.parent.iterdir()) == ["m.csv"]
+
+
+def _from_array(**changes):
+    """A 1x1x2x1 dataset built by from_array, some arguments changed."""
+    kwargs = dict(algorithms=("a", "b"), functions=("f",), dimensions=(10,),
+                  measures=("best",), array=np.ones((1, 1, 2, 1)))
+    return PerformanceDataset.from_array(**{**kwargs, **changes})
+
+
+def _file(path, text):
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda tmp: _from_array(algorithms=(), array=np.ones((1, 1, 0, 1))),
+     EmptyMatrix, "dataset has no algorithms"),
+    (lambda tmp: _from_array(algorithms=("a", "a")),
+     ShapeMismatch, "duplicate entries in algorithms: ('a', 'a')"),
+    (lambda tmp: _from_array(array=np.ones((1, 1, 3, 1))),
+     ShapeMismatch,
+     "value array has shape (1, 1, 3, 1), the axes need (1, 1, 2, 1)"),
+    (lambda tmp: _from_array(array=np.array([1.0, np.inf]).reshape(1, 1, 2, 1)),
+     NonFiniteValue, "cell (10, best, b, f) is inf"),
+    (lambda tmp: PerformanceDataset(
+        algorithms=("a",), functions=("f",), dimensions=(10,),
+        measures=("best",), values={(10, "best", "a", "f"): math.nan}),
+     NonFiniteValue, "cell (10, best, a, f) is nan"),
+    (lambda tmp: RawRuns({(10, "a", "f"): ()}),
+     EmptyRuns, "no runs recorded for (10, 'a', 'f')"),
+    (lambda tmp: RawRuns({(10, "a", "f"): (1.0, math.nan)}),
+     NonFiniteValue, "run value nan for (10, 'a', 'f')"),
+    (lambda tmp: load_long_csv(_file(tmp / "data.csv", "")),
+     ParseError, "{tmp}/data.csv: file has no header row"),
+    (lambda tmp: load_long_csv(_file(tmp / "data.csv", "\n\r\n\n")),
+     ParseError, "{tmp}/data.csv: file has no header row"),
+    (lambda tmp: load_rank_matrix_csv(
+        _file(tmp / "m.csv", "algorithm,c1\na,x\n")),
+     ParseError, "{tmp}/m.csv:2: column 'c1' is not a number: 'x'"),
+], ids=["empty-axis", "repeated-label", "array-shape", "inf-in-array",
+        "nan-in-mapping", "no-runs", "nan-run", "empty-long-csv",
+        "blank-long-csv", "non-numeric-rank-column"])
+def test_raise_sites(tmp_path, build, error, message):
+    with pytest.raises(error) as excinfo:
+        build(tmp_path)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message.format(tmp=tmp_path)

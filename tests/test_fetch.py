@@ -435,3 +435,29 @@ class TestPlainRunFiles:
         assert known == {b"0", b"00", b"-0.0", b"0e0"}
         assert fetch._plain_runs(b"1e 22 7\n", known) is None
         assert known == {b"0", b"00", b"-0.0", b"0e0"}
+
+
+def _run_file(path):
+    path.parent.mkdir(exist_ok=True)
+    path.write_text("1\n")
+    return path
+
+
+def _sibling_run_files(root):
+    """a_f1_10.txt in two subdirectories: two files for one key."""
+    for sub in ("x", "y"):
+        _run_file(root / sub / "a_f1_10.txt")
+    return root
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda tmp: load_raw_runs(_run_file(tmp / "a_f1_10.txt")),
+     IoError, "not a directory: {tmp}/a_f1_10.txt"),
+    (lambda tmp: load_raw_runs(_sibling_run_files(tmp)),
+     ParseError, "{tmp}/y/a_f1_10.txt: duplicate run file for (10, 'a', 'f1')"),
+], ids=["file-not-directory", "duplicate-in-siblings"])
+def test_raise_sites(tmp_path, build, error, message):
+    with pytest.raises(error) as excinfo:
+        build(tmp_path)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message.format(tmp=tmp_path)

@@ -393,3 +393,14 @@ class TestHraConfig:
         with pytest.raises(ShapeMismatch):
             HraConfig(dimensions=(1, 2), measures=("m",),
                       dimension_weights=(1.0,))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: HraConfig(dimensions=(10, 10), measures=("best",)),
+     ShapeMismatch, "duplicate dimensions: (10, 10)"),
+], ids=["repeated-dimension"])
+def test_raise_sites(build, error, message):
+    with pytest.raises(error) as excinfo:
+        build()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message

@@ -8,6 +8,7 @@ import pytest
 
 import oracle
 from hra import (
+    HraConfig,
     MissingCell,
     NonFiniteValue,
     Objective,
@@ -153,3 +154,13 @@ class TestRankDataset:
         with pytest.raises(MissingCell) as excinfo:
             rank_dataset(partial)
         assert excinfo.value.missing == [gone]
+
+
+@pytest.mark.parametrize("entry", [
+    lambda ds, objectives: rank_dataset(ds, objectives),
+    lambda ds, objectives: HraConfig.for_dataset(ds, objectives=objectives),
+], ids=["rank_dataset", "HraConfig"])
+def test_misspelt_objective_raises(synthetic_dataset, entry):
+    with pytest.raises(ShapeMismatch) as excinfo:
+        entry(synthetic_dataset, {"bset": Objective.MAXIMIZE})
+    assert str(excinfo.value) == "objectives name unknown measures: ['bset']"

@@ -21,6 +21,7 @@ from hra import (
     ShapeMismatch,
     ZeroUpperBound,
     closeness,
+    equal_weights,
     ideal_solutions,
     normalize,
     rtopsis,
@@ -363,3 +364,39 @@ class TestRtopsis:
     def test_empty_matrix_rejected(self):
         with pytest.raises(EmptyMatrix):
             DecisionMatrix(np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: DecisionMatrix(np.ones((2, 2, 2))),
+     ShapeMismatch, "decision matrix must be 2-D, got 3-D"),
+    (lambda: DecisionMatrix(np.ones((2, 2)), criterion_labels=("a",)),
+     ShapeMismatch, "1 criterion labels for 2 columns"),
+    (lambda: DecisionMatrix(np.ones((2, 2)), criterion_labels=("a", "a")),
+     ShapeMismatch, "criterion labels are not unique"),
+    (lambda: cost_spec([], ()),
+     EmptyMatrix, "criteria spec must cover at least one criterion"),
+    (lambda: cost_spec([1.0], ((0.0, math.inf),)),
+     DegenerateDomain, "domain of criterion 0 is not finite"),
+    (lambda: CriteriaSpec.for_ranks(3, 2, [0.2, 0.3, 0.5]),
+     ShapeMismatch, "expected 2 weights, got 3"),
+    (lambda: CriteriaSpec.for_ranks(3, 2, [[0.5, 0.5]]),
+     ShapeMismatch, "expected 2 weights, got an array of shape (1, 2)"),
+    (lambda: CriteriaSpec((COST, COST), ((0.0, 4.0),), [0.5, 0.5]),
+     ShapeMismatch,
+     "directions (2), domains (1) and weights ((2,)) must have equal length"),
+    (lambda: equal_weights(0),
+     ShapeMismatch, "cannot build weights for 0 criteria"),
+    (lambda: weight_matrix(np.array([[np.nan, 1.0]]),
+                           CriteriaSpec.for_ranks(3, 2)),
+     NonFiniteValue, "normalized matrix contains non-finite values"),
+    (lambda: closeness(np.ones(2), np.ones(3)),
+     ShapeMismatch, "separation shapes differ: (2,) vs (3,)"),
+], ids=["3-d-values", "criterion-label-count", "repeated-criterion-label",
+        "no-criteria", "infinite-domain", "weight-count", "2-d-weights",
+        "domain-count", "equal-weights-of-none", "non-finite-weighting",
+        "unequal-separations"])
+def test_raise_sites(build, error, message):
+    with pytest.raises(error) as excinfo:
+        build()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
