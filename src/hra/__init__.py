@@ -30,8 +30,6 @@ from .dataio import (
     STAT_MEASURES,
     PerformanceDataset,
     RawRuns,
-    RunStatistics,
-    compute_statistics,
     dataset_from_runs,
     emit_report,
     load_long_csv,
@@ -74,7 +72,6 @@ from .hierarchy import (
 from .ranking import (
     Objective,
     RankMatrix,
-    mean_rank_column,
     rank_columns,
     rank_dataset,
 )
@@ -98,4 +95,4 @@ from .rtopsis import (
 )
 from .verify import CheckResult, verify_reference_tables
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [n for n in dir() if n[0] != "_" and type(globals()[n]) is not type(_os)]

@@ -23,7 +23,7 @@ from collections.abc import Callable, ItemsView, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -55,32 +55,8 @@ def format_number(x: float) -> str:
     return format(float(x), ".17g")
 
 
-class RunStatistics(NamedTuple):
-    best: float
-    worst: float
-    median: float
-    mean: float
-    std: float
-
-
-def compute_statistics(runs: Sequence[float],
-                       population_std: bool = False) -> RunStatistics:
-    """Five summary statistics of a list of run results.
-
-    std is the sample standard deviation (denominator R-1) unless
-    population_std is set; a single run has std 0 under either convention.
-    This is the one-row case of _statistics.
-    """
-    runs = np.asarray(runs, dtype=float).reshape(1, -1)
-    if runs.size == 0:
-        raise EmptyRuns("cannot summarize an empty run list")
-    if not np.isfinite(runs).all():
-        raise NonFiniteValue("run values must be finite")
-    return RunStatistics(*_statistics(runs, population_std)[0].tolist())
-
-
 def _statistics(runs: np.ndarray, population_std: bool) -> np.ndarray:
-    """(cells, 5) statistics in RunStatistics order of a C-contiguous
+    """(cells, 5) statistics in STAT_MEASURES order of a C-contiguous
     (cells, R) array of finite runs, R >= 1.
 
     Every statistic reduces along the contiguous last axis, so a row's
@@ -291,17 +267,6 @@ class PerformanceDataset:
                 if d in d_index and p in p_index:
                     missing[i, j] = np.isnan(self.array[d_index[d], p_index[p]])
         return self._cells(missing, dimensions, measures)
-
-    @property
-    def is_complete(self) -> bool:
-        return not np.isnan(self.array).any()
-
-    def cell(self, dimension, measure, algorithm, function) -> float:
-        key = (dimension, measure, algorithm, function)
-        try:
-            return self.values[key]
-        except KeyError:
-            raise MissingCell([key]) from None
 
     def matrix(self, dimension, measure) -> DecisionMatrix:
         """Algorithms x functions decision matrix for one (d, p) leaf;

@@ -58,7 +58,6 @@ class ManifestEntry:
 @dataclass(frozen=True)
 class FetchResult:
     manifest_path: Path
-    entries: tuple[ManifestEntry, ...]
     downloaded: tuple[str, ...]
     skipped: tuple[str, ...]
 
@@ -169,8 +168,8 @@ def fetch_raw(source_url: str, destination) -> FetchResult:
         write_files({local: lambda handle: handle.buffer.write(payload)})
         downloaded.append(entry.path)
     manifest = write_manifest(entries, destination / MANIFEST_NAME)
-    return FetchResult(manifest_path=manifest, entries=tuple(entries),
-                       downloaded=tuple(downloaded), skipped=tuple(skipped))
+    return FetchResult(manifest_path=manifest, downloaded=tuple(downloaded),
+                       skipped=tuple(skipped))
 
 
 # -- run-file parsing -------------------------------------------------------

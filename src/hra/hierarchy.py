@@ -23,6 +23,12 @@ from .ranking import Objective, RankMatrix, rank_leaves
 from .rtopsis import CriteriaSpec, DecisionMatrix, TopsisResult, rtopsis
 
 
+def _check_count(name: str, weights, expected: int) -> None:
+    if weights is not None and len(weights) != expected:
+        raise ShapeMismatch(f"{name} has {len(weights)} entries, "
+                            f"expected {expected}")
+
+
 @dataclass(frozen=True)
 class HraConfig:
     """Which dimensions/measures to aggregate, and the weights per level.
@@ -48,13 +54,10 @@ class HraConfig:
             raise ShapeMismatch(f"duplicate dimensions: {self.dimensions}")
         if len(set(self.measures)) != len(self.measures):
             raise ShapeMismatch(f"duplicate measures: {self.measures}")
-        for name, weights, expected in (
-                ("measure_weights", self.measure_weights, len(self.measures)),
-                ("dimension_weights", self.dimension_weights,
-                 len(self.dimensions))):
-            if weights is not None and len(weights) != expected:
-                raise ShapeMismatch(f"{name} has {len(weights)} entries, "
-                                    f"expected {expected}")
+        _check_count("measure_weights", self.measure_weights,
+                     len(self.measures))
+        _check_count("dimension_weights", self.dimension_weights,
+                     len(self.dimensions))
         if self.objectives:
             unknown = set(self.objectives) - set(self.measures)
             if unknown:
@@ -116,11 +119,8 @@ class HraReport:
     invocation_count = property(lambda self: len(self.nodes))
     leaf_ranks = property(lambda self: {
         n.key[1:]: n.result.ranks for n in self.level("leaf")})
-    dimension_matrices = property(lambda self: {
-        n.key[1]: n.matrix for n in self.level("dimension")})
     dimension_ranks = property(lambda self: {
         n.key[1]: n.result.ranks for n in self.level("dimension")})
-    final_matrix = property(lambda self: self.nodes[-1].matrix)
     final_scores = property(lambda self: self.nodes[-1].result.closeness)
     final_ranks = property(lambda self: self.nodes[-1].result.ranks)
 
@@ -178,10 +178,14 @@ def run_hra(dataset: PerformanceDataset,
     """Full three-level aggregation of a complete dataset.
 
     Deterministic: identical inputs give bit-identical reports. The report
-    holds one node per TOPSIS evaluation, always 1 + k + l*k of them.
+    holds one node per TOPSIS evaluation, always 1 + k + l*k of them. The
+    config holds no functions axis, so the function_weights count is checked
+    here, before any leaf is ranked.
     """
     if config is None:
         config = HraConfig.for_dataset(dataset)
+    _check_count("function_weights", config.function_weights,
+                 len(dataset.functions))
     nodes: dict[tuple, Evaluation] = {}
     for (d, p), leaf in rank_leaves(dataset, config.dimensions,
                                     config.measures, config.objective_for):

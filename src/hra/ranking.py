@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
-from .exceptions import MissingCell, NonFiniteValue, ShapeMismatch
+from .exceptions import MissingCell, ShapeMismatch
 from .rtopsis import DecisionMatrix, mean_ranks
 
 if TYPE_CHECKING:
@@ -55,18 +55,6 @@ class RankMatrix(DecisionMatrix):
 def _signed(values: np.ndarray, objective: Objective) -> np.ndarray:
     """Values oriented so that ascending order puts the best value first."""
     return -values if Objective(objective) is Objective.MAXIMIZE else values
-
-
-def mean_rank_column(values: Sequence[float],
-                     objective: Objective = Objective.MINIMIZE) -> np.ndarray:
-    """Mean ranks of one column; ties get the mean of the spanned positions.
-
-    MINIMIZE puts rank 1 on the smallest value, MAXIMIZE on the largest.
-    """
-    values = np.asarray(values, dtype=float)
-    if not np.isfinite(values).all():
-        raise NonFiniteValue("cannot rank non-finite values")
-    return mean_ranks(_signed(values, objective))
 
 
 def rank_columns(matrix: DecisionMatrix,

@@ -107,9 +107,6 @@ class DecisionMatrix:
     def n(self) -> int:
         return self.values.shape[1]
 
-    def row(self, label: str) -> np.ndarray:
-        return self.values[self.alternative_labels.index(label)]
-
     def drop_alternatives(self, *labels: str) -> "DecisionMatrix":
         """New matrix without the named rows. Labels must exist."""
         gone = set(labels)

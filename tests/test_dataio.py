@@ -33,7 +33,6 @@ from hra import (
     PerformanceDataset,
     RawRuns,
     ShapeMismatch,
-    compute_statistics,
     dataset_from_runs,
     emit_report,
     fixtures,
@@ -58,27 +57,38 @@ def reference_statistics(runs):
     return s[0], s[-1], median, mean, std
 
 
+def cell_statistics(runs, population_std=False):
+    """measure -> value of the one cell that dataset_from_runs summarizes
+    from runs, in STAT_MEASURES order."""
+    ds = dataset_from_runs(RawRuns({(10, "alg", "f"): runs}),
+                           population_std=population_std)
+    return {p: ds.values[(10, p, "alg", "f")] for p in ds.measures}
+
+
 class TestComputeStatistics:
+    """The statistics of one cell, computed by dataset_from_runs."""
+
     def test_three_runs(self):
-        assert compute_statistics([1.0, 2.0, 3.0]) == (1, 3, 2, 2, 1)
+        assert tuple(cell_statistics([1.0, 2.0, 3.0]).values()) \
+            == (1, 3, 2, 2, 1)
 
     def test_single_run(self):
-        assert compute_statistics([5.0]) == (5, 5, 5, 5, 0)
+        assert tuple(cell_statistics([5.0]).values()) == (5, 5, 5, 5, 0)
 
     def test_fifty_one_random_runs_match_reference(self):
         rng = np.random.default_rng(51)
         runs = rng.uniform(0.0, 1e3, size=51).tolist()
-        got = compute_statistics(runs)
+        got = tuple(cell_statistics(runs).values())
         np.testing.assert_allclose(got, reference_statistics(runs),
                                    rtol=1e-12)
 
     def test_even_length_median(self):
-        assert compute_statistics([4.0, 1.0, 3.0, 2.0]).median == 2.5
+        assert cell_statistics([4.0, 1.0, 3.0, 2.0])["median"] == 2.5
 
     def test_population_std(self):
-        sample = compute_statistics([1.0, 2.0, 3.0]).std
-        population = compute_statistics([1.0, 2.0, 3.0],
-                                        population_std=True).std
+        sample = cell_statistics([1.0, 2.0, 3.0])["std"]
+        population = cell_statistics([1.0, 2.0, 3.0],
+                                     population_std=True)["std"]
         assert sample == pytest.approx(1.0)
         assert population == pytest.approx(math.sqrt(2.0 / 3.0))
 
@@ -86,15 +96,15 @@ class TestComputeStatistics:
         rng = np.random.default_rng(2)
         runs = rng.uniform(size=20)
         shuffled = rng.permutation(runs)
-        assert compute_statistics(runs) == compute_statistics(shuffled)
+        assert cell_statistics(runs) == cell_statistics(shuffled)
 
     def test_empty(self):
         with pytest.raises(EmptyRuns):
-            compute_statistics([])
+            cell_statistics([])
 
     def test_non_finite(self):
         with pytest.raises(NonFiniteValue):
-            compute_statistics([1.0, float("inf")])
+            cell_statistics([1.0, float("inf")])
 
 
 def one_cell_statistics(runs, population_std):
@@ -125,7 +135,8 @@ class TestBatchedStatistics:
         ds = dataset_from_runs(RawRuns(runs), population_std=population_std)
         for (d, a, f), values in runs.items():
             got = np.array([ds.values[(d, p, a, f)] for p in ds.measures])
-            one = np.array(compute_statistics(values, population_std))
+            one = np.array(list(cell_statistics(values,
+                                                population_std).values()))
             reference = np.array(one_cell_statistics(values, population_std))
             assert got.view(np.uint64).tolist() \
                 == one.view(np.uint64).tolist() \
@@ -144,7 +155,6 @@ class TestBatchedStatistics:
 class TestPerformanceDataset:
     def test_axes_and_completeness(self, synthetic_dataset):
         ds = synthetic_dataset
-        assert ds.is_complete
         assert len(ds.values) == 5 * 6 * 2 * 5
         assert ds.missing_cells() == []
 
@@ -245,9 +255,9 @@ class TestPerformanceDataset:
     def test_cell_lookup(self, synthetic_dataset):
         ds = synthetic_dataset
         key = (ds.dimensions[0], "best", ds.algorithms[0], ds.functions[0])
-        assert ds.cell(*key) == ds.values[key]
+        assert ds.values[key] == ds.matrix(*key[:2]).values[0, 0]
         with pytest.raises(MissingCell):
-            ds.cell(999, "best", ds.algorithms[0], ds.functions[0])
+            ds.matrix(999, "best")
 
 
 class TestLongCsv:
@@ -276,7 +286,7 @@ class TestLongCsv:
                             fh.write(f"{d},{p},f{f + 1},alg{a},{v}\n")
         ds = load_long_csv(path)
         assert len(ds.values) == 13 * 30 * 4 * 5 == 7800
-        assert ds.is_complete
+        assert ds.missing_cells() == []
         assert ds.dimensions == (10, 30, 50, 100)
 
     def test_missing_tuple_surfaces_in_run(self, tmp_path):
@@ -394,7 +404,7 @@ class TestLongCsv:
                         "10,best,f2,a,2.0\n10,best,f1,b,3.0\n"
                         "10,best,f2,b,4.0\n")
         ds = load_long_csv(path)
-        assert len(ds.values) == 4 and ds.is_complete
+        assert len(ds.values) == 4 and ds.missing_cells() == []
 
     def test_error_names_physical_line(self, tmp_path):
         path = tmp_path / "lines.csv"
@@ -625,12 +635,15 @@ class TestRankMatrixCsv:
     def test_dimension_table_fixture(self):
         dm = fixtures.load_dimension_ranks()
         assert (dm.m, dm.n) == (13, 4)
-        np.testing.assert_array_equal(dm.row("jSO"), [3, 2, 2, 5])
+        np.testing.assert_array_equal(
+            dm.values[dm.alternative_labels.index("jSO")], [3, 2, 2, 5])
 
     def test_measure_table_fixture(self):
         dm = fixtures.load_measure_ranks(30)
         assert (dm.m, dm.n) == (13, 5)
-        np.testing.assert_array_equal(dm.row("EBOwithCMAR"), [1, 1, 1, 1, 3])
+        np.testing.assert_array_equal(
+            dm.values[dm.alternative_labels.index("EBOwithCMAR")],
+            [1, 1, 1, 1, 3])
 
     def test_one_by_one(self, tmp_path):
         path = tmp_path / "tiny.csv"
@@ -795,7 +808,7 @@ class TestEmitReport:
         final = load_rank_matrix_csv(tmp_path / "report" / "final_matrix.csv")
         assert final.alternative_labels == relabeled.algorithms
         np.testing.assert_array_equal(final.values,
-                                      report.final_matrix.values)
+                                      report.nodes[-1].matrix.values)
         with open(tmp_path / "report" / "final_ranking.csv",
                   newline="") as handle:
             rows = list(csv.reader(handle))
@@ -817,7 +830,7 @@ class TestEmitReport:
         final = load_rank_matrix_csv(tmp_path / "report" / "final_matrix.csv")
         assert final.alternative_labels == algorithms
         np.testing.assert_array_equal(final.values,
-                                      report.final_matrix.values)
+                                      report.nodes[-1].matrix.values)
         ranking = load_rank_matrix_csv(
             tmp_path / "report" / "final_ranking.csv")
         assert ranking.alternative_labels == algorithms
@@ -843,7 +856,8 @@ class TestEmitReport:
         np.testing.assert_array_equal(ranking.values[:, 1],
                                       report.final_ranks)
         final = load_rank_matrix_csv(tmp_path / "final_matrix.csv")
-        assert final.criterion_labels == report.final_matrix.criterion_labels
+        assert final.criterion_labels == \
+            report.nodes[-1].matrix.criterion_labels
         with open(tmp_path / "leaf_ranks.csv", newline="") as handle:
             rows = list(csv.reader(handle))[1:]
         assert rows == [[str(node.key[1]), str(node.key[2]), a,

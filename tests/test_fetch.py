@@ -277,7 +277,7 @@ class TestDatasetFromRuns:
         assert ds.algorithms == ("a", "b")
         assert ds.dimensions == (10, 30)
         assert ds.functions == ("1", "2")
-        assert ds.is_complete
+        assert ds.missing_cells() == []
 
     def test_population_std_flag(self):
         raw = RawRuns({(10, "s", "f"): (1.0, 2.0, 3.0)})

@@ -120,8 +120,8 @@ class TestRunHra:
     def test_dimension_matrix_columns_equal_leaf_ranks(self,
                                                        synthetic_dataset):
         report = run_hra(synthetic_dataset)
-        for d in synthetic_dataset.dimensions:
-            matrix = report.dimension_matrices[d]
+        for node in report.level("dimension"):
+            d, matrix = node.key[1], node.matrix
             for j, p in enumerate(synthetic_dataset.measures):
                 np.testing.assert_array_equal(matrix.values[:, j],
                                               report.leaf_ranks[(d, p)])
@@ -222,11 +222,21 @@ class TestRunHra:
             np.testing.assert_array_equal(ranks, ref["leaf_ranks"][key])
         np.testing.assert_array_equal(report.final_ranks, ref["final_ranks"])
 
-    def test_weight_length_validated(self, synthetic_dataset):
-        config = HraConfig.for_dataset(synthetic_dataset,
-                                       function_weights=(0.5, 0.5))
-        with pytest.raises(ShapeMismatch):
-            run_hra(synthetic_dataset, config)
+    def test_weight_length_validated(self, synthetic_dataset, monkeypatch):
+        # the config holds no functions axis: run_hra checks the count of
+        # function_weights, however the config was built, before any leaf
+        import hra
+        calls = []
+        monkeypatch.setattr(hra.hierarchy, "rtopsis",
+                            lambda *args: calls.append(args))
+        ds = synthetic_dataset
+        for config in (HraConfig.for_dataset(ds, function_weights=(0.5, 0.5)),
+                       HraConfig(ds.dimensions, ds.measures, (0.5, 0.5))):
+            with pytest.raises(ShapeMismatch) as excinfo:
+                run_hra(ds, config)
+            assert str(excinfo.value) == \
+                "function_weights has 2 entries, expected 6"
+        assert calls == []
 
 
 class TestEvaluationNodes:
@@ -302,12 +312,10 @@ class TestEvaluationNodes:
             assert result is by_key[key].result
         for (d, p), ranks in report.leaf_ranks.items():
             assert ranks is by_key["leaf", d, p].result.ranks
-        for d, matrix in report.dimension_matrices.items():
-            assert matrix is by_key["dimension", d].matrix
+        for d in report.dimension_ranks:
             assert report.dimension_ranks[d] is \
                 by_key["dimension", d].result.ranks
         overall = report.nodes[-1]
-        assert report.final_matrix is overall.matrix
         assert report.final_scores is overall.result.closeness
         assert report.final_ranks is overall.result.ranks
 
@@ -334,7 +342,7 @@ class TestEvaluationNodes:
             [dimension_ranks[d] for d in ds.dimensions],
             dimension_labels=ds.dimensions, alternative_labels=ds.algorithms)
         assert matrix.criterion_labels == \
-            report.final_matrix.criterion_labels
+            report.nodes[-1].matrix.criterion_labels
         assert scores.tobytes() == report.final_scores.tobytes()
         assert ranks.tobytes() == report.final_ranks.tobytes()
 

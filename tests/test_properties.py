@@ -13,7 +13,6 @@ from hra import (
     Direction,
     Normalization,
     ideal_solutions,
-    mean_rank_column,
     mean_ranks,
     normalize,
     rank_columns,
@@ -199,7 +198,8 @@ def test_scores_to_ranks_sum(scores):
 @settings(max_examples=200, deadline=None)
 def test_mean_rank_column_sum(values):
     m = len(values)
-    ranks = mean_rank_column([float(v) for v in values])
+    column = np.array([float(v) for v in values])
+    ranks = rank_columns(DecisionMatrix(column[:, None])).values[:, 0]
     assert ranks.sum() == m * (m + 1) / 2
     assert (ranks >= 1.0).all() and (ranks <= m).all()
 

@@ -14,11 +14,17 @@ from hra import (
     Objective,
     RankMatrix,
     ShapeMismatch,
-    mean_rank_column,
     rank_columns,
     rank_dataset,
 )
 from hra.rtopsis import DecisionMatrix
+
+
+def mean_rank_column(values, objective=Objective.MINIMIZE):
+    """Mean ranks of one column, through rank_columns on a one-column
+    matrix."""
+    column = np.asarray(values, dtype=float)
+    return rank_columns(DecisionMatrix(column[:, None]), objective).values[:, 0]
 
 
 class TestMeanRankColumn:

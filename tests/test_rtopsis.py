@@ -239,7 +239,7 @@ class TestSeparations:
         trace = result.trace
         gaps_plus, gaps_minus = squared_gaps(trace.weighted, trace.pis,
                                              trace.nis)
-        ranks = dimension_table.row("jSO")
+        ranks = dimension_table.values[jso]
         np.testing.assert_allclose(gaps_plus[jso], (ranks / 56) ** 2,
                                    rtol=1e-14)
         np.testing.assert_allclose(gaps_minus[jso], ((14 - ranks) / 56) ** 2,
