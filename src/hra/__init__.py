@@ -73,7 +73,6 @@ from .ranking import (
     Objective,
     RankMatrix,
     rank_columns,
-    rank_dataset,
 )
 from .rtopsis import (
     CriteriaSpec,

@@ -752,12 +752,18 @@ def load_rank_matrix_csv(path) -> DecisionMatrix:
     path = Path(path)
     rows = _data_rows(path)
     try:
-        _, header = next(rows)
+        header_line, header = next(rows)
     except StopIteration:
         raise EmptyMatrix(f"{path}: file is empty") from None
     if len(header) < 2:
         raise EmptyMatrix(f"{path}: header has no criterion columns")
     criteria = tuple(header[1:])
+    named: set[str] = set()
+    for name in criteria:
+        if name in named:
+            raise ParseError(f"{path}:{header_line}: duplicate criterion "
+                             f"{name!r}")
+        named.add(name)
     labels: list[str] = []
     seen: set[str] = set()
     data: list[list[float]] = []
@@ -772,10 +778,14 @@ def load_rank_matrix_csv(path) -> DecisionMatrix:
         parsed = []
         for name, cell in zip(criteria, row[1:]):
             try:
-                parsed.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise ParseError(f"{path}:{number}: column {name!r} is not "
                                  f"a number: {cell!r}") from None
+            if not math.isfinite(value):
+                raise NonFiniteValue(f"{path}:{number}: column {name!r} is "
+                                     f"not finite: {cell!r}")
+            parsed.append(value)
         data.append(parsed)
     if not data:
         raise EmptyMatrix(f"{path}: no data rows")

@@ -18,8 +18,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataio import PerformanceDataset
-from .exceptions import ShapeMismatch
-from .ranking import Objective, RankMatrix, rank_leaves
+from .exceptions import MissingCell, ShapeMismatch
+from .ranking import Objective, RankMatrix, rank_columns
 from .rtopsis import CriteriaSpec, DecisionMatrix, TopsisResult, rtopsis
 
 
@@ -27,6 +27,19 @@ def _check_count(name: str, weights, expected: int) -> None:
     if weights is not None and len(weights) != expected:
         raise ShapeMismatch(f"{name} has {len(weights)} entries, "
                             f"expected {expected}")
+
+
+def _check_labels(name: str, labels: tuple) -> None:
+    """Labels must differ, also as text: every join matrix and report file
+    name shows a label as str(label), so 10 and '10' would become one."""
+    if len(set(labels)) != len(labels):
+        raise ShapeMismatch(f"duplicate {name}: {labels}")
+    first: dict[str, object] = {}
+    for label in labels:
+        twin = first.setdefault(str(label), label)
+        if twin is not label:
+            raise ShapeMismatch(f"{name} {twin!r} and {label!r} are equal "
+                                f"as text")
 
 
 @dataclass(frozen=True)
@@ -50,10 +63,8 @@ class HraConfig:
         if len(self.dimensions) < 1 or len(self.measures) < 1:
             raise ShapeMismatch("config needs at least one dimension and "
                                 "one measure")
-        if len(set(self.dimensions)) != len(self.dimensions):
-            raise ShapeMismatch(f"duplicate dimensions: {self.dimensions}")
-        if len(set(self.measures)) != len(self.measures):
-            raise ShapeMismatch(f"duplicate measures: {self.measures}")
+        _check_labels("dimensions", self.dimensions)
+        _check_labels("measures", self.measures)
         _check_count("measure_weights", self.measure_weights,
                      len(self.measures))
         _check_count("dimension_weights", self.dimension_weights,
@@ -125,17 +136,20 @@ class HraReport:
     final_ranks = property(lambda self: self.nodes[-1].result.ranks)
 
 
-def _stack(vectors: Sequence[np.ndarray], criterion_labels,
-           alternative_labels) -> DecisionMatrix:
-    """Rank vectors as the columns of one matrix; criterion labels become
-    strings, alternatives default to A1..Am."""
+def _join(key: tuple, vectors: Sequence[np.ndarray], criterion_labels,
+          alternative_labels, weights: Sequence[float] | None = None,
+          children: Sequence[tuple] = ()) -> Evaluation:
+    """An upper node: the rank vectors as the columns of one matrix, whose
+    criterion labels are the given labels as text and whose alternatives
+    default to A1..Am, evaluated by `evaluate`."""
     vectors = [np.asarray(v, dtype=float) for v in vectors]
     sizes = {v.shape for v in vectors}
     if len(sizes) != 1 or vectors[0].ndim != 1:
         raise ShapeMismatch(f"rank vectors have inconsistent shapes: {sizes}")
-    return DecisionMatrix(np.column_stack(vectors),
-                          tuple(alternative_labels or ()),
-                          tuple(str(c) for c in criterion_labels))
+    matrix = DecisionMatrix(np.stack(vectors, axis=1),
+                            tuple(alternative_labels or ()),
+                            tuple(str(c) for c in criterion_labels))
+    return evaluate(key, matrix, weights, children)
 
 
 def aggregate_leaf(rank_matrix: RankMatrix,
@@ -154,8 +168,8 @@ def aggregate_dimension(leaf_ranks: Sequence[np.ndarray],
     (columns in measure order) and the dimension's rank vector."""
     if measure_labels is None:
         measure_labels = [f"P{i + 1}" for i in range(len(leaf_ranks))]
-    matrix = _stack(leaf_ranks, measure_labels, alternative_labels)
-    node = evaluate(("dimension",), matrix, measure_weights)
+    node = _join(("dimension",), leaf_ranks, measure_labels,
+                 alternative_labels, measure_weights)
     return node.matrix, node.result.ranks
 
 
@@ -168,8 +182,8 @@ def aggregate_overall(dimension_ranks: Sequence[np.ndarray],
     matrix, the closeness scores and the overall ranks."""
     if dimension_labels is None:
         dimension_labels = [f"D{i + 1}" for i in range(len(dimension_ranks))]
-    matrix = _stack(dimension_ranks, dimension_labels, alternative_labels)
-    node = evaluate(("overall",), matrix, dimension_weights)
+    node = _join(("overall",), dimension_ranks, dimension_labels,
+                 alternative_labels, dimension_weights)
     return node.matrix, node.result.closeness, node.result.ranks
 
 
@@ -180,26 +194,29 @@ def run_hra(dataset: PerformanceDataset,
     Deterministic: identical inputs give bit-identical reports. The report
     holds one node per TOPSIS evaluation, always 1 + k + l*k of them. The
     config holds no functions axis, so the function_weights count is checked
-    here, before any leaf is ranked.
+    here. Both that check and the MissingCell listing every absent cell of
+    the selection come before any leaf is ranked; then each leaf is
+    gathered by dataset.matrix and ranked, one at a time.
     """
     if config is None:
         config = HraConfig.for_dataset(dataset)
     _check_count("function_weights", config.function_weights,
                  len(dataset.functions))
+    missing = dataset.missing_cells(config.dimensions, config.measures)
+    if missing:
+        raise MissingCell(missing)
     nodes: dict[tuple, Evaluation] = {}
-    for (d, p), leaf in rank_leaves(dataset, config.dimensions,
-                                    config.measures, config.objective_for):
-        nodes["leaf", d, p] = evaluate(("leaf", d, p), leaf,
-                                       config.function_weights)
-
-    def join(key, children, labels, weights):
-        matrix = _stack([nodes[c].result.ranks for c in children], labels,
-                        dataset.algorithms)
-        nodes[key] = evaluate(key, matrix, weights, children)
-
     for d in config.dimensions:
-        join(("dimension", d), [("leaf", d, p) for p in config.measures],
-             config.measures, config.measure_weights)
-    join(("overall",), [("dimension", d) for d in config.dimensions],
-         config.dimensions, config.dimension_weights)
+        for p in config.measures:
+            leaf = rank_columns(dataset.matrix(d, p), config.objective_for(p))
+            nodes["leaf", d, p] = evaluate(("leaf", d, p), leaf,
+                                           config.function_weights)
+    joins = [(("dimension", d), [("leaf", d, p) for p in config.measures],
+              config.measures, config.measure_weights)
+             for d in config.dimensions]
+    joins.append((("overall",), [("dimension", d) for d in config.dimensions],
+                  config.dimensions, config.dimension_weights))
+    for key, children, labels, weights in joins:
+        nodes[key] = _join(key, [nodes[c].result.ranks for c in children],
+                           labels, dataset.algorithms, weights, children)
     return HraReport(dataset.algorithms, tuple(nodes.values()))

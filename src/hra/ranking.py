@@ -10,15 +10,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
-from .exceptions import MissingCell, ShapeMismatch
+from .exceptions import ShapeMismatch
 from .rtopsis import DecisionMatrix, mean_ranks
-
-if TYPE_CHECKING:
-    from .dataio import PerformanceDataset
 
 
 class Objective(enum.Enum):
@@ -62,32 +58,3 @@ def rank_columns(matrix: DecisionMatrix,
     """Apply the mean-rank transformation to every column independently."""
     return RankMatrix(mean_ranks(_signed(matrix.values, objective), axis=0),
                       matrix.alternative_labels, matrix.criterion_labels)
-
-
-def rank_leaves(dataset: "PerformanceDataset", dimensions, measures,
-                objective_for: Callable[[str], Objective]):
-    """Yield ((d, p), RankMatrix) per leaf, dimension by dimension. A
-    MissingCell lists every absent cell of the selection before any leaf is
-    ranked; then each leaf is gathered by dataset.matrix and ranked."""
-    missing = dataset.missing_cells(dimensions, measures)
-    if missing:
-        raise MissingCell(missing)
-    for d in dimensions:
-        for p in measures:
-            yield (d, p), rank_columns(dataset.matrix(d, p), objective_for(p))
-
-
-def rank_dataset(dataset: "PerformanceDataset",
-                 objectives: Mapping[str, Objective] | None = None
-                 ) -> dict[tuple, RankMatrix]:
-    """One RankMatrix per (dimension, measure) leaf of a complete dataset.
-
-    Measures default to MINIMIZE (all five CEC statistics are error values,
-    smaller is better); pass an objectives map to override per measure. The
-    map is checked as HraConfig checks it, so an unknown measure raises.
-    """
-    from .hierarchy import HraConfig  # hierarchy imports this module
-
-    config = HraConfig.for_dataset(dataset, objectives=objectives)
-    return dict(rank_leaves(dataset, config.dimensions, config.measures,
-                            config.objective_for))

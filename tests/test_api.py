@@ -16,7 +16,7 @@ PUBLIC = [
     "aggregate_leaf", "aggregate_overall", "closeness", "dataset_from_runs",
     "emit_report", "equal_weights", "fetch_raw", "ideal_solutions",
     "load_long_csv", "load_rank_matrix_csv", "load_raw_runs", "mean_ranks",
-    "normalize", "rank_columns", "rank_dataset", "rtopsis", "run_hra",
+    "normalize", "rank_columns", "rtopsis", "run_hra",
     "save_long_csv", "save_rank_matrix_csv", "scores_to_ranks",
     "separations", "squared_gaps", "verify_reference_tables",
     "weight_matrix",

@@ -566,6 +566,39 @@ class TestFieldSizeLimit:
         self.check(capsys, path, 3, "rtopsis", "--matrix", str(path))
 
 
+class TestBadValueNamesTheFile:
+    """A bad cell, criterion or run value is one parse-error line (exit 2)
+    that names its file, and nothing is written."""
+
+    def check(self, capsys, tmp_path, line, *argv):
+        before = sorted(tmp_path.rglob("*"))
+        assert run_cli(capsys, *argv) == (2, "", f"hra: parse error: {line}\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("text, line", [
+        ("algorithm,c1\na,1\nb,nan\n", "3: column 'c1' is not finite: 'nan'"),
+        ("algorithm,c1\na,-inf\n", "2: column 'c1' is not finite: '-inf'"),
+        ("algorithm,a,a\nx,1,2\n", "1: duplicate criterion 'a'"),
+    ], ids=["nan-cell", "infinite-cell", "repeated-criterion"])
+    def test_rank_matrix(self, capsys, tmp_path, text, line):
+        path = tmp_path / "matrix.csv"
+        path.write_text(text)
+        self.check(capsys, tmp_path, f"{path}:{line}", "rtopsis",
+                   "--matrix", str(path))
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 -5 3\n", "negative error value -5.0"),
+        ("1\nnan\n", "run value nan is not finite"),
+    ], ids=["negative-run", "nan-run"])
+    def test_run_file(self, capsys, tmp_path, text, message):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "a_F1_10.txt").write_text("1 2 3\n")
+        (runs / "b_F1_10.txt").write_text(text)
+        self.check(capsys, tmp_path, f"{runs / 'b_F1_10.txt'}: {message}",
+                   "stats", str(runs), "--out", str(tmp_path / "stats.csv"))
+
+
 @pytest.mark.parametrize("argv, code, line", [
     (("run", "--data", str(SYNTHETIC_CSV), "--weights", "a,b"), 3,
      "hra: validation error: --weights: expected 'equal' or comma-separated "

@@ -1193,9 +1193,16 @@ def _file(path, text):
     (lambda tmp: load_rank_matrix_csv(
         _file(tmp / "m.csv", "algorithm,c1\na,x\n")),
      ParseError, "{tmp}/m.csv:2: column 'c1' is not a number: 'x'"),
+    (lambda tmp: load_rank_matrix_csv(
+        _file(tmp / "m.csv", "algorithm,c1,c2\na,1,2\nb,2,nan\n")),
+     NonFiniteValue, "{tmp}/m.csv:3: column 'c2' is not finite: 'nan'"),
+    (lambda tmp: load_rank_matrix_csv(
+        _file(tmp / "m.csv", "# note\nalgorithm,a,b,a\nx,1,2,3\n")),
+     ParseError, "{tmp}/m.csv:2: duplicate criterion 'a'"),
 ], ids=["empty-axis", "repeated-label", "array-shape", "inf-in-array",
         "nan-in-mapping", "no-runs", "nan-run", "empty-long-csv",
-        "blank-long-csv", "non-numeric-rank-column"])
+        "blank-long-csv", "non-numeric-rank-column", "non-finite-rank-cell",
+        "repeated-rank-criterion"])
 def test_raise_sites(tmp_path, build, error, message):
     with pytest.raises(error) as excinfo:
         build(tmp_path)

@@ -17,6 +17,7 @@ from hra import (
     HraError,
     IoError,
     NetworkError,
+    NonFiniteValue,
     ParseError,
     RawRuns,
     UnknownLayout,
@@ -437,9 +438,9 @@ class TestPlainRunFiles:
         assert known == {b"0", b"00", b"-0.0", b"0e0"}
 
 
-def _run_file(path):
+def _run_file(path, text="1\n"):
     path.parent.mkdir(exist_ok=True)
-    path.write_text("1\n")
+    path.write_text(text)
     return path
 
 
@@ -455,7 +456,14 @@ def _sibling_run_files(root):
      IoError, "not a directory: {tmp}/a_f1_10.txt"),
     (lambda tmp: load_raw_runs(_sibling_run_files(tmp)),
      ParseError, "{tmp}/y/a_f1_10.txt: duplicate run file for (10, 'a', 'f1')"),
-], ids=["file-not-directory", "duplicate-in-siblings"])
+    (lambda tmp: load_raw_runs(_run_file(tmp / "a_f1_10.txt", "1 -5 3\n").parent),
+     ParseError, "{tmp}/a_f1_10.txt: negative error value -5.0"),
+    (lambda tmp: load_raw_runs(_run_file(tmp / "a_f1_10.txt", "1\nnan\n").parent),
+     NonFiniteValue, "{tmp}/a_f1_10.txt: run value nan is not finite"),
+    (lambda tmp: load_raw_runs(_run_file(tmp / "a_f1_10.txt", "-inf -1\n").parent),
+     NonFiniteValue, "{tmp}/a_f1_10.txt: run value -inf is not finite"),
+], ids=["file-not-directory", "duplicate-in-siblings", "negative-run",
+        "nan-run", "minus-infinity-run"])
 def test_raise_sites(tmp_path, build, error, message):
     with pytest.raises(error) as excinfo:
         build(tmp_path)

@@ -19,7 +19,7 @@ from hra import (
     aggregate_overall,
     fixtures,
     TopsisResult,
-    rank_dataset,
+    rank_columns,
     run_hra,
     squared_gaps,
 )
@@ -323,14 +323,14 @@ class TestEvaluationNodes:
         ds = synthetic_dataset
         report = run_hra(ds)
         by_key = {node.key: node for node in report.nodes}
-        leaves = rank_dataset(ds)
         dimension_ranks = {}
         for d in ds.dimensions:
             vectors = []
             for p in ds.measures:
-                np.testing.assert_array_equal(leaves[d, p].values,
+                leaf = rank_columns(ds.matrix(d, p))
+                np.testing.assert_array_equal(leaf.values,
                                               by_key["leaf", d, p].matrix.values)
-                vectors.append(aggregate_leaf(leaves[d, p]))
+                vectors.append(aggregate_leaf(leaf))
                 assert vectors[-1].tobytes() == \
                     by_key["leaf", d, p].result.ranks.tobytes()
             _, dimension_ranks[d] = aggregate_dimension(
@@ -362,6 +362,21 @@ class TestEvaluationNodes:
         with pytest.raises(MissingCell) as excinfo:
             run_hra(partial)
         assert excinfo.value.missing == gone
+        assert calls == []
+
+    def test_dimensions_equal_as_text_fail_before_any_evaluation(
+            self, monkeypatch):
+        # both would be written as dimension_10.csv and both label a
+        # column '10' of the overall matrix
+        import hra
+        calls = []
+        monkeypatch.setattr(hra.hierarchy, "rtopsis",
+                            lambda *args: calls.append(args))
+        ds = PerformanceDataset.from_array(
+            algorithms=("a", "b"), functions=("f",), dimensions=(10, "10"),
+            measures=("best",), array=np.arange(4.0).reshape(2, 1, 2, 1))
+        with pytest.raises(ShapeMismatch, match="equal as text"):
+            run_hra(ds)
         assert calls == []
 
     def test_peak_memory_within_two_cube_sizes_and_one_and_a_half_kept(
@@ -406,7 +421,12 @@ class TestHraConfig:
 @pytest.mark.parametrize("build, error, message", [
     (lambda: HraConfig(dimensions=(10, 10), measures=("best",)),
      ShapeMismatch, "duplicate dimensions: (10, 10)"),
-], ids=["repeated-dimension"])
+    (lambda: HraConfig(dimensions=(10, 30, "10"), measures=("best",)),
+     ShapeMismatch, "dimensions 10 and '10' are equal as text"),
+    (lambda: HraConfig(dimensions=(10,), measures=("1", 2, 1)),
+     ShapeMismatch, "measures '1' and 1 are equal as text"),
+], ids=["repeated-dimension", "dimensions-equal-as-text",
+        "measures-equal-as-text"])
 def test_raise_sites(build, error, message):
     with pytest.raises(error) as excinfo:
         build()

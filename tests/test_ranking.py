@@ -15,7 +15,7 @@ from hra import (
     RankMatrix,
     ShapeMismatch,
     rank_columns,
-    rank_dataset,
+    run_hra,
 )
 from hra.rtopsis import DecisionMatrix
 
@@ -110,25 +110,33 @@ class TestRankColumns:
             assert (np.diff(ranked.values[order, j]) > 0).all()
 
 
+def leaf_matrices(ds, objectives=None):
+    """{(d, p): rank matrix} of every leaf, as run_hra ranks them."""
+    report = run_hra(ds, HraConfig.for_dataset(ds, objectives=objectives))
+    return {node.key[1:]: node.matrix for node in report.level("leaf")}
+
+
 class TestRankDataset:
+    """A dataset's leaves, ranked by run_hra."""
+
     def test_two_algorithms_single_function(self):
         from hra import PerformanceDataset
         ds = PerformanceDataset(
             algorithms=("a", "b"), functions=("f",), dimensions=(1,),
             measures=("err",),
             values={(1, "err", "a", "f"): 3.0, (1, "err", "b", "f"): 1.0})
-        leaves = rank_dataset(ds)
+        leaves = leaf_matrices(ds)
         np.testing.assert_array_equal(leaves[(1, "err")].values, [[2], [1]])
 
     def test_leaf_count(self, synthetic_dataset):
-        leaves = rank_dataset(synthetic_dataset)
+        leaves = leaf_matrices(synthetic_dataset)
         k = len(synthetic_dataset.dimensions)
         l = len(synthetic_dataset.measures)
         assert len(leaves) == k * l == 10
 
     def test_matches_reference(self, synthetic_dataset):
         ds = synthetic_dataset
-        leaves = rank_dataset(ds)
+        leaves = leaf_matrices(ds)
         for d in ds.dimensions:
             for p in ds.measures:
                 raw = [[ds.values[(d, p, a, f)] for f in ds.functions]
@@ -138,8 +146,8 @@ class TestRankDataset:
 
     def test_maximize_override(self, synthetic_dataset):
         ds = synthetic_dataset
-        flipped = rank_dataset(ds, {"best": Objective.MAXIMIZE})
-        default = rank_dataset(ds)
+        flipped = leaf_matrices(ds, {"best": Objective.MAXIMIZE})
+        default = leaf_matrices(ds)
         d = ds.dimensions[0]
         assert not np.array_equal(flipped[(d, "best")].values,
                                   default[(d, "best")].values)
@@ -158,14 +166,13 @@ class TestRankDataset:
                                      dimensions=ds.dimensions,
                                      measures=ds.measures, values=values)
         with pytest.raises(MissingCell) as excinfo:
-            rank_dataset(partial)
+            run_hra(partial)
         assert excinfo.value.missing == [gone]
 
 
 @pytest.mark.parametrize("entry", [
-    lambda ds, objectives: rank_dataset(ds, objectives),
     lambda ds, objectives: HraConfig.for_dataset(ds, objectives=objectives),
-], ids=["rank_dataset", "HraConfig"])
+], ids=["HraConfig"])
 def test_misspelt_objective_raises(synthetic_dataset, entry):
     with pytest.raises(ShapeMismatch) as excinfo:
         entry(synthetic_dataset, {"bset": Objective.MAXIMIZE})
