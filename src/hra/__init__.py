@@ -69,11 +69,6 @@ from .hierarchy import (
     aggregate_overall,
     run_hra,
 )
-from .ranking import (
-    Objective,
-    RankMatrix,
-    rank_columns,
-)
 from .rtopsis import (
     CriteriaSpec,
     DecisionMatrix,
@@ -86,6 +81,7 @@ from .rtopsis import (
     ideal_solutions,
     mean_ranks,
     normalize,
+    rank_columns,
     rtopsis,
     scores_to_ranks,
     separations,

@@ -78,13 +78,27 @@ def _statistics(runs: np.ndarray, population_std: bool) -> np.ndarray:
     return stats
 
 
+def check_labels(name: str, labels: tuple) -> None:
+    """Labels must differ, also as text: a long CSV, every join matrix and
+    every report file name show a label as str(label), so 10 and '10'
+    would become one."""
+    if len(set(labels)) != len(labels):
+        raise ShapeMismatch(f"duplicate {name}: {labels}")
+    first: dict[str, object] = {}
+    for label in labels:
+        twin = first.setdefault(str(label), label)
+        if twin is not label:
+            raise ShapeMismatch(f"{name} {twin!r} and {label!r} are equal "
+                                f"as text")
+
+
 def _axis_index(axes) -> tuple[dict, ...]:
-    """label -> position for each axis; every axis non-empty and unique."""
+    """label -> position for each axis; every axis non-empty, its labels
+    distinct also as text."""
     for name, axis in zip(AXIS_NAMES, axes):
         if len(axis) == 0:
             raise EmptyMatrix(f"dataset has no {name}")
-        if len(set(axis)) != len(axis):
-            raise ShapeMismatch(f"duplicate entries in {name}: {axis}")
+        check_labels(name, axis)
     return tuple({label: i for i, label in enumerate(axis)} for axis in axes)
 
 
@@ -834,7 +848,7 @@ def dimension_file_name(label, ext: str) -> str:
     with '%', '/' and NUL percent-encoded. A name over _NAME_MAX bytes is
     cut and ends in '%~' plus 16 hex digits of the label's sha256; no
     encoded label holds '%~', so labels whose texts differ keep distinct
-    names (a loaded dataset never holds both 10 and '10')."""
+    names (no dataset holds both 10 and '10')."""
     text = str(label)
     stem = "dimension_" + text.translate(_FILE_NAME_ESCAPES)
     if len(stem.encode()) + 1 + len(ext) <= _NAME_MAX:

@@ -17,10 +17,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataio import PerformanceDataset
+from .dataio import PerformanceDataset, check_labels
 from .exceptions import MissingCell, ShapeMismatch
-from .ranking import Objective, RankMatrix, rank_columns
-from .rtopsis import CriteriaSpec, DecisionMatrix, TopsisResult, rtopsis
+from .rtopsis import (CriteriaSpec, DecisionMatrix, Direction, TopsisResult,
+                      rank_columns, rtopsis)
 
 
 def _check_count(name: str, weights, expected: int) -> None:
@@ -29,25 +29,13 @@ def _check_count(name: str, weights, expected: int) -> None:
                             f"expected {expected}")
 
 
-def _check_labels(name: str, labels: tuple) -> None:
-    """Labels must differ, also as text: every join matrix and report file
-    name shows a label as str(label), so 10 and '10' would become one."""
-    if len(set(labels)) != len(labels):
-        raise ShapeMismatch(f"duplicate {name}: {labels}")
-    first: dict[str, object] = {}
-    for label in labels:
-        twin = first.setdefault(str(label), label)
-        if twin is not label:
-            raise ShapeMismatch(f"{name} {twin!r} and {label!r} are equal "
-                                f"as text")
-
-
 @dataclass(frozen=True)
 class HraConfig:
     """Which dimensions/measures to aggregate, and the weights per level.
 
     Weight vectors left as None mean equal weights. Measures default to
-    MINIMIZE; override individual ones through `objectives`.
+    Direction.COST (smaller is better); `objectives` maps a measure to
+    another direction, such as {"p": Direction.BENEFIT}.
     """
 
     dimensions: tuple
@@ -55,7 +43,7 @@ class HraConfig:
     function_weights: tuple[float, ...] | None = None
     measure_weights: tuple[float, ...] | None = None
     dimension_weights: tuple[float, ...] | None = None
-    objectives: Mapping[str, Objective] | None = None
+    objectives: Mapping[str, Direction] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "dimensions", tuple(self.dimensions))
@@ -63,8 +51,8 @@ class HraConfig:
         if len(self.dimensions) < 1 or len(self.measures) < 1:
             raise ShapeMismatch("config needs at least one dimension and "
                                 "one measure")
-        _check_labels("dimensions", self.dimensions)
-        _check_labels("measures", self.measures)
+        check_labels("dimensions", self.dimensions)
+        check_labels("measures", self.measures)
         _check_count("measure_weights", self.measure_weights,
                      len(self.measures))
         _check_count("dimension_weights", self.dimension_weights,
@@ -74,6 +62,8 @@ class HraConfig:
             if unknown:
                 raise ShapeMismatch(f"objectives name unknown measures: "
                                     f"{sorted(unknown)}")
+            object.__setattr__(self, "objectives", {
+                p: Direction(d) for p, d in self.objectives.items()})
 
     @classmethod
     def for_dataset(cls, dataset: PerformanceDataset,
@@ -81,8 +71,8 @@ class HraConfig:
         return cls(dimensions=dataset.dimensions, measures=dataset.measures,
                    **kwargs)
 
-    def objective_for(self, measure: str) -> Objective:
-        return (self.objectives or {}).get(measure, Objective.MINIMIZE)
+    def objective_for(self, measure: str) -> Direction:
+        return (self.objectives or {}).get(measure, Direction.COST)
 
 
 @dataclass(frozen=True)
@@ -152,7 +142,7 @@ def _join(key: tuple, vectors: Sequence[np.ndarray], criterion_labels,
     return evaluate(key, matrix, weights, children)
 
 
-def aggregate_leaf(rank_matrix: RankMatrix,
+def aggregate_leaf(rank_matrix: DecisionMatrix,
                    function_weights: Sequence[float] | None = None
                    ) -> np.ndarray:
     """Rank vector of one (dimension, measure) leaf."""

@@ -348,6 +348,19 @@ def mean_ranks(x, axis: int = -1) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(ranks, -1, axis))
 
 
+def rank_columns(matrix: DecisionMatrix,
+                 direction: Direction = Direction.COST) -> DecisionMatrix:
+    """The rank transform: every column replaced by its mean ranks, 1 =
+    best, so the smallest value ranks first for COST and the largest for
+    BENEFIT. Labels and shape are kept; each column lies in [1, m] and sums
+    to m(m+1)/2. Ranks stay floats, since ties give half-integer ranks."""
+    values = matrix.values
+    if Direction(direction) is Direction.BENEFIT:
+        values = -values
+    return DecisionMatrix(mean_ranks(values, axis=0),
+                          matrix.alternative_labels, matrix.criterion_labels)
+
+
 def scores_to_ranks(scores: np.ndarray) -> np.ndarray:
     """Ranks over descending scores; 1 = best, exact ties get mean ranks.
 

@@ -9,9 +9,9 @@ PUBLIC = [
     "DuplicateTuple", "EmptyMatrix", "EmptyRuns", "FetchResult", "HraConfig",
     "HraError", "HraReport", "InconsistentStatistics", "InvalidWeights",
     "IoError", "IoFailure", "MissingCell", "NetworkError", "NonFiniteValue",
-    "Normalization", "Objective", "ParseError", "ParseFailure",
-    "PerformanceDataset", "RankMatrix", "RawRuns", "STAT_MEASURES",
-    "ShapeMismatch", "TopsisResult", "TopsisTrace", "UnknownLayout",
+    "Normalization", "ParseError", "ParseFailure", "PerformanceDataset",
+    "RawRuns", "STAT_MEASURES", "ShapeMismatch", "TopsisResult",
+    "TopsisTrace", "UnknownLayout",
     "ValidationFailure", "ZeroUpperBound", "aggregate_dimension",
     "aggregate_leaf", "aggregate_overall", "closeness", "dataset_from_runs",
     "emit_report", "equal_weights", "fetch_raw", "ideal_solutions",

@@ -1172,7 +1172,12 @@ def _file(path, text):
     (lambda tmp: _from_array(algorithms=(), array=np.ones((1, 1, 0, 1))),
      EmptyMatrix, "dataset has no algorithms"),
     (lambda tmp: _from_array(algorithms=("a", "a")),
-     ShapeMismatch, "duplicate entries in algorithms: ('a', 'a')"),
+     ShapeMismatch, "duplicate algorithms: ('a', 'a')"),
+    (lambda tmp: _from_array(dimensions=(10, "10"),
+                             array=np.ones((2, 1, 2, 1))),
+     ShapeMismatch, "dimensions 10 and '10' are equal as text"),
+    (lambda tmp: _from_array(algorithms=(1, "1")),
+     ShapeMismatch, "algorithms 1 and '1' are equal as text"),
     (lambda tmp: _from_array(array=np.ones((1, 1, 3, 1))),
      ShapeMismatch,
      "value array has shape (1, 1, 3, 1), the axes need (1, 1, 2, 1)"),
@@ -1199,7 +1204,8 @@ def _file(path, text):
     (lambda tmp: load_rank_matrix_csv(
         _file(tmp / "m.csv", "# note\nalgorithm,a,b,a\nx,1,2,3\n")),
      ParseError, "{tmp}/m.csv:2: duplicate criterion 'a'"),
-], ids=["empty-axis", "repeated-label", "array-shape", "inf-in-array",
+], ids=["empty-axis", "repeated-label", "dimensions-equal-as-text",
+        "algorithms-equal-as-text", "array-shape", "inf-in-array",
         "nan-in-mapping", "no-runs", "nan-run", "empty-long-csv",
         "blank-long-csv", "non-numeric-rank-column", "non-finite-rank-cell",
         "repeated-rank-criterion"])

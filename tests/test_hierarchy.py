@@ -9,10 +9,11 @@ import pytest
 import oracle
 from conftest import random_dataset
 from hra import (
+    DecisionMatrix,
+    Direction,
     HraConfig,
     MissingCell,
     PerformanceDataset,
-    RankMatrix,
     ShapeMismatch,
     aggregate_dimension,
     aggregate_leaf,
@@ -29,12 +30,12 @@ from test_properties import assert_gaps_rebuild
 
 class TestAggregateLeaf:
     def test_dominating_row_ranks_first(self):
-        rm = RankMatrix([[1, 1, 1], [2, 3, 2], [3, 2, 3]])
+        rm = DecisionMatrix([[1, 1, 1], [2, 3, 2], [3, 2, 3]])
         ranks = aggregate_leaf(rm)
         assert ranks[0] == 1.0
 
     def test_identical_rows_tie(self):
-        rm = RankMatrix([[1.5, 1.5], [1.5, 1.5], [3.0, 3.0]])
+        rm = DecisionMatrix([[1.5, 1.5], [1.5, 1.5], [3.0, 3.0]])
         np.testing.assert_array_equal(aggregate_leaf(rm), [1.5, 1.5, 3.0])
 
     def test_matches_reference(self, synthetic_dataset):
@@ -44,7 +45,7 @@ class TestAggregateLeaf:
                for a in ds.algorithms]
         ranked = oracle.rank_columns(raw)
         expected, _ = oracle.rtopsis_ranks(ranked)
-        rm = RankMatrix(np.array(ranked), ds.algorithms, ds.functions)
+        rm = DecisionMatrix(np.array(ranked), ds.algorithms, ds.functions)
         np.testing.assert_array_equal(aggregate_leaf(rm), expected)
 
 
@@ -209,10 +210,9 @@ class TestRunHra:
                                    rtol=1e-12)
 
     def test_maximize_objective_matches_reference(self):
-        from hra import Objective
         ds = random_dataset(m=5, n=4, k=2, l=3, seed=12)
         config = HraConfig.for_dataset(ds,
-                                       objectives={"p1": Objective.MAXIMIZE})
+                                       objectives={"p1": Direction.BENEFIT})
         report = run_hra(ds, config)
         ref = oracle.run_hierarchy(
             ds.values, list(ds.algorithms), list(ds.functions),
@@ -372,11 +372,11 @@ class TestEvaluationNodes:
         calls = []
         monkeypatch.setattr(hra.hierarchy, "rtopsis",
                             lambda *args: calls.append(args))
-        ds = PerformanceDataset.from_array(
-            algorithms=("a", "b"), functions=("f",), dimensions=(10, "10"),
-            measures=("best",), array=np.arange(4.0).reshape(2, 1, 2, 1))
         with pytest.raises(ShapeMismatch, match="equal as text"):
-            run_hra(ds)
+            run_hra(PerformanceDataset.from_array(
+                algorithms=("a", "b"), functions=("f",),
+                dimensions=(10, "10"), measures=("best",),
+                array=np.arange(4.0).reshape(2, 1, 2, 1)))
         assert calls == []
 
     def test_peak_memory_within_two_cube_sizes_and_one_and_a_half_kept(
@@ -407,10 +407,15 @@ class TestHraConfig:
             HraConfig(dimensions=(1,), measures=("m", "m"))
 
     def test_rejects_unknown_objective_measure(self):
-        from hra import Objective
         with pytest.raises(ShapeMismatch):
             HraConfig(dimensions=(1,), measures=("m",),
-                      objectives={"zzz": Objective.MAXIMIZE})
+                      objectives={"zzz": Direction.BENEFIT})
+
+    def test_objective_values_become_directions(self):
+        config = HraConfig(dimensions=(1,), measures=("m", "n"),
+                           objectives={"m": "benefit"})
+        assert config.objective_for("m") is Direction.BENEFIT
+        assert config.objective_for("n") is Direction.COST
 
     def test_rejects_wrong_level_weight_lengths(self):
         with pytest.raises(ShapeMismatch):
@@ -425,8 +430,14 @@ class TestHraConfig:
      ShapeMismatch, "dimensions 10 and '10' are equal as text"),
     (lambda: HraConfig(dimensions=(10,), measures=("1", 2, 1)),
      ShapeMismatch, "measures '1' and 1 are equal as text"),
+    (lambda: HraConfig(dimensions=(10,), measures=("best",),
+                       objectives={"best": "sideways"}),
+     ValueError, "'sideways' is not a valid Direction"),
+    (lambda: HraConfig(dimensions=(10,), measures=("best",),
+                       objectives={"best": "maximize"}),
+     ValueError, "'maximize' is not a valid Direction"),
 ], ids=["repeated-dimension", "dimensions-equal-as-text",
-        "measures-equal-as-text"])
+        "measures-equal-as-text", "misspelt-objective", "removed-objective"])
 def test_raise_sites(build, error, message):
     with pytest.raises(error) as excinfo:
         build()

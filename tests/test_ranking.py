@@ -1,4 +1,4 @@
-"""Unit tests for the mean-rank transformation."""
+"""Unit tests for the mean-rank transformation, rtopsis.rank_columns."""
 
 import subprocess
 import sys
@@ -8,23 +8,22 @@ import pytest
 
 import oracle
 from hra import (
+    DecisionMatrix,
+    Direction,
     HraConfig,
     MissingCell,
     NonFiniteValue,
-    Objective,
-    RankMatrix,
     ShapeMismatch,
     rank_columns,
     run_hra,
 )
-from hra.rtopsis import DecisionMatrix
 
 
-def mean_rank_column(values, objective=Objective.MINIMIZE):
+def mean_rank_column(values, direction=Direction.COST):
     """Mean ranks of one column, through rank_columns on a one-column
     matrix."""
     column = np.asarray(values, dtype=float)
-    return rank_columns(DecisionMatrix(column[:, None]), objective).values[:, 0]
+    return rank_columns(DecisionMatrix(column[:, None]), direction).values[:, 0]
 
 
 class TestMeanRankColumn:
@@ -41,7 +40,7 @@ class TestMeanRankColumn:
 
     def test_maximize_reverses(self):
         np.testing.assert_array_equal(
-            mean_rank_column([1.0, 3.0, 2.0], Objective.MAXIMIZE), [3, 1, 2])
+            mean_rank_column([1.0, 3.0, 2.0], Direction.BENEFIT), [3, 1, 2])
 
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteValue):
@@ -56,7 +55,7 @@ class TestMeanRankColumn:
             np.testing.assert_array_equal(mean_rank_column(values),
                                           oracle.mean_ranks(values.tolist()))
             np.testing.assert_array_equal(
-                mean_rank_column(values, Objective.MAXIMIZE),
+                mean_rank_column(values, Direction.BENEFIT),
                 oracle.mean_ranks(values.tolist(), descending=True))
 
     def test_translation_and_scale_invariance(self):
@@ -78,20 +77,6 @@ def test_import_does_not_load_scipy():
     found = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                            text=True, check=True)
     assert found.stdout.strip() == "False"
-
-
-class TestRankMatrix:
-    def test_valid_mean_rank_columns(self):
-        rm = RankMatrix([[1.5, 1.0], [1.5, 2.0], [3.0, 3.0]])
-        assert isinstance(rm, DecisionMatrix)
-
-    def test_rejects_non_rank_columns(self):
-        with pytest.raises(ShapeMismatch):
-            RankMatrix([[1.0, 1.0], [2.0, 3.0]])  # second column sums to 4
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ShapeMismatch):
-            RankMatrix([[0.5], [2.5]])  # sums ok, but 0.5 < 1
 
 
 class TestRankColumns:
@@ -146,7 +131,7 @@ class TestRankDataset:
 
     def test_maximize_override(self, synthetic_dataset):
         ds = synthetic_dataset
-        flipped = leaf_matrices(ds, {"best": Objective.MAXIMIZE})
+        flipped = leaf_matrices(ds, {"best": Direction.BENEFIT})
         default = leaf_matrices(ds)
         d = ds.dimensions[0]
         assert not np.array_equal(flipped[(d, "best")].values,
@@ -175,5 +160,5 @@ class TestRankDataset:
 ], ids=["HraConfig"])
 def test_misspelt_objective_raises(synthetic_dataset, entry):
     with pytest.raises(ShapeMismatch) as excinfo:
-        entry(synthetic_dataset, {"bset": Objective.MAXIMIZE})
+        entry(synthetic_dataset, {"bset": Direction.BENEFIT})
     assert str(excinfo.value) == "objectives name unknown measures: ['bset']"
