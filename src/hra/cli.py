@@ -31,7 +31,8 @@ from .dataio import (
 from .exceptions import HraError, InvalidWeights
 from .fetch import fetch_raw, load_raw_runs
 from .hierarchy import HraConfig, run_hra
-from .rtopsis import CriteriaSpec, Direction, TopsisResult, rtopsis
+from .rtopsis import (CriteriaSpec, Direction, TopsisResult, check_weights,
+                      equal_weights, rtopsis)
 from .verify import verify_reference_tables
 
 EXIT_OK = 0
@@ -61,16 +62,14 @@ class _Exited(Exception):
 
 def _parse_weights(text: str, expected: int, flag: str) -> tuple:
     """'equal' or comma-separated numbers -> the weights as checked by
-    CriteriaSpec, so a bad vector fails before any aggregation starts."""
+    check_weights, so a bad vector fails before any aggregation starts."""
     try:
-        weights = None if text == "equal" \
+        weights = equal_weights(expected) if text == "equal" \
             else [float(tok) for tok in text.split(",")]
-        return tuple(CriteriaSpec.for_ranks(1, expected, weights).weights)
     except ValueError:
         raise InvalidWeights(f"{flag}: expected 'equal' or comma-separated "
                              f"numbers, got {text!r}") from None
-    except HraError as exc:
-        raise InvalidWeights(f"{flag}: {exc}") from None
+    return check_weights(flag, weights, expected)
 
 
 def _parse_domain(text: str) -> tuple[float, float]:

@@ -13,29 +13,28 @@ Vectors passed between levels are ranks, not raw closeness scores.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .dataio import PerformanceDataset, check_labels
 from .exceptions import MissingCell, ShapeMismatch
 from .rtopsis import (CriteriaSpec, DecisionMatrix, Direction, TopsisResult,
-                      rank_columns, rtopsis)
-
-
-def _check_count(name: str, weights, expected: int) -> None:
-    if weights is not None and len(weights) != expected:
-        raise ShapeMismatch(f"{name} has {len(weights)} entries, "
-                            f"expected {expected}")
+                      check_weights, rank_columns, rtopsis)
 
 
 @dataclass(frozen=True)
 class HraConfig:
     """Which dimensions/measures to aggregate, and the weights per level.
 
-    Weight vectors left as None mean equal weights. Measures default to
-    Direction.COST (smaller is better); `objectives` maps a measure to
-    another direction, such as {"p": Direction.BENEFIT}.
+    Weight vectors left as None mean equal weights. measure_weights and
+    dimension_weights are checked by `check_weights` when the config is
+    built; the config holds no functions axis, so run_hra checks
+    function_weights against the dataset. Every message names its vector.
+    Measures default to Direction.COST (smaller is better); `objectives`
+    maps a measure to another direction, such as {"p": Direction.BENEFIT},
+    and is stored as (measure, Direction) pairs in measures order. Every
+    field is a tuple, so a config cannot change and hashes.
     """
 
     dimensions: tuple
@@ -43,7 +42,7 @@ class HraConfig:
     function_weights: tuple[float, ...] | None = None
     measure_weights: tuple[float, ...] | None = None
     dimension_weights: tuple[float, ...] | None = None
-    objectives: Mapping[str, Direction] | None = None
+    objectives: tuple[tuple[str, Direction], ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "dimensions", tuple(self.dimensions))
@@ -53,17 +52,21 @@ class HraConfig:
                                 "one measure")
         check_labels("dimensions", self.dimensions)
         check_labels("measures", self.measures)
-        _check_count("measure_weights", self.measure_weights,
-                     len(self.measures))
-        _check_count("dimension_weights", self.dimension_weights,
-                     len(self.dimensions))
-        if self.objectives:
-            unknown = set(self.objectives) - set(self.measures)
-            if unknown:
-                raise ShapeMismatch(f"objectives name unknown measures: "
-                                    f"{sorted(unknown)}")
-            object.__setattr__(self, "objectives", {
-                p: Direction(d) for p, d in self.objectives.items()})
+        if self.function_weights is not None:
+            object.__setattr__(self, "function_weights", tuple(
+                map(float, self.function_weights)))
+        object.__setattr__(self, "measure_weights", check_weights(
+            "measure_weights", self.measure_weights, len(self.measures)))
+        object.__setattr__(self, "dimension_weights", check_weights(
+            "dimension_weights", self.dimension_weights, len(self.dimensions)))
+        given = dict(self.objectives or ())
+        unknown = set(given) - set(self.measures)
+        if unknown:
+            raise ShapeMismatch(f"objectives name unknown measures: "
+                                f"{sorted(unknown)}")
+        object.__setattr__(self, "objectives", tuple(
+            (p, Direction(given[p])) for p in self.measures if p in given)
+            or None)
 
     @classmethod
     def for_dataset(cls, dataset: PerformanceDataset,
@@ -72,7 +75,7 @@ class HraConfig:
                    **kwargs)
 
     def objective_for(self, measure: str) -> Direction:
-        return (self.objectives or {}).get(measure, Direction.COST)
+        return dict(self.objectives or ()).get(measure, Direction.COST)
 
 
 @dataclass(frozen=True)
@@ -182,16 +185,14 @@ def run_hra(dataset: PerformanceDataset,
     """Full three-level aggregation of a complete dataset.
 
     Deterministic: identical inputs give bit-identical reports. The report
-    holds one node per TOPSIS evaluation, always 1 + k + l*k of them. The
-    config holds no functions axis, so the function_weights count is checked
-    here. Both that check and the MissingCell listing every absent cell of
-    the selection come before any leaf is ranked; then each leaf is
-    gathered by dataset.matrix and ranked, one at a time.
+    holds one node per TOPSIS evaluation, always 1 + k + l*k of them.
+    function_weights, then every absent cell, is checked before any leaf is
+    gathered by dataset.matrix and ranked; the leaves go one at a time.
     """
     if config is None:
         config = HraConfig.for_dataset(dataset)
-    _check_count("function_weights", config.function_weights,
-                 len(dataset.functions))
+    check_weights("function_weights", config.function_weights,
+                  len(dataset.functions))
     missing = dataset.missing_cells(config.dimensions, config.measures)
     if missing:
         raise MissingCell(missing)

@@ -191,6 +191,15 @@ class CriteriaSpec:
                    weights=np.asarray(weights, dtype=float))
 
 
+def check_weights(name: str, weights, n: int) -> tuple[float, ...] | None:
+    """CriteriaSpec's rule for n weights, with name first in any error."""
+    try:
+        return None if weights is None else tuple(
+            CriteriaSpec.for_ranks(1, n, weights).weights.tolist())
+    except (InvalidWeights, ShapeMismatch) as exc:
+        raise type(exc)(f"{name}: {exc}") from None
+
+
 def equal_weights(n: int) -> np.ndarray:
     if n < 1:
         raise ShapeMismatch(f"cannot build weights for {n} criteria")

@@ -12,6 +12,7 @@ from hra import (
     DecisionMatrix,
     Direction,
     HraConfig,
+    InvalidWeights,
     MissingCell,
     PerformanceDataset,
     ShapeMismatch,
@@ -223,8 +224,9 @@ class TestRunHra:
         np.testing.assert_array_equal(report.final_ranks, ref["final_ranks"])
 
     def test_weight_length_validated(self, synthetic_dataset, monkeypatch):
-        # the config holds no functions axis: run_hra checks the count of
-        # function_weights, however the config was built, before any leaf
+        # the config holds no functions axis: run_hra checks function_weights
+        # against the dataset's functions, however the config was built,
+        # before any leaf, and the message names the vector first
         import hra
         calls = []
         monkeypatch.setattr(hra.hierarchy, "rtopsis",
@@ -235,7 +237,22 @@ class TestRunHra:
             with pytest.raises(ShapeMismatch) as excinfo:
                 run_hra(ds, config)
             assert str(excinfo.value) == \
-                "function_weights has 2 entries, expected 6"
+                "function_weights: expected 6 weights, got 2"
+        assert calls == []
+
+    def test_function_weight_sum_validated(self, synthetic_dataset,
+                                           monkeypatch):
+        import hra
+        calls = []
+        monkeypatch.setattr(hra.hierarchy, "rtopsis",
+                            lambda *args: calls.append(args))
+        ds = synthetic_dataset
+        config = HraConfig.for_dataset(ds, function_weights=[0.5] * 6)
+        with pytest.raises(InvalidWeights) as excinfo:
+            run_hra(ds, config)
+        assert str(excinfo.value) == (
+            "function_weights: weights [0.5 0.5 0.5 0.5 0.5 0.5] sum to 3.0, "
+            "expected 1 within 1e-12")
         assert calls == []
 
 
@@ -422,6 +439,41 @@ class TestHraConfig:
             HraConfig(dimensions=(1, 2), measures=("m",),
                       dimension_weights=(1.0,))
 
+    def test_objectives_cannot_change(self):
+        config = HraConfig(dimensions=(1,), measures=("m", "n"),
+                           objectives={"n": "benefit"})
+        assert config.objectives == (("n", Direction.BENEFIT),)
+        with pytest.raises(TypeError):
+            config.objectives["n"] = "sideways"
+        assert config.objective_for("n") is Direction.BENEFIT
+
+    def test_equal_configs_hash_alike(self):
+        def build():
+            return HraConfig(dimensions=[10, 30], measures=["a", "b"],
+                             function_weights=[0.25, 0.75],
+                             measure_weights=[0.5, 0.5],
+                             dimension_weights=np.array([0.4, 0.6]),
+                             objectives={"b": Direction.BENEFIT, "a": "cost"})
+        assert build() == build()
+        assert hash(build()) == hash(build())
+        assert len({build(), build()}) == 1
+
+    def test_caller_lists_do_not_reach_the_config(self):
+        weights = {name: [0.5, 0.5] for name in
+                   ("function_weights", "measure_weights",
+                    "dimension_weights")}
+        objectives = {"a": "benefit"}
+        config = HraConfig(dimensions=(10, 30), measures=("a", "b"),
+                           objectives=objectives, **weights)
+        for name, vector in weights.items():
+            vector[0] = 0.9
+            assert getattr(config, name) == (0.5, 0.5)
+        objectives["b"] = "benefit"
+        assert config.objectives == (("a", Direction.BENEFIT),)
+
+
+FIVE = ("best", "worst", "median", "mean", "std")
+
 
 @pytest.mark.parametrize("build, error, message", [
     (lambda: HraConfig(dimensions=(10, 10), measures=("best",)),
@@ -436,8 +488,33 @@ class TestHraConfig:
     (lambda: HraConfig(dimensions=(10,), measures=("best",),
                        objectives={"best": "maximize"}),
      ValueError, "'maximize' is not a valid Direction"),
+    (lambda: HraConfig(dimensions=(10,), measures=FIVE,
+                       measure_weights=(0.3,) * 5),
+     InvalidWeights, "measure_weights: weights [0.3 0.3 0.3 0.3 0.3] sum to "
+                     "1.5, expected 1 within 1e-12"),
+    (lambda: HraConfig(dimensions=(10,), measures=FIVE,
+                       measure_weights=(0.5, 0.5, 0.0, 0.0, 0.0)),
+     InvalidWeights, "measure_weights: weights must be strictly positive, "
+                     "got [0.5 0.5 0.  0.  0. ]"),
+    (lambda: HraConfig(dimensions=(10,), measures=FIVE,
+                       measure_weights=(0.5, 0.5)),
+     ShapeMismatch, "measure_weights: expected 5 weights, got 2"),
+    (lambda: HraConfig(dimensions=(10, 30), measures=("best",),
+                       dimension_weights=(0.9, 0.5)),
+     InvalidWeights, "dimension_weights: weights [0.9 0.5] sum to 1.4, "
+                     "expected 1 within 1e-12"),
+    (lambda: HraConfig(dimensions=(10, 30), measures=("best",),
+                       dimension_weights=(1.5, -0.5)),
+     InvalidWeights, "dimension_weights: weights must be strictly positive, "
+                     "got [ 1.5 -0.5]"),
+    (lambda: HraConfig(dimensions=(10, 30), measures=("best",),
+                       dimension_weights=(1.0,)),
+     ShapeMismatch, "dimension_weights: expected 2 weights, got 1"),
 ], ids=["repeated-dimension", "dimensions-equal-as-text",
-        "measures-equal-as-text", "misspelt-objective", "removed-objective"])
+        "measures-equal-as-text", "misspelt-objective", "removed-objective",
+        "measure-weights-sum", "measure-weights-not-positive",
+        "measure-weights-count", "dimension-weights-sum",
+        "dimension-weights-not-positive", "dimension-weights-count"])
 def test_raise_sites(build, error, message):
     with pytest.raises(error) as excinfo:
         build()
