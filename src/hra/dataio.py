@@ -81,11 +81,15 @@ def _statistics(runs: np.ndarray, population_std: bool) -> np.ndarray:
 def check_labels(name: str, labels: tuple) -> None:
     """Labels must differ, also as text: a long CSV, every join matrix and
     every report file name show a label as str(label), so 10 and '10'
-    would become one."""
+    would become one. A str label must equal its str.strip(), as both
+    long-CSV loaders strip each field."""
     if len(set(labels)) != len(labels):
         raise ShapeMismatch(f"duplicate {name}: {labels}")
     first: dict[str, object] = {}
     for label in labels:
+        if isinstance(label, str) and label != label.strip():
+            raise ShapeMismatch(f"{name} {label!r} starts or ends with a "
+                                f"blank")
         twin = first.setdefault(str(label), label)
         if twin is not label:
             raise ShapeMismatch(f"{name} {twin!r} and {label!r} are equal "
@@ -297,33 +301,30 @@ def _cell_text(key) -> str:
     return "(" + ", ".join(map(str, key)) + ")"
 
 
+def check_runs(name, values) -> tuple[float, ...]:
+    """The rule for one cell's runs, with name first in any error: at least
+    one run, each finite and not negative; the first bad value raises."""
+    runs = tuple(map(float, values))
+    if not runs:
+        raise EmptyRuns(f"{name}: no runs recorded")
+    bad = next((v for v in runs if not 0.0 <= v < math.inf), None)
+    if bad is not None and not math.isfinite(bad):
+        raise NonFiniteValue(f"{name}: run value {bad} is not finite")
+    if bad is not None:
+        raise ParseError(f"{name}: negative error value {bad}")
+    return runs
+
+
 @dataclass(frozen=True)
 class RawRuns:
-    """Per-run error values keyed by (dimension, algorithm, function)."""
+    """Per-run error values keyed by (dimension, algorithm, function), each
+    list checked by check_runs."""
 
     runs: Mapping[tuple, tuple[float, ...]]
 
     def __post_init__(self):
-        runs = {key: tuple(float(v) for v in values)
-                for key, values in dict(self.runs).items()}
-        for key, values in runs.items():
-            if len(values) == 0:
-                raise EmptyRuns(f"no runs recorded for {key}")
-            for v in values:
-                if not math.isfinite(v):
-                    raise NonFiniteValue(f"run value {v} for {key}")
-                if v < 0.0:
-                    raise ParseError(f"negative error value {v} for {key}")
-        object.__setattr__(self, "runs", runs)
-
-    def dimensions(self) -> list:
-        return sorted({k[0] for k in self.runs}, key=_axis_sort_key)
-
-    def algorithms(self) -> list:
-        return sorted({k[1] for k in self.runs})
-
-    def functions(self) -> list:
-        return sorted({k[2] for k in self.runs}, key=_axis_sort_key)
+        object.__setattr__(self, "runs", {
+            key: check_runs(key, values) for key, values in self.runs.items()})
 
 
 def _axis_sort_key(value):
@@ -333,8 +334,10 @@ def _axis_sort_key(value):
 def dataset_from_runs(raw: RawRuns,
                       population_std: bool = False) -> PerformanceDataset:
     """Summarize raw runs into the five standard measures."""
-    dimensions, algorithms, functions = (raw.dimensions(), raw.algorithms(),
-                                         raw.functions())
+    keys = raw.runs.keys()
+    dimensions = sorted({d for d, _, _ in keys}, key=_axis_sort_key)
+    algorithms = sorted({a for _, a, _ in keys})
+    functions = sorted({f for _, _, f in keys}, key=_axis_sort_key)
     d_index, a_index, f_index = ({label: i for i, label in enumerate(axis)}
                                  for axis in (dimensions, algorithms,
                                               functions))

@@ -25,18 +25,17 @@ which gives the same values and is the source of every error.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 from urllib.parse import quote
 
-from .dataio import RawRuns, _not_utf8, _parse_dimension, write_files
+from .dataio import (RawRuns, _not_utf8, _parse_dimension, check_runs,
+                     write_files)
 from .exceptions import (
     ChecksumMismatch,
     IoError,
     NetworkError,
-    NonFiniteValue,
     ParseError,
     UnknownLayout,
 )
@@ -257,7 +256,7 @@ def _parse_run_text(path: Path, data: bytes) -> tuple[float, ...]:
 
 def load_raw_runs(directory) -> RawRuns:
     """Parse every `<algorithm>_<function>_<dimension>.txt` under directory;
-    a negative or non-finite run value is an error naming its file."""
+    each file's values pass check_runs, so its errors name the file."""
     directory = Path(directory)
     if not directory.is_dir():
         raise IoError(f"not a directory: {directory}")
@@ -271,14 +270,7 @@ def load_raw_runs(directory) -> RawRuns:
         key = (_parse_dimension(dim_text), algorithm, function)
         if key in runs:
             raise ParseError(f"{path}: duplicate run file for {key}")
-        values = _parse_run_file(path, known)
-        # RawRuns checks each value too, but does not know the file
-        bad = next((v for v in values if not 0.0 <= v < math.inf), None)
-        if bad is not None and not math.isfinite(bad):
-            raise NonFiniteValue(f"{path}: run value {bad} is not finite")
-        if bad is not None:
-            raise ParseError(f"{path}: negative error value {bad}")
-        runs[key] = values
+        runs[key] = check_runs(path, _parse_run_file(path, known))
     if not runs:
         raise ParseError(f"{directory}: no run files found "
                          "(expected <algorithm>_<function>_<dimension>.txt)")

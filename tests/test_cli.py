@@ -416,6 +416,20 @@ class TestStats:
                                str(tmp_path / "x.csv"))
         assert code == 2 and "no run files" in err
 
+    def test_blank_edged_algorithm_exits_3_and_writes_nothing(
+            self, capsys, tmp_path):
+        runs_dir = tmp_path / "runs"
+        runs_dir.mkdir()
+        for name in ("a _f1_10.txt", "a_f1_10.txt"):
+            (runs_dir / name).write_text("1 2 3\n")
+        out_csv = tmp_path / "stats.csv"
+        code, out, err = run_cli(capsys, "stats", str(runs_dir), "--out",
+                                 str(out_csv))
+        assert (code, out) == (3, "")
+        assert err == ("hra: validation error: algorithms 'a ' starts or "
+                       "ends with a blank\n")
+        assert not out_csv.exists()
+
     def test_population_std_flag(self, capsys, tmp_path):
         runs_dir = tmp_path / "runs"
         runs_dir.mkdir()

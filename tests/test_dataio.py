@@ -849,7 +849,7 @@ class TestEmitReport:
         report = run_hra(PerformanceDataset.from_array(
             algorithms=algorithms, functions=ds.functions,
             dimensions=("d\r1",) + ds.dimensions[1:],
-            measures=("m\r",) + ds.measures[1:], array=ds.array))
+            measures=("m\rn",) + ds.measures[1:], array=ds.array))
         emit_report(report, "csv", tmp_path)
         ranking = load_rank_matrix_csv(tmp_path / "final_ranking.csv")
         assert ranking.alternative_labels == algorithms
@@ -942,13 +942,28 @@ def round_trip_labels(draw, plain):
         st.sampled_from(ROUND_TRIP_PIECES), text), max_size=5))).strip()
 
 
+# blanks that str.strip(), and so both long-CSV loaders, drop from a field
+BLANKS = (" ", "\t", "\r", "\x1c", "\xa0")
+
+
 @st.composite
-def round_trip_datasets(draw):
-    """Complete datasets; half of them have plain labels only. A dimension
-    is an int or a label that stays text."""
+def blank_edged(draw, label):
+    """A label with up to two BLANKS before and after it."""
+    edge = st.text(st.sampled_from(BLANKS), max_size=2)
+    return draw(edge) + draw(label) + draw(edge)
+
+
+@st.composite
+def round_trip_arguments(draw, blanks=False):
+    """from_array arguments of complete datasets; half of them have plain
+    labels only. A dimension is an int or a label that stays text. With
+    blanks, a text label may start or end with BLANKS."""
     label = round_trip_labels(draw(st.booleans()))
-    dimension = st.one_of(st.integers(-20, 200), label.filter(
-        lambda t: isinstance(dataio._parse_dimension(t), str)))
+    text_dimension = label.filter(
+        lambda t: isinstance(dataio._parse_dimension(t), str))
+    if blanks:
+        label, text_dimension = blank_edged(label), blank_edged(text_dimension)
+    dimension = st.one_of(st.integers(-20, 200), text_dimension)
     axes = [draw(st.lists(strategy, min_size=1, max_size=size, unique=True))
             for strategy, size in (
                 (dimension, 2),
@@ -956,10 +971,12 @@ def round_trip_datasets(draw):
                 (label, 3), (label, 3))]
     values = draw(arrays(float, tuple(map(len, axes)), elements=st.floats(
         allow_nan=False, allow_infinity=False)))
-    dimensions, measures, algorithms, functions = axes
-    return PerformanceDataset.from_array(
-        algorithms=algorithms, functions=functions, dimensions=dimensions,
-        measures=measures, array=values)
+    return dict(zip(dataio.AXIS_NAMES, axes), array=values)
+
+
+def round_trip_datasets():
+    return round_trip_arguments().map(
+        lambda arguments: PerformanceDataset.from_array(**arguments))
 
 
 class TestRoundTripProperty:
@@ -993,6 +1010,29 @@ class TestRoundTripProperty:
 
         round_trip()
         assert set(columnar) == {False, True}  # both loader paths ran
+
+    def test_blank_edged_labels_are_refused_or_reload_equal(self, tmp_path):
+        examples = []
+
+        @given(round_trip_arguments(blanks=True))
+        @settings(max_examples=150, deadline=None)
+        def refused_or_reloaded(arguments):
+            edged = [label for name in dataio.AXIS_NAMES
+                     for label in arguments[name]
+                     if isinstance(label, str) and label != label.strip()]
+            try:
+                dataset = PerformanceDataset.from_array(**arguments)
+            except ShapeMismatch as exc:
+                examples.append("refused")
+                assert str(exc).endswith("starts or ends with a blank")
+                assert any(repr(label) in str(exc) for label in edged)
+                return
+            examples.append("built")
+            path = tmp_path / f"{len(examples)}.csv"
+            assert load_long_csv(save_long_csv(dataset, path)) == dataset
+
+        refused_or_reloaded()
+        assert set(examples) == {"refused", "built"}
 
 
 def snapshot(directory):
@@ -1178,6 +1218,8 @@ def _file(path, text):
      ShapeMismatch, "dimensions 10 and '10' are equal as text"),
     (lambda tmp: _from_array(algorithms=(1, "1")),
      ShapeMismatch, "algorithms 1 and '1' are equal as text"),
+    (lambda tmp: _from_array(algorithms=("a ", "b")),
+     ShapeMismatch, "algorithms 'a ' starts or ends with a blank"),
     (lambda tmp: _from_array(array=np.ones((1, 1, 3, 1))),
      ShapeMismatch,
      "value array has shape (1, 1, 3, 1), the axes need (1, 1, 2, 1)"),
@@ -1188,9 +1230,9 @@ def _file(path, text):
         measures=("best",), values={(10, "best", "a", "f"): math.nan}),
      NonFiniteValue, "cell (10, best, a, f) is nan"),
     (lambda tmp: RawRuns({(10, "a", "f"): ()}),
-     EmptyRuns, "no runs recorded for (10, 'a', 'f')"),
+     EmptyRuns, "(10, 'a', 'f'): no runs recorded"),
     (lambda tmp: RawRuns({(10, "a", "f"): (1.0, math.nan)}),
-     NonFiniteValue, "run value nan for (10, 'a', 'f')"),
+     NonFiniteValue, "(10, 'a', 'f'): run value nan is not finite"),
     (lambda tmp: load_long_csv(_file(tmp / "data.csv", "")),
      ParseError, "{tmp}/data.csv: file has no header row"),
     (lambda tmp: load_long_csv(_file(tmp / "data.csv", "\n\r\n\n")),
@@ -1205,10 +1247,10 @@ def _file(path, text):
         _file(tmp / "m.csv", "# note\nalgorithm,a,b,a\nx,1,2,3\n")),
      ParseError, "{tmp}/m.csv:2: duplicate criterion 'a'"),
 ], ids=["empty-axis", "repeated-label", "dimensions-equal-as-text",
-        "algorithms-equal-as-text", "array-shape", "inf-in-array",
-        "nan-in-mapping", "no-runs", "nan-run", "empty-long-csv",
-        "blank-long-csv", "non-numeric-rank-column", "non-finite-rank-cell",
-        "repeated-rank-criterion"])
+        "algorithms-equal-as-text", "blank-edged-algorithm", "array-shape",
+        "inf-in-array", "nan-in-mapping", "no-runs", "nan-run",
+        "empty-long-csv", "blank-long-csv", "non-numeric-rank-column",
+        "non-finite-rank-cell", "repeated-rank-criterion"])
 def test_raise_sites(tmp_path, build, error, message):
     with pytest.raises(error) as excinfo:
         build(tmp_path)

@@ -2,6 +2,7 @@
 
 import codecs
 import hashlib
+import math
 import subprocess
 import sys
 import urllib.error
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from hra import (
     ChecksumMismatch,
+    EmptyRuns,
     HraError,
     IoError,
     NetworkError,
@@ -160,8 +162,8 @@ class TestFetchRaw:
         assert sorted(fetch_raw(url, dest).skipped) == sorted(names)
         assert (dest / MANIFEST_NAME).read_bytes() == \
             (tmp_path / "src" / "inventory.txt").read_bytes()
-        assert load_raw_runs(dest).algorithms() == ["50%", "a#b", "c d",
-                                                    "e?f"]
+        assert dataset_from_runs(load_raw_runs(dest)).algorithms == (
+            "50%", "a#b", "c d", "e?f")
 
     def test_urlopen_has_timeout(self, tmp_path, monkeypatch):
         calls = []
@@ -246,7 +248,7 @@ class TestLoadRawRuns:
         (tmp_path / "a_f_10.txt").write_text("1 2\n")
         (tmp_path / "a_f_010.txt").write_text("3 4\n")
         raw = load_raw_runs(tmp_path)
-        assert raw.dimensions() == [10, "010"]
+        assert dataset_from_runs(raw).dimensions == (10, "010")
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         (tmp_path / "solver_F1_10.txt").write_bytes(
@@ -376,7 +378,7 @@ class TestPlainRunFiles:
         "3\n1\n2",  # one value per line, no final newline
         "9 9\n5 5\n1.5 2.5\n",  # a checkpoint matrix
         "\n\t1.\t.5  \n\n +.5e-3 1e5\n\n",  # blanks and tabs
-        "-0.0 1e500\n",  # a value float() overflows stays for RawRuns
+        "-0.0 1e500\n",  # a value float() overflows stays for check_runs
     ])
     def test_plain_files_take_plain_path(self, tmp_path, body):
         path = tmp_path / "solver_1_10.txt"
@@ -469,3 +471,26 @@ def test_raise_sites(tmp_path, build, error, message):
         build(tmp_path)
     assert type(excinfo.value) is error
     assert str(excinfo.value) == message.format(tmp=tmp_path)
+
+
+@pytest.mark.parametrize("runs, error, rule", [
+    ((), EmptyRuns, "no runs recorded"),
+    ((1.0, math.nan), NonFiniteValue, "run value nan is not finite"),
+    ((math.inf,), NonFiniteValue, "run value inf is not finite"),
+    ((2.0, -math.inf), NonFiniteValue, "run value -inf is not finite"),
+    ((1.0, -5.0, 3.0), ParseError, "negative error value -5.0"),
+], ids=["empty", "nan", "inf", "minus-inf", "negative"])
+def test_one_run_rule_for_keys_and_files(tmp_path, runs, error, rule):
+    """RawRuns and load_raw_runs share check_runs: the same error and text,
+    after the key or after the run file's path."""
+    key = (10, "a", "f1")
+    cases = [(RawRuns, {key: runs}, key)]
+    if runs:  # a run file that holds no number is an UnknownLayout
+        path = _run_file(tmp_path / "a_f1_10.txt",
+                         " ".join(map(str, runs)) + "\n")
+        cases.append((load_raw_runs, tmp_path, path))
+    for build, argument, name in cases:
+        with pytest.raises(error) as excinfo:
+            build(argument)
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == f"{name}: {rule}"

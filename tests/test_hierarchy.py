@@ -482,6 +482,8 @@ FIVE = ("best", "worst", "median", "mean", "std")
      ShapeMismatch, "dimensions 10 and '10' are equal as text"),
     (lambda: HraConfig(dimensions=(10,), measures=("1", 2, 1)),
      ShapeMismatch, "measures '1' and 1 are equal as text"),
+    (lambda: HraConfig(dimensions=(10,), measures=(" m",)),
+     ShapeMismatch, "measures ' m' starts or ends with a blank"),
     (lambda: HraConfig(dimensions=(10,), measures=("best",),
                        objectives={"best": "sideways"}),
      ValueError, "'sideways' is not a valid Direction"),
@@ -511,10 +513,11 @@ FIVE = ("best", "worst", "median", "mean", "std")
                        dimension_weights=(1.0,)),
      ShapeMismatch, "dimension_weights: expected 2 weights, got 1"),
 ], ids=["repeated-dimension", "dimensions-equal-as-text",
-        "measures-equal-as-text", "misspelt-objective", "removed-objective",
-        "measure-weights-sum", "measure-weights-not-positive",
-        "measure-weights-count", "dimension-weights-sum",
-        "dimension-weights-not-positive", "dimension-weights-count"])
+        "measures-equal-as-text", "blank-edged-measure", "misspelt-objective",
+        "removed-objective", "measure-weights-sum",
+        "measure-weights-not-positive", "measure-weights-count",
+        "dimension-weights-sum", "dimension-weights-not-positive",
+        "dimension-weights-count"])
 def test_raise_sites(build, error, message):
     with pytest.raises(error) as excinfo:
         build()
