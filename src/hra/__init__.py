@@ -35,7 +35,6 @@ from .dataio import (
     load_long_csv,
     load_rank_matrix_csv,
     save_long_csv,
-    save_rank_matrix_csv,
 )
 from .exceptions import (
     ChecksumMismatch,

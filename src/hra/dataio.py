@@ -38,7 +38,7 @@ from .exceptions import (
     ParseError,
     ShapeMismatch,
 )
-from .rtopsis import DecisionMatrix
+from .rtopsis import DecisionMatrix, check_labels, label_fault
 
 if TYPE_CHECKING:
     from .hierarchy import HraReport
@@ -78,31 +78,13 @@ def _statistics(runs: np.ndarray, population_std: bool) -> np.ndarray:
     return stats
 
 
-def check_labels(name: str, labels: tuple) -> None:
-    """Labels must differ, also as text: a long CSV, every join matrix and
-    every report file name show a label as str(label), so 10 and '10'
-    would become one. A str label must equal its str.strip(), as both
-    long-CSV loaders strip each field."""
-    if len(set(labels)) != len(labels):
-        raise ShapeMismatch(f"duplicate {name}: {labels}")
-    first: dict[str, object] = {}
-    for label in labels:
-        if isinstance(label, str) and label != label.strip():
-            raise ShapeMismatch(f"{name} {label!r} starts or ends with a "
-                                f"blank")
-        twin = first.setdefault(str(label), label)
-        if twin is not label:
-            raise ShapeMismatch(f"{name} {twin!r} and {label!r} are equal "
-                                f"as text")
-
-
 def _axis_index(axes) -> tuple[dict, ...]:
     """label -> position for each axis; every axis non-empty, its labels
-    distinct also as text."""
-    for name, axis in zip(AXIS_NAMES, axes):
+    kept by the label rule as a long CSV reads them back."""
+    for name, parse, axis in zip(AXIS_NAMES, AXIS_PARSERS, axes):
         if len(axis) == 0:
             raise EmptyMatrix(f"dataset has no {name}")
-        check_labels(name, axis)
+        check_labels(name[:-1], axis, parse)  # 'dimension' of 'dimensions'
     return tuple({label: i for i, label in enumerate(axis)} for axis in axes)
 
 
@@ -328,16 +310,16 @@ class RawRuns:
 
 
 def _axis_sort_key(value):
-    return (0, value, "") if isinstance(value, (int, float)) else (1, 0, str(value))
+    return (0, value, "") if isinstance(value, int) else (1, 0, str(value))
 
 
 def dataset_from_runs(raw: RawRuns,
                       population_std: bool = False) -> PerformanceDataset:
     """Summarize raw runs into the five standard measures."""
     keys = raw.runs.keys()
-    dimensions = sorted({d for d, _, _ in keys}, key=_axis_sort_key)
-    algorithms = sorted({a for _, a, _ in keys})
-    functions = sorted({f for _, _, f in keys}, key=_axis_sort_key)
+    dimensions, algorithms, functions = (
+        sorted({key[axis] for key in keys}, key=_axis_sort_key)
+        for axis in range(3))
     d_index, a_index, f_index = ({label: i for i, label in enumerate(axis)}
                                  for axis in (dimensions, algorithms,
                                               functions))
@@ -367,6 +349,10 @@ def _parse_dimension(text: str):
     except ValueError:
         return text
     return number if str(number) == text else text
+
+
+# how a long CSV reads each axis's field back, in AXIS_NAMES order
+AXIS_PARSERS = (_parse_dimension, str.strip, str.strip, str.strip)
 
 
 def _not_utf8(source, exc: UnicodeDecodeError) -> ParseError:
@@ -568,11 +554,10 @@ def _register(row: list[str], axes, seen) -> tuple[int, int, int, int]:
     """Positions of a long-CSV row whose field texts are not all seen yet,
     adding new labels to the axes."""
     d_text, p, f, a, _ = row
-    labels = (_parse_dimension(d_text), p.strip(), a.strip(), f.strip())
     position = []
-    for axis, by_text, text, label in zip(axes, seen, (d_text, p, a, f),
-                                          labels):
-        by_text[text] = axis.setdefault(label, len(axis))
+    for axis, by_text, parse, text in zip(axes, seen, AXIS_PARSERS,
+                                          (d_text, p, a, f)):
+        by_text[text] = axis.setdefault(parse(text), len(axis))
         position.append(by_text[text])
     return tuple(position)
 
@@ -724,8 +709,7 @@ def _parse_block(block: bytes, axes, columns) -> bool:
         distinct = distinct.tolist()
         position = np.empty(first.size, np.int32)
         for g in np.argsort(first).tolist():  # first appearance order
-            label = distinct[g].decode()
-            label = _parse_dimension(label) if number == 0 else label.strip()
+            label = AXIS_PARSERS[number](distinct[g].decode())
             position[g] = axis.setdefault(label, len(axis))
         columns[number].frombytes(position[inverse].tobytes())
     columns[4].frombytes(values.tobytes())
@@ -775,23 +759,18 @@ def load_rank_matrix_csv(path) -> DecisionMatrix:
     if len(header) < 2:
         raise EmptyMatrix(f"{path}: header has no criterion columns")
     criteria = tuple(header[1:])
-    named: set[str] = set()
-    for name in criteria:
-        if name in named:
-            raise ParseError(f"{path}:{header_line}: duplicate criterion "
-                             f"{name!r}")
-        named.add(name)
+    fault = label_fault("criterion", criteria)
+    if fault is not None:
+        raise ParseError(f"{path}:{header_line}: {fault[1]}")
     labels: list[str] = []
-    seen: set[str] = set()
+    numbers: list[int] = []
     data: list[list[float]] = []
     for number, row in rows:
         if len(row) != len(header):
             raise ParseError(f"{path}:{number}: expected {len(header)} fields, "
                              f"got {len(row)}")
-        if row[0] in seen:
-            raise ParseError(f"{path}:{number}: duplicate alternative {row[0]!r}")
-        seen.add(row[0])
         labels.append(row[0])
+        numbers.append(number)
         parsed = []
         for name, cell in zip(criteria, row[1:]):
             try:
@@ -806,14 +785,10 @@ def load_rank_matrix_csv(path) -> DecisionMatrix:
         data.append(parsed)
     if not data:
         raise EmptyMatrix(f"{path}: no data rows")
+    fault = label_fault("alternative", labels)
+    if fault is not None:
+        raise ParseError(f"{path}:{numbers[fault[0]]}: {fault[1]}")
     return DecisionMatrix(np.array(data), tuple(labels), criteria)
-
-
-def save_rank_matrix_csv(matrix: DecisionMatrix, path) -> Path:
-    rows = itertools.chain([("algorithm",) + matrix.criterion_labels], (
-        [label] + [format_number(v) for v in row]
-        for label, row in zip(matrix.alternative_labels, matrix.values)))
-    return write_files({Path(path): partial(_write_rows, rows=rows)})[0]
 
 
 # -- report rendering -------------------------------------------------------

@@ -264,7 +264,7 @@ def load_raw_runs(directory) -> RawRuns:
     known: set[bytes] = set()  # token shapes matched so far
     for path in sorted(directory.rglob("*.txt")):
         parts = path.stem.rsplit("_", 2)
-        if len(parts) != 3 or not parts[0] or not path.is_file():
+        if len(parts) != 3 or not path.is_file():
             continue  # not a run file (readme, directory etc.)
         algorithm, function, dim_text = parts
         key = (_parse_dimension(dim_text), algorithm, function)

@@ -17,10 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataio import PerformanceDataset, check_labels
+from .dataio import PerformanceDataset, _parse_dimension
 from .exceptions import MissingCell, ShapeMismatch
 from .rtopsis import (CriteriaSpec, DecisionMatrix, Direction, TopsisResult,
-                      check_weights, rank_columns, rtopsis)
+                      check_labels, check_weights, rank_columns, rtopsis)
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,8 @@ class HraConfig:
         if len(self.dimensions) < 1 or len(self.measures) < 1:
             raise ShapeMismatch("config needs at least one dimension and "
                                 "one measure")
-        check_labels("dimensions", self.dimensions)
-        check_labels("measures", self.measures)
+        check_labels("dimension", self.dimensions, _parse_dimension)
+        check_labels("measure", self.measures)
         if self.function_weights is not None:
             object.__setattr__(self, "function_weights", tuple(
                 map(float, self.function_weights)))

@@ -52,9 +52,34 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def label_fault(name: str, labels, parse=str.strip) -> tuple[int, str] | None:
+    """The label rule of every labelled type. A file shows a label as its
+    text str(label), so that text must differ from every other label's,
+    and parse, which reads a field as the label's file format does, must
+    turn it back into the label itself. The position and message of the
+    first label that breaks the rule, else None."""
+    texts: set[str] = set()
+    for position, label in enumerate(labels):
+        text = str(label)
+        reloaded = parse(text)
+        if reloaded != label:
+            return position, f"{name} {label!r} would reload as {reloaded!r}"
+        if text in texts:
+            return position, f"duplicate {name} {label!r}"
+        texts.add(text)
+    return None
+
+
+def check_labels(name: str, labels, parse=str.strip) -> None:
+    """ShapeMismatch if a label breaks label_fault's rule."""
+    fault = label_fault(name, labels, parse)
+    if fault is not None:
+        raise ShapeMismatch(fault[1])
+
+
 @dataclass(frozen=True)
 class DecisionMatrix:
-    """m alternatives rated on n criteria, with unique row/column labels.
+    """m alternatives rated on n criteria, labelled under label_fault's rule.
 
     domain_rows is the row count that anchors the default rank domain
     (0, domain_rows + 1). It is frozen at construction and survives
@@ -86,10 +111,8 @@ class DecisionMatrix:
                 f"{len(alternatives)} alternative labels for {m} rows")
         if len(criteria) != n:
             raise ShapeMismatch(f"{len(criteria)} criterion labels for {n} columns")
-        if len(set(alternatives)) != m:
-            raise ShapeMismatch("alternative labels are not unique")
-        if len(set(criteria)) != n:
-            raise ShapeMismatch("criterion labels are not unique")
+        check_labels("alternative", alternatives)
+        check_labels("criterion", criteria)
         domain_rows = m if self.domain_rows is None else int(self.domain_rows)
         if domain_rows < m:
             raise ShapeMismatch(

@@ -17,7 +17,7 @@ PUBLIC = [
     "emit_report", "equal_weights", "fetch_raw", "ideal_solutions",
     "load_long_csv", "load_rank_matrix_csv", "load_raw_runs", "mean_ranks",
     "normalize", "rank_columns", "rtopsis", "run_hra",
-    "save_long_csv", "save_rank_matrix_csv", "scores_to_ranks",
+    "save_long_csv", "scores_to_ranks",
     "separations", "squared_gaps", "verify_reference_tables",
     "weight_matrix",
 ]

@@ -426,9 +426,25 @@ class TestStats:
         code, out, err = run_cli(capsys, "stats", str(runs_dir), "--out",
                                  str(out_csv))
         assert (code, out) == (3, "")
-        assert err == ("hra: validation error: algorithms 'a ' starts or "
-                       "ends with a blank\n")
+        assert err == ("hra: validation error: algorithm 'a ' would "
+                       "reload as 'a'\n")
         assert not out_csv.exists()
+
+    def test_empty_algorithm_and_function_are_labels(self, capsys, tmp_path):
+        runs_dir = tmp_path / "runs"
+        runs_dir.mkdir()
+        for name in ("_f1_10.txt", "b_f1_10.txt", "b__10.txt"):
+            (runs_dir / name).write_text("1 2 3\n")
+        out_csv = tmp_path / "stats.csv"
+        code, _, err = run_cli(capsys, "stats", str(runs_dir), "--out",
+                               str(out_csv))
+        assert code == 0 and err == ""
+        dataset = load_long_csv(out_csv)
+        assert sorted(dataset.algorithms) == ["", "b"]
+        assert sorted(dataset.functions) == ["", "f1"]
+        assert len(dataset.values) == 3 * 5
+        assert dataset.missing_cells() == [(10, p, "", "")
+                                           for p in dataset.measures]
 
     def test_population_std_flag(self, capsys, tmp_path):
         runs_dir = tmp_path / "runs"

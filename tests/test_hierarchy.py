@@ -389,7 +389,7 @@ class TestEvaluationNodes:
         calls = []
         monkeypatch.setattr(hra.hierarchy, "rtopsis",
                             lambda *args: calls.append(args))
-        with pytest.raises(ShapeMismatch, match="equal as text"):
+        with pytest.raises(ShapeMismatch, match="would reload as 10"):
             run_hra(PerformanceDataset.from_array(
                 algorithms=("a", "b"), functions=("f",),
                 dimensions=(10, "10"), measures=("best",),
@@ -477,13 +477,15 @@ FIVE = ("best", "worst", "median", "mean", "std")
 
 @pytest.mark.parametrize("build, error, message", [
     (lambda: HraConfig(dimensions=(10, 10), measures=("best",)),
-     ShapeMismatch, "duplicate dimensions: (10, 10)"),
+     ShapeMismatch, "duplicate dimension 10"),
     (lambda: HraConfig(dimensions=(10, 30, "10"), measures=("best",)),
-     ShapeMismatch, "dimensions 10 and '10' are equal as text"),
+     ShapeMismatch, "dimension '10' would reload as 10"),
+    (lambda: HraConfig(dimensions=("10",), measures=("best",)),
+     ShapeMismatch, "dimension '10' would reload as 10"),
     (lambda: HraConfig(dimensions=(10,), measures=("1", 2, 1)),
-     ShapeMismatch, "measures '1' and 1 are equal as text"),
+     ShapeMismatch, "measure 2 would reload as '2'"),
     (lambda: HraConfig(dimensions=(10,), measures=(" m",)),
-     ShapeMismatch, "measures ' m' starts or ends with a blank"),
+     ShapeMismatch, "measure ' m' would reload as 'm'"),
     (lambda: HraConfig(dimensions=(10,), measures=("best",),
                        objectives={"best": "sideways"}),
      ValueError, "'sideways' is not a valid Direction"),
@@ -512,7 +514,7 @@ FIVE = ("best", "worst", "median", "mean", "std")
     (lambda: HraConfig(dimensions=(10, 30), measures=("best",),
                        dimension_weights=(1.0,)),
      ShapeMismatch, "dimension_weights: expected 2 weights, got 1"),
-], ids=["repeated-dimension", "dimensions-equal-as-text",
+], ids=["repeated-dimension", "dimensions-equal-as-text", "text-dimension",
         "measures-equal-as-text", "blank-edged-measure", "misspelt-objective",
         "removed-objective", "measure-weights-sum",
         "measure-weights-not-positive", "measure-weights-count",

@@ -372,7 +372,9 @@ class TestRtopsis:
     (lambda: DecisionMatrix(np.ones((2, 2)), criterion_labels=("a",)),
      ShapeMismatch, "1 criterion labels for 2 columns"),
     (lambda: DecisionMatrix(np.ones((2, 2)), criterion_labels=("a", "a")),
-     ShapeMismatch, "criterion labels are not unique"),
+     ShapeMismatch, "duplicate criterion 'a'"),
+    (lambda: DecisionMatrix(np.ones((2, 1)), ("a", " #next"), ("c",)),
+     ShapeMismatch, "alternative ' #next' would reload as '#next'"),
     (lambda: cost_spec([], ()),
      EmptyMatrix, "criteria spec must cover at least one criterion"),
     (lambda: cost_spec([1.0], ((0.0, math.inf),)),
@@ -392,6 +394,7 @@ class TestRtopsis:
     (lambda: closeness(np.ones(2), np.ones(3)),
      ShapeMismatch, "separation shapes differ: (2,) vs (3,)"),
 ], ids=["3-d-values", "criterion-label-count", "repeated-criterion-label",
+        "blank-edged-alternative",
         "no-criteria", "infinite-domain", "weight-count", "2-d-weights",
         "domain-count", "equal-weights-of-none", "non-finite-weighting",
         "unequal-separations"])
