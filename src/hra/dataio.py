@@ -8,6 +8,12 @@ In both formats a line whose raw text starts, after blanks, with '#' is a
 comment where a record would start; a quoted first field such as "#top" is
 data, and the writers quote such a field. Numbers are written with 17
 significant digits so a save/load round trip is exact.
+
+Both loaders of large inputs, the columnar path of load_long_csv and
+fetch.load_raw_runs, parse their input in two halves and merge them as one
+pass would. _in_two decides where the second half runs: in a forked child
+when the input is over _FORK_BYTES and the process has one thread and may
+use two CPUs, and here otherwise; the output never depends on which.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import csv
 import itertools
 import math
 import os
+import pickle  # numpy has loaded it already
 from collections.abc import Callable, ItemsView, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
@@ -571,7 +578,8 @@ _MAX_FIELD_WORDS = 32  # a longer field (over 256 bytes) takes the row reader
 _BYTE_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 
 
-def _load_columns(path: Path) -> PerformanceDataset | None:
+def _load_columns(path: Path, cut: int | None = None) \
+        -> PerformanceDataset | None:
     """The dataset of a plain long CSV, or None for any other file.
 
     A plain file is UTF-8 with no _NOT_PLAIN byte after one leading
@@ -585,51 +593,126 @@ def _load_columns(path: Path) -> PerformanceDataset | None:
     field's texts into one fixed-width bytes array, groups each label
     column exactly, and casts the values, which parses them as float()
     does; each distinct label text is decoded once per block.
+
+    The body after the header is parsed in two halves by _in_two, cut at
+    the first line start at or past its middle (or at cut, for tests).
+    The second half's new labels join each axis after the first half's,
+    in their order of first appearance, so the dataset is that of one
+    pass over the file.
     """
-    axes = ({}, {}, {}, {})  # label -> position, per axis
-    # typed columns grow in place, so the blocks' temporaries leave no holes
-    columns = tuple(array.array("i") for _ in axes) + (array.array("d"),)
     try:
         handle = open(path, "rb")
     except OSError:
         return None  # the row reader reports it
-    in_body = False  # past the header
     with handle:
-        if handle.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
-            handle.seek(0)  # one leading byte-order mark is skipped
-        for block in _line_blocks(handle):
-            if block is None or not _is_plain(block):
-                return None
-            block = _drop_comments(block)
-            if not in_body:
-                header, _, block = block.lstrip(b"\n").partition(b"\n")
-                if not header:
-                    continue  # blank lines before the header
-                if tuple(cell.strip().lower() for cell
-                         in header.decode().split(",")) != LONG_CSV_HEADER:
-                    return None
-                in_body = True
-            if not _parse_block(block, axes, columns):
-                return None
-    *positions, values = (np.frombuffer(column, dtype=column.typecode)
-                          for column in columns)
-    if not values.size:
+        if not _read_header(handle):
+            return None
+        fd, body = handle.fileno(), handle.tell()
+        end = os.fstat(fd).st_size
+        cut = _line_start(fd, (body + end) // 2, end) if cut is None \
+            else min(max(cut, body), end)
+        try:
+            # no name holds the halves, so their columns go before _dataset
+            merged = _merge(*_in_two(partial(_parse_lines, fd, body, cut),
+                                     partial(_parse_lines, fd, cut, end),
+                                     end - body))
+        except _NotPlain:
+            return None
+    return None if merged is None else _dataset(*merged)
+
+
+class _NotPlain(Exception):
+    """A line of a long CSV's body that the columnar path leaves to the
+    row reader."""
+
+
+def _merge(head, tail):
+    """(axes, cube) of the two halves of a plain file that _parse_lines
+    gives, the second half's new labels after the first half's on each
+    axis, and each half's values assigned straight into the cube; None if
+    there is no value or a cell repeats."""
+    axes, tail_axes = head[0], tail[0]
+    count = head[5].size + tail[5].size
+    if not count:
         return None
+    # each second-half position, mapped to its label's place on the axis
+    remaps = [np.array([axis.setdefault(label, len(axis)) for label in labels],
+                       np.int32) for axis, labels in zip(axes, tail_axes)]
     shape = tuple(map(len, axes))
     cube = np.full(shape, np.nan)
-    cube.reshape(-1)[np.ravel_multi_index(positions, shape)] = values
-    if np.count_nonzero(~np.isnan(cube)) != values.size:
+    for half, maps in ((head, None), (tail, remaps)):
+        # each line's flat cube index, built one axis at a time so that one
+        # mapped column at most is alive beside it
+        index = np.zeros(half[5].size, np.int64)
+        for axis, size in enumerate(shape):
+            index *= size
+            index += half[1 + axis] if maps is None \
+                else maps[axis][half[1 + axis]]
+        cube.reshape(-1)[index] = half[5]
+    if np.count_nonzero(~np.isnan(cube)) != count:
         return None  # a repeated cell: its values are all finite
-    return _dataset(axes, cube)
+    return axes, cube
 
 
-def _line_blocks(handle):
-    """Pieces of a binary file of about _BLOCK_BYTES whole lines each; None
-    in place of a line longer than that."""
+def _read_header(handle) -> bool:
+    """Read a binary file past one leading byte-order mark, its blank and
+    comment lines and its header; True if those lines are plain and the
+    header's stripped fields are LONG_CSV_HEADER in any case."""
+    if handle.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+        handle.seek(0)
+    for line in iter(partial(handle.readline, _BLOCK_BYTES), b""):
+        if len(line) == _BLOCK_BYTES or not _is_plain(line):
+            return False  # a line longer than a block takes the row reader
+        header = _drop_comments(line).rstrip(b"\n")
+        if header:
+            return tuple(cell.strip().lower() for cell in
+                         header.decode().split(",")) == LONG_CSV_HEADER
+    return False
+
+
+def _line_start(fd: int, offset: int, end: int) -> int:
+    """The first position at or past offset, before end, at which a line of
+    the file starts (after a newline); end if there is none."""
+    position = offset - 1  # offset starts a line if this byte is a newline
+    while position < end:
+        chunk = os.pread(fd, _BLOCK_BYTES, position)
+        if b"\n" in chunk:
+            return min(position + chunk.index(b"\n") + 1, end)
+        if not chunk:
+            break  # the file is shorter than it was
+        position += len(chunk)
+    return end
+
+
+def _parse_lines(fd: int, start: int, end: int):
+    """(axes, dimension, measure, algorithm and function positions, values)
+    of the lines in bytes [start, end) of a plain file's body, each axis a
+    label -> position dict in order of first appearance; raises _NotPlain
+    at the first block with a line that is not plain."""
+    axes = ({}, {}, {}, {})
+    # typed columns grow in place, so the blocks' temporaries leave no holes
+    columns = tuple(array.array("i") for _ in axes) + (array.array("d"),)
+    for block in _line_blocks(fd, start, end):
+        if block is None or not _is_plain(block) \
+                or not _parse_block(_drop_comments(block), axes, columns):
+            raise _NotPlain
+    return (axes, *(np.frombuffer(column, dtype=column.typecode)
+                    for column in columns))
+
+
+def _line_blocks(fd: int, start: int, end: int):
+    """Pieces of about _BLOCK_BYTES whole lines each of bytes [start, end)
+    of a file, read with pread so that no file offset is shared; None in
+    place of a line longer than that."""
     rest = b""
-    while chunk := handle.read(_BLOCK_BYTES):
-        chunk = rest + chunk
-        cut = chunk.rfind(b"\n") + 1
+    while start < end:
+        data = os.pread(fd, min(_BLOCK_BYTES, end - start), start)
+        if not data:
+            break  # the file is shorter than it was
+        start += len(data)
+        chunk = rest + data
+        # the range ends at a line's end, or at the end of the file
+        cut = chunk.rfind(b"\n") + 1 if start < end else len(chunk)
         if not cut:
             yield None
             return
@@ -704,9 +787,11 @@ def _parse_block(block: bytes, axes, columns) -> bool:
     if not np.isfinite(values).all():
         return False
     for number, (axis, field) in enumerate(zip(axes, labels)):
-        distinct, first, inverse = np.unique(field, return_index=True,
+        # texts of one word group fastest as the integers they pack into
+        keys = field.view("<u8") if field.itemsize == 8 else field
+        distinct, first, inverse = np.unique(keys, return_index=True,
                                              return_inverse=True)
-        distinct = distinct.tolist()
+        distinct = distinct.view(field.dtype).tolist()
         position = np.empty(first.size, np.int32)
         for g in np.argsort(first).tolist():  # first appearance order
             label = AXIS_PARSERS[number](distinct[g].decode())
@@ -734,6 +819,113 @@ def _texts(words: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         packed[:, w] = words[np.minimum(lo + 8 * w, last)] \
             & _BYTE_MASKS[np.clip(lengths - 8 * w, 0, 8)]
     return packed.view(f"S{8 * count}")[:, 0]
+
+
+# -- both CPUs --------------------------------------------------------------
+
+# An input over this many bytes has its second half parsed in a forked
+# child (see _in_two). Forking costs about 2 ms and wins from about
+# 1.25 MiB on a 2-vCPU host, for a long CSV and for a run directory alike.
+_FORK_BYTES = 3 << 19  # 1.5 MiB
+
+
+def _forks(size: int) -> bool:
+    """Whether _in_two runs its second half in a child: the input is over
+    _FORK_BYTES, the process may run on at least 2 CPUs, and it has exactly
+    one thread, so fork() copies no lock that another thread holds."""
+    if size <= _FORK_BYTES or not hasattr(os, "fork"):
+        return False
+    try:
+        return len(os.sched_getaffinity(0)) >= 2 \
+            and len(os.listdir("/proc/self/task")) == 1
+    except (AttributeError, OSError):  # no affinity call or no /proc
+        return False
+
+
+def _in_two(first: Callable, second: Callable, size: int) -> tuple:
+    """(first(), second()) for the two halves of a size-byte input.
+
+    When _forks(size), second() runs in a child from os.fork() while this
+    process runs first(). The child sends its result through a pipe, its
+    numpy arrays as raw buffers, and ends with os._exit. The child is
+    always reaped, and killed first if first() raises, which then
+    propagates without second() running. If the child fails, that is, if
+    its whole result does not load, second() runs here, so the result
+    never depends on it.
+    """
+    if not _forks(size):
+        return first(), second()
+    import signal
+
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to be had: both halves run here
+        os.close(read_end)
+        os.close(write_end)
+        return first(), second()
+    if pid == 0:
+        os.close(read_end)
+        _child(write_end, second)
+    os.close(write_end)
+    tail = None
+    try:
+        with open(read_end, "rb", buffering=0) as pipe:
+            head = first()
+            tail = _receive(pipe)
+    finally:
+        if tail is None:  # first() raised, or the child failed
+            # a caller that ignores SIGCHLD may have no child left
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(pid, 0)
+    return head, second() if tail is None else tail[0]
+
+
+def _child(write_end: int, second: Callable) -> None:
+    """The forked child: send second()'s result, as _receive reads it, and
+    exit with status 0; any failure exits with status 1. Never returns."""
+    status = 1
+    try:
+        buffers = []
+        data = pickle.dumps(second(), 5, buffer_callback=buffers.append)
+        views = [memoryview(data), *(buffer.raw() for buffer in buffers)]
+        with open(write_end, "wb") as pipe:
+            pipe.write(array.array("Q", [len(views)]
+                                   + [view.nbytes for view in views]))
+            for view in views:
+                pipe.write(view)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(pipe) -> tuple | None:
+    """(result,) of what _child wrote to the pipe, read straight into its
+    buffers; None if the pipe ends early or what it holds does not load."""
+    def filled(buffer) -> bool:
+        view, got = memoryview(buffer).cast("B"), 0
+        while got < len(view):
+            read = pipe.readinto(view[got:])
+            if not read:
+                return False
+            got += read
+        return True
+
+    try:
+        count = array.array("Q", [0])
+        if not filled(count):
+            return None
+        sizes = array.array("Q", bytes(8 * count[0]))
+        if not filled(sizes):
+            return None
+        data, *buffers = (bytearray(size) for size in sizes)
+        if not all(map(filled, [data, *buffers])):
+            return None
+        return (pickle.loads(data, buffers=buffers),)
+    except Exception:  # the child's output is never trusted to be whole
+        return None
 
 
 def save_long_csv(dataset: PerformanceDataset, path) -> Path:

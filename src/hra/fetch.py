@@ -21,17 +21,24 @@ Anything else raises UnknownLayout instead of guessing.
 A plain run file (see _plain_runs) is checked token by token without
 converting the rows it discards; any other file goes through the text loop,
 which gives the same values and is the source of every error.
+load_raw_runs cuts the sorted list of run files at half their bytes and
+parses the halves with dataio._in_two, in a forked child for the second
+half when the files are large enough; the halves keep the keys, values and
+errors of one pass.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import re
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path, PurePosixPath
 from urllib.parse import quote
 
-from .dataio import (RawRuns, _not_utf8, _parse_dimension, check_runs,
-                     write_files)
+from .dataio import (RawRuns, _in_two, _not_utf8, _parse_dimension,
+                     check_runs, write_files)
 from .exceptions import (
     ChecksumMismatch,
     IoError,
@@ -257,21 +264,58 @@ def _parse_run_text(path: Path, data: bytes) -> tuple[float, ...]:
 def load_raw_runs(directory) -> RawRuns:
     """Parse every `<algorithm>_<function>_<dimension>.txt` under directory;
     each file's values pass check_runs, so its errors name the file."""
-    directory = Path(directory)
+    return _load_runs(Path(directory))
+
+
+def _load_runs(directory: Path, cut: int | None = None) -> RawRuns:
+    """load_raw_runs. The sorted run files are parsed in two halves by
+    dataio._in_two, cut at the first file boundary at or past half their
+    bytes (or after cut files, for tests). The first half raises its error
+    first; the second half is given the first half's keys, so a file of
+    its own whose key one of them holds raises the duplicate error where
+    one pass would. So keys, values and errors are those of one pass."""
     if not directory.is_dir():
         raise IoError(f"not a directory: {directory}")
-    runs: dict[tuple, tuple[float, ...]] = {}
-    known: set[bytes] = set()  # token shapes matched so far
-    for path in sorted(directory.rglob("*.txt")):
-        parts = path.stem.rsplit("_", 2)
-        if len(parts) != 3 or not path.is_file():
-            continue  # not a run file (readme, directory etc.)
-        algorithm, function, dim_text = parts
-        key = (_parse_dimension(dim_text), algorithm, function)
-        if key in runs:
-            raise ParseError(f"{path}: duplicate run file for {key}")
-        runs[key] = check_runs(path, _parse_run_file(path, known))
+    files = [path for path in sorted(directory.rglob("*.txt"))
+             if len(path.stem.rsplit("_", 2)) == 3 and path.is_file()]
+    sizes = list(map(_size, files))
+    if cut is None:
+        ends = list(itertools.accumulate(sizes))
+        cut = bisect.bisect_left(ends, sum(sizes) / 2) + 1
+    runs, tail = _in_two(
+        partial(_parse_runs, files[:cut]),
+        partial(_parse_runs, files[cut:], frozenset(map(_key, files[:cut]))),
+        sum(sizes))
+    runs.update(tail)
     if not runs:
         raise ParseError(f"{directory}: no run files found "
                          "(expected <algorithm>_<function>_<dimension>.txt)")
     return RawRuns(runs)
+
+
+def _size(path: Path) -> int:
+    """The bytes of a run file; 0 if it cannot be read, which its parse
+    reports."""
+    try:
+        return path.stat().st_size
+    except OSError:
+        return 0
+
+
+def _key(path: Path) -> tuple:
+    """The (dimension, algorithm, function) key of a run file's name."""
+    algorithm, function, dim_text = path.stem.rsplit("_", 2)
+    return _parse_dimension(dim_text), algorithm, function
+
+
+def _parse_runs(files: list[Path], taken: frozenset = frozenset()) -> dict:
+    """{key: runs} of the run files in files, in order; a file whose key is
+    in taken or repeats an earlier one's raises a duplicate error."""
+    runs: dict[tuple, tuple[float, ...]] = {}
+    known: set[bytes] = set()  # token shapes matched so far
+    for path in files:
+        key = _key(path)
+        if key in runs or key in taken:
+            raise ParseError(f"{path}: duplicate run file for {key}")
+        runs[key] = check_runs(path, _parse_run_file(path, known))
+    return runs

@@ -502,6 +502,39 @@ def long_csv_files(draw):
     return data
 
 
+def line_starts(data: bytes) -> list[int]:
+    """Every offset at which a line of data starts, and its end."""
+    return [0] + [i + 1 for i, byte in enumerate(data) if byte == ord("\n")] \
+        + [len(data)]
+
+
+def columns_outcome(path, cut):
+    """The columnar path's dataset, its halves cut at byte cut, as axes
+    plus array bytes; None where it leaves the file to the row reader."""
+    ds = dataio._load_columns(path, cut)
+    return None if ds is None else described(ds)
+
+
+PREFIX = "x" * 20  # two algorithm labels share these first 20 bytes
+# plain, so the columnar path takes it: a byte-order mark, comment lines
+# before the header and in the body, the label 'C#', and a last line
+# whose labels are new to every axis; 'abcdefgh' and 'abcdefg ' fill one
+# 8-byte word, so their block groups its function texts as integers
+HOSTILE_PLAIN = codecs.BOM_UTF8 + (
+    "# provenance, with, commas\n\n" + HEADER
+    + "10,best,f1,C#,1.5\n"
+    + " # a comment line\n"
+    + f"10,best,f1,{PREFIX}alg_a,2\n"
+    + f"10,best,f2,{PREFIX}alg_b,3\n"
+    + "\n"
+    + "30,worst,f2,C#,4\n"
+    + "#,,,,9\n"
+    + f"30,worst,f1,{PREFIX}alg_a,5e-3\n"
+    + "30,best,abcdefgh,C#,7\n"
+    + "30,best,abcdefg ,C#,8\n"
+    + "010,best,f3,late,6\n").encode()
+
+
 class TestColumnarLoader:
     """load_long_csv parses plain files column by column; the row reader
     is the reference for every file and the source of every error."""
@@ -613,14 +646,36 @@ class TestColumnarLoader:
         assert ds.measures == ds.functions == ds.algorithms == tuple(labels)
         assert described(ds) == load_outcome(dataio._load_rows, path)
 
-    @given(long_csv_files())
+    @given(long_csv_files(), st.integers(min_value=0))
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_same_outcome_as_row_reader(self, tmp_path, data):
+    def test_same_outcome_as_row_reader(self, tmp_path, data, line):
         path = tmp_path / "data.csv"
         path.write_bytes(data)
         assert load_outcome(load_long_csv, path) \
             == load_outcome(dataio._load_rows, path)
+        # halves cut at any line start merge to what one pass gives
+        starts = line_starts(data)
+        assert columns_outcome(path, starts[line % len(starts)]) \
+            == columns_outcome(path, len(data))
+
+    @pytest.mark.parametrize("hostile", [False, True],
+                             ids=["synthetic", "hostile"])
+    def test_every_line_start_splits_like_one_pass(self, tmp_path, hostile):
+        path = SYNTHETIC_CSV
+        if hostile:
+            path = tmp_path / "data.csv"
+            path.write_bytes(HOSTILE_PLAIN)
+        data = path.read_bytes()
+        one_pass = columns_outcome(path, len(data))
+        assert one_pass == load_outcome(dataio._load_rows, path)
+        if hostile:  # the last line's labels are new to every axis
+            assert one_pass[:4] == (
+                (10, 30, "010"), ("best", "worst"),
+                ("C#", PREFIX + "alg_a", PREFIX + "alg_b", "late"),
+                ("f1", "f2", "abcdefgh", "abcdefg", "f3"))
+        for cut in line_starts(data):
+            assert columns_outcome(path, cut) == one_pass, cut
 
     def test_peak_memory_within_three_file_sizes(self, tmp_path):
         path = save_long_csv(random_dataset(50, 100, 4, 5, seed=11),

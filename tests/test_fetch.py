@@ -473,6 +473,54 @@ def test_raise_sites(tmp_path, build, error, message):
     assert str(excinfo.value) == message.format(tmp=tmp_path)
 
 
+def _faulty_directory(root, fault):
+    """Eight run files s0..s7 under root and at most one fault: a negative
+    value, a ragged matrix, or a second file for key s1 that sorts last,
+    alone, holding a ragged matrix, or followed by a negative value."""
+    for i in range(8):
+        _run_file(root / f"s{i}_f1_10.txt", f"{i} {i + 1}\n")
+    if fault == "negative":
+        _run_file(root / "s5_f1_10.txt", "1 -5 3\n")
+    elif fault == "ragged":
+        _run_file(root / "s2_f1_10.txt", "1 2\n3\n")
+    elif fault.startswith("duplicate"):
+        _run_file(root / "z" / "s1_f1_10.txt",
+                  "1 2\n3\n" if fault == "duplicate-ragged" else "1\n")
+        if fault == "duplicate-then-negative":
+            _run_file(root / "z" / "t_f1_10.txt", "-1\n")
+    return len(list(root.rglob("*.txt")))
+
+
+def _runs_outcome(directory, cut):
+    """_load_runs' keys and values in order, or its error."""
+    try:
+        return list(fetch._load_runs(directory, cut).runs.items())
+    except HraError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("fault, error", [
+    ("none", None), ("negative", ParseError), ("ragged", UnknownLayout),
+    ("duplicate", ParseError), ("duplicate-ragged", ParseError),
+    ("duplicate-then-negative", ParseError)])
+def test_every_split_loads_like_one_pass(tmp_path, fault, error):
+    """The halves of the run-file list, cut at any index, give the runs or
+    the error of one pass over the files (the cut after the last)."""
+    count = _faulty_directory(tmp_path, fault)
+    one_pass = _runs_outcome(tmp_path, count)
+    if error is None:
+        assert [key for key, _ in one_pass] == [
+            (10, f"s{i}", "f1") for i in range(8)]
+    else:
+        assert one_pass[0] is error
+    if fault.startswith("duplicate"):
+        assert one_pass[1] == (f"{tmp_path}/z/s1_f1_10.txt: duplicate run "
+                               "file for (10, 's1', 'f1')")
+    for cut in range(count + 1):
+        assert _runs_outcome(tmp_path, cut) == one_pass, cut
+    assert _runs_outcome(tmp_path, None) == one_pass
+
+
 @pytest.mark.parametrize("runs, error, rule", [
     ((), EmptyRuns, "no runs recorded"),
     ((1.0, math.nan), NonFiniteValue, "run value nan is not finite"),
