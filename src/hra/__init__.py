@@ -8,34 +8,8 @@ independent of which other alternatives are present.
 
 __version__ = "0.1.0"
 
-import os as _os
 import sys as _sys
 
-# hra calls no BLAS routine, but OpenBLAS starts its worker threads when
-# numpy loads, and each idle worker spins for about 0.1 s of CPU before it
-# sleeps. So numpy is loaded with one BLAS thread, unless numpy is already
-# loaded or the user has set a thread count. OpenBLAS reads the variable
-# once, at load, so it is removed again: os.environ and child processes
-# never see it.
-if "numpy" not in _sys.modules and not any(
-        name in _os.environ for name in
-        ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
-    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy as _numpy
-    finally:
-        del _os.environ["OPENBLAS_NUM_THREADS"]
-
-from .dataio import (
-    STAT_MEASURES,
-    PerformanceDataset,
-    RawRuns,
-    dataset_from_runs,
-    emit_report,
-    load_long_csv,
-    load_rank_matrix_csv,
-    save_long_csv,
-)
 from .exceptions import (
     ChecksumMismatch,
     DegenerateDomain,
@@ -59,34 +33,61 @@ from .exceptions import (
     ValidationFailure,
     ZeroUpperBound,
 )
-from .fetch import FetchResult, fetch_raw, load_raw_runs
-from .hierarchy import (
-    HraConfig,
-    HraReport,
-    aggregate_dimension,
-    aggregate_leaf,
-    aggregate_overall,
-    run_hra,
-)
-from .rtopsis import (
-    CriteriaSpec,
-    DecisionMatrix,
-    Direction,
-    Normalization,
-    TopsisResult,
-    TopsisTrace,
-    closeness,
-    equal_weights,
-    ideal_solutions,
-    mean_ranks,
-    normalize,
-    rank_columns,
-    rtopsis,
-    scores_to_ranks,
-    separations,
-    squared_gaps,
-    weight_matrix,
-)
-from .verify import CheckResult, verify_reference_tables
 
-__all__ = [n for n in dir() if n[0] != "_" and type(globals()[n]) is not type(_os)]
+# The other public names, by the submodule that defines them. Each is
+# imported on first use (__getattr__), so `import hra` loads no numpy and
+# `hra stats` can fork before numpy loads (see files.parse_chunks).
+_LAZY = {
+    "dataio": ("STAT_MEASURES", "PerformanceDataset", "dataset_from_runs",
+               "emit_report", "load_long_csv", "load_rank_matrix_csv",
+               "save_long_csv"),
+    "fetch": ("FetchResult", "fetch_raw", "load_raw_runs"),
+    "files": ("RawRuns",),
+    "hierarchy": ("HraConfig", "HraReport", "aggregate_dimension",
+                  "aggregate_leaf", "aggregate_overall", "run_hra"),
+    "rtopsis": ("CriteriaSpec", "DecisionMatrix", "Direction",
+                "Normalization", "TopsisResult", "TopsisTrace", "closeness",
+                "equal_weights", "ideal_solutions", "mean_ranks",
+                "normalize", "rank_columns", "rtopsis", "scores_to_ranks",
+                "separations", "squared_gaps", "weight_matrix"),
+    "verify": ("CheckResult", "verify_reference_tables"),
+}
+_SOURCE = {name: module for module, names in _LAZY.items() for name in names}
+# `hra.rtopsis` is the function (see _Package), so it is not listed here
+_SUBMODULES = ("cli", "dataio", "exceptions", "fetch", "files", "fixtures",
+               "hierarchy", "verify")
+
+__all__ = sorted([n for n in globals() if n[0] != "_"
+                  and isinstance(globals()[n], type)] + list(_SOURCE))
+
+
+def __getattr__(name):
+    """A public name or submodule, imported on first use."""
+    import importlib
+
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
+
+class _Package(type(_sys)):
+    """hra's module type. Loading the submodule rtopsis binds it to the
+    package under its name; the function rtopsis is bound instead, so that
+    `hra.rtopsis` is the function, as `from hra import rtopsis` gives."""
+
+    def __setattr__(self, name, value):
+        if name == "rtopsis" and isinstance(value, type(_sys)):
+            value = value.rtopsis
+        super().__setattr__(name, value)
+
+
+_sys.modules[__name__].__class__ = _Package

@@ -16,24 +16,17 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .dataio import (
-    dataset_from_runs,
-    emit_report,
-    load_long_csv,
-    load_rank_matrix_csv,
-    one_line,
-    save_long_csv,
-)
 from .exceptions import HraError, InvalidWeights
-from .fetch import fetch_raw, load_raw_runs
-from .hierarchy import HraConfig, run_hra
-from .rtopsis import (CriteriaSpec, Direction, TopsisResult, check_weights,
-                      equal_weights, rtopsis)
-from .verify import verify_reference_tables
+
+if TYPE_CHECKING:
+    from .rtopsis import TopsisResult
+
+# Each command imports its own modules, so that `import hra.cli` and the
+# argument parsing load no numpy, and `hra stats` forks before it does.
+# Each then calls loaded(), with which entry() freezes the import-time heap.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,6 +56,8 @@ class _Exited(Exception):
 def _parse_weights(text: str, expected: int, flag: str) -> tuple:
     """'equal' or comma-separated numbers -> the weights as checked by
     check_weights, so a bad vector fails before any aggregation starts."""
+    from .rtopsis import check_weights, equal_weights
+
     try:
         weights = equal_weights(expected) if text == "equal" \
             else [float(tok) for tok in text.split(",")]
@@ -87,6 +82,8 @@ def _format_rank(rank: float) -> str:
 
 
 def _print_ranking_table(labels, scores, ranks) -> None:
+    from .dataio import one_line
+
     labels = [one_line(label) for label in labels]
     width = max(len("algorithm"), *(len(a) for a in labels))
     print(f"{'algorithm':<{width}}  {'score':>7}  rank")
@@ -95,6 +92,9 @@ def _print_ranking_table(labels, scores, ranks) -> None:
 
 
 def _print_trace(name: str, result: TopsisResult) -> None:
+    from ._blas import np
+    from .dataio import one_line
+
     trace = result.trace
 
     def show(tag, array):
@@ -112,8 +112,12 @@ def _print_trace(name: str, result: TopsisResult) -> None:
     show("CC", result.closeness)
 
 
-def cmd_run(args) -> int:
-    dataset = load_long_csv(args.data)
+def cmd_run(args, loaded) -> int:
+    from . import dataio
+    from .hierarchy import HraConfig, run_hra
+
+    loaded()
+    dataset = dataio.load_long_csv(args.data)
     config = HraConfig.for_dataset(
         dataset,
         function_weights=_parse_weights(args.weights,
@@ -125,7 +129,7 @@ def cmd_run(args) -> int:
                                          len(dataset.dimensions),
                                          "--dimension-weights"))
     report = run_hra(dataset, config)
-    files = emit_report(report, args.format, args.out)
+    files = dataio.emit_report(report, args.format, args.out)
     if args.verbose:
         for node in report.nodes:
             _print_trace("/".join(map(str, node.key)), node.result)
@@ -135,7 +139,11 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_rtopsis(args) -> int:
+def cmd_rtopsis(args, loaded) -> int:
+    from .dataio import load_rank_matrix_csv
+    from .rtopsis import CriteriaSpec, Direction, rtopsis
+
+    loaded()
     matrix = load_rank_matrix_csv(args.matrix)
     domain = _parse_domain(args.domain) if args.domain \
         else (0.0, float(matrix.m) + 1.0)
@@ -151,7 +159,10 @@ def cmd_rtopsis(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify_paper(args) -> int:
+def cmd_verify_paper(args, loaded) -> int:
+    from .verify import verify_reference_tables
+
+    loaded()
     checks = verify_reference_tables()
     for check in checks:
         print(check.line())
@@ -160,15 +171,23 @@ def cmd_verify_paper(args) -> int:
     return EXIT_OK if passed == len(checks) else EXIT_USAGE
 
 
-def cmd_stats(args) -> int:
-    raw = load_raw_runs(args.runs_dir)
+def cmd_stats(args, loaded) -> int:
+    from .fetch import load_raw_runs
+
+    raw = load_raw_runs(args.runs_dir)  # loads dataio while a child parses
+    from .dataio import dataset_from_runs, save_long_csv
+
+    loaded()
     dataset = dataset_from_runs(raw, population_std=args.std_population)
     save_long_csv(dataset, args.out)
     print(f"{len(dataset.values)} rows written to {args.out}")
     return EXIT_OK
 
 
-def cmd_fetch(args) -> int:
+def cmd_fetch(args, loaded) -> int:
+    from .fetch import fetch_raw
+
+    loaded()
     result = fetch_raw(args.source, args.out)
     print(f"{len(result.downloaded)} downloaded, {len(result.skipped)} "
           f"already verified; manifest at {result.manifest_path}")
@@ -225,10 +244,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    return _main(argv, loaded=lambda: None)
+
+
+def _main(argv, loaded) -> int:
+    """main(); each command calls loaded() once its modules have loaded."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return args.func(args, loaded)
     except _Exited as exc:
         return exc.args[0]
     except _UsageError as exc:
@@ -245,13 +269,15 @@ def main(argv=None) -> int:
 def entry() -> int:
     """The `hra` program: main() on sys.argv, in a process of its own.
 
-    gc.freeze() moves every object alive after import into the permanent
-    generation, so no collection during the command, and none at exit,
-    walks them again. What is alive here lives until the process exits
-    anyway. Library use (`import hra`, main()) leaves the collector alone.
+    gc.freeze() moves every object alive into the permanent generation, so
+    no collection during the command, and none at exit, walks them again.
+    It runs here, before any fork, and again once the command has loaded
+    its modules, which bring numpy and the rest of hra. What is alive then
+    lives until the process exits anyway. Library use (`import hra`,
+    main()) leaves the collector alone.
     """
     gc.freeze()
-    return main()
+    return _main(None, loaded=gc.freeze)
 
 
 if __name__ == "__main__":

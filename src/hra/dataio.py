@@ -9,35 +9,33 @@ comment where a record would start; a quoted first field such as "#top" is
 data, and the writers quote such a field. Numbers are written with 17
 significant digits so a save/load round trip is exact.
 
-Both loaders of large inputs, the columnar path of load_long_csv and
-fetch.load_raw_runs, parse their input in two halves and merge them as one
-pass would. _in_two decides where the second half runs: in a forked child
-when the input is over _FORK_BYTES and the process has one thread and may
-use two CPUs, and here otherwise; the output never depends on which.
+The columnar path of load_long_csv parses a plain file's body as two
+chunks, cut at a line start, through files.parse_chunks, which runs one of
+them in a forked child when the file is over 1.5 MiB and the process has
+one thread and may use two CPUs; the merge gives the dataset of one pass,
+whichever process parsed which chunk. The rule for runs, the dimension
+label parse and the all-or-nothing writer live in files, which loads no
+numpy, and are imported back here.
 """
 
 from __future__ import annotations
 
 import array
 import codecs
-import contextlib
 import csv
 import itertools
 import math
 import os
-import pickle  # numpy has loaded it already
-from collections.abc import Callable, ItemsView, Iterable, Mapping, Sequence
+from collections.abc import ItemsView, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
+from ._blas import np
 from .exceptions import (
     DuplicateTuple,
     EmptyMatrix,
-    EmptyRuns,
     InconsistentStatistics,
     IoError,
     MissingCell,
@@ -45,6 +43,9 @@ from .exceptions import (
     ParseError,
     ShapeMismatch,
 )
+# defined without numpy in files; dataio.check_runs stays reachable too
+from .files import (RawRuns, _not_utf8, _parse_dimension,  # noqa: F401
+                    check_runs, parse_chunks, write_files)
 from .rtopsis import DecisionMatrix, check_labels, label_fault
 
 if TYPE_CHECKING:
@@ -290,32 +291,6 @@ def _cell_text(key) -> str:
     return "(" + ", ".join(map(str, key)) + ")"
 
 
-def check_runs(name, values) -> tuple[float, ...]:
-    """The rule for one cell's runs, with name first in any error: at least
-    one run, each finite and not negative; the first bad value raises."""
-    runs = tuple(map(float, values))
-    if not runs:
-        raise EmptyRuns(f"{name}: no runs recorded")
-    bad = next((v for v in runs if not 0.0 <= v < math.inf), None)
-    if bad is not None and not math.isfinite(bad):
-        raise NonFiniteValue(f"{name}: run value {bad} is not finite")
-    if bad is not None:
-        raise ParseError(f"{name}: negative error value {bad}")
-    return runs
-
-
-@dataclass(frozen=True)
-class RawRuns:
-    """Per-run error values keyed by (dimension, algorithm, function), each
-    list checked by check_runs."""
-
-    runs: Mapping[tuple, tuple[float, ...]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "runs", {
-            key: check_runs(key, values) for key, values in self.runs.items()})
-
-
 def _axis_sort_key(value):
     return (0, value, "") if isinstance(value, int) else (1, 0, str(value))
 
@@ -347,24 +322,8 @@ def dataset_from_runs(raw: RawRuns,
 
 # -- CSV input --------------------------------------------------------------
 
-def _parse_dimension(text: str):
-    """The int whose canonical decimal form is the stripped text, else the
-    stripped text: '10' is 10, while '010' and '+10' stay labels."""
-    text = text.strip()
-    try:
-        number = int(text)
-    except ValueError:
-        return text
-    return number if str(number) == text else text
-
-
 # how a long CSV reads each axis's field back, in AXIS_NAMES order
 AXIS_PARSERS = (_parse_dimension, str.strip, str.strip, str.strip)
-
-
-def _not_utf8(source, exc: UnicodeDecodeError) -> ParseError:
-    return ParseError(f"{source}: not UTF-8 text: cannot decode "
-                      f"{exc.object[exc.start:exc.end]!r}")
 
 
 def _records(path: Path):
@@ -428,38 +387,6 @@ def _write_rows(handle, rows: Iterable[Sequence]) -> None:
             first.writerow(row[:1])
             row = row[1:]
         writerow(row)
-
-
-def write_files(writers: Mapping[Path, Callable]) -> list[Path]:
-    """Write all files or none; every file hra writes comes here. Each
-    writer streams its path's text (or bytes, to handle.buffer) to a short
-    O_EXCL temporary file beside it, with a plain open's mode or the mode of
-    the regular file it replaces, and only then are all renamed. An
-    existing path that is no regular file fails first; missing parent
-    directories are created. Errors remove the temporaries, not the
-    directories; OSError raises IoError."""
-    pending: dict[Path, Path] = {}  # path -> its temporary file
-    try:
-        for path, writer in writers.items():
-            if path.exists() and not path.is_file():  # follows symlinks
-                raise OSError("not a regular file")
-            path.parent.mkdir(parents=True, exist_ok=True)
-            temporary = path.parent / f".hra-{os.urandom(8).hex()}.tmp"
-            with open(temporary, "x", encoding="utf-8", newline="") as handle:
-                pending[path] = temporary
-                if path.exists():  # keep the permission bits it replaces
-                    os.chmod(temporary, path.stat().st_mode & 0o7777)
-                writer(handle)
-        for path, temporary in list(pending.items()):
-            os.replace(temporary, path)
-            del pending[path]
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    finally:
-        for temporary in pending.values():  # left only by an error
-            with contextlib.suppress(OSError):
-                os.unlink(temporary)
-    return list(writers)
 
 
 def _first_repeat(flat: np.ndarray) -> int | None:
@@ -594,11 +521,11 @@ def _load_columns(path: Path, cut: int | None = None) \
     column exactly, and casts the values, which parses them as float()
     does; each distinct label text is decoded once per block.
 
-    The body after the header is parsed in two halves by _in_two, cut at
-    the first line start at or past its middle (or at cut, for tests).
-    The second half's new labels join each axis after the first half's,
-    in their order of first appearance, so the dataset is that of one
-    pass over the file.
+    The body after the header is parsed as two chunks by
+    files.parse_chunks, cut at the first line start at or past its middle
+    (or at cut, for tests). The second half's new labels join each axis
+    after the first half's, in their order of first appearance, so the
+    dataset is that of one pass over the file.
     """
     try:
         handle = open(path, "rb")
@@ -613,9 +540,10 @@ def _load_columns(path: Path, cut: int | None = None) \
             else min(max(cut, body), end)
         try:
             # no name holds the halves, so their columns go before _dataset
-            merged = _merge(*_in_two(partial(_parse_lines, fd, body, cut),
-                                     partial(_parse_lines, fd, cut, end),
-                                     end - body))
+            halves = (body, cut), (cut, end)
+            merged = _merge(*parse_chunks(
+                lambda index: _parse_lines(fd, *halves[index]), 2,
+                end - body))
         except _NotPlain:
             return None
     return None if merged is None else _dataset(*merged)
@@ -819,113 +747,6 @@ def _texts(words: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         packed[:, w] = words[np.minimum(lo + 8 * w, last)] \
             & _BYTE_MASKS[np.clip(lengths - 8 * w, 0, 8)]
     return packed.view(f"S{8 * count}")[:, 0]
-
-
-# -- both CPUs --------------------------------------------------------------
-
-# An input over this many bytes has its second half parsed in a forked
-# child (see _in_two). Forking costs about 2 ms and wins from about
-# 1.25 MiB on a 2-vCPU host, for a long CSV and for a run directory alike.
-_FORK_BYTES = 3 << 19  # 1.5 MiB
-
-
-def _forks(size: int) -> bool:
-    """Whether _in_two runs its second half in a child: the input is over
-    _FORK_BYTES, the process may run on at least 2 CPUs, and it has exactly
-    one thread, so fork() copies no lock that another thread holds."""
-    if size <= _FORK_BYTES or not hasattr(os, "fork"):
-        return False
-    try:
-        return len(os.sched_getaffinity(0)) >= 2 \
-            and len(os.listdir("/proc/self/task")) == 1
-    except (AttributeError, OSError):  # no affinity call or no /proc
-        return False
-
-
-def _in_two(first: Callable, second: Callable, size: int) -> tuple:
-    """(first(), second()) for the two halves of a size-byte input.
-
-    When _forks(size), second() runs in a child from os.fork() while this
-    process runs first(). The child sends its result through a pipe, its
-    numpy arrays as raw buffers, and ends with os._exit. The child is
-    always reaped, and killed first if first() raises, which then
-    propagates without second() running. If the child fails, that is, if
-    its whole result does not load, second() runs here, so the result
-    never depends on it.
-    """
-    if not _forks(size):
-        return first(), second()
-    import signal
-
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to be had: both halves run here
-        os.close(read_end)
-        os.close(write_end)
-        return first(), second()
-    if pid == 0:
-        os.close(read_end)
-        _child(write_end, second)
-    os.close(write_end)
-    tail = None
-    try:
-        with open(read_end, "rb", buffering=0) as pipe:
-            head = first()
-            tail = _receive(pipe)
-    finally:
-        if tail is None:  # first() raised, or the child failed
-            # a caller that ignores SIGCHLD may have no child left
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-        with contextlib.suppress(ChildProcessError):
-            os.waitpid(pid, 0)
-    return head, second() if tail is None else tail[0]
-
-
-def _child(write_end: int, second: Callable) -> None:
-    """The forked child: send second()'s result, as _receive reads it, and
-    exit with status 0; any failure exits with status 1. Never returns."""
-    status = 1
-    try:
-        buffers = []
-        data = pickle.dumps(second(), 5, buffer_callback=buffers.append)
-        views = [memoryview(data), *(buffer.raw() for buffer in buffers)]
-        with open(write_end, "wb") as pipe:
-            pipe.write(array.array("Q", [len(views)]
-                                   + [view.nbytes for view in views]))
-            for view in views:
-                pipe.write(view)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _receive(pipe) -> tuple | None:
-    """(result,) of what _child wrote to the pipe, read straight into its
-    buffers; None if the pipe ends early or what it holds does not load."""
-    def filled(buffer) -> bool:
-        view, got = memoryview(buffer).cast("B"), 0
-        while got < len(view):
-            read = pipe.readinto(view[got:])
-            if not read:
-                return False
-            got += read
-        return True
-
-    try:
-        count = array.array("Q", [0])
-        if not filled(count):
-            return None
-        sizes = array.array("Q", bytes(8 * count[0]))
-        if not filled(sizes):
-            return None
-        data, *buffers = (bytearray(size) for size in sizes)
-        if not all(map(filled, [data, *buffers])):
-            return None
-        return (pickle.loads(data, buffers=buffers),)
-    except Exception:  # the child's output is never trusted to be whole
-        return None
 
 
 def save_long_csv(dataset: PerformanceDataset, path) -> Path:

@@ -21,24 +21,24 @@ Anything else raises UnknownLayout instead of guessing.
 A plain run file (see _plain_runs) is checked token by token without
 converting the rows it discards; any other file goes through the text loop,
 which gives the same values and is the source of every error.
-load_raw_runs cuts the sorted list of run files at half their bytes and
-parses the halves with dataio._in_two, in a forked child for the second
-half when the files are large enough; the halves keep the keys, values and
-errors of one pass.
+load_raw_runs lists the run files in one pass, takes every key from the
+file names, and parses the files in chunks through files.parse_chunks. This
+module loads no numpy, so when the files are large enough the process
+forks before numpy loads: its child parses chunks while it loads numpy and
+dataio, which summarizes the runs next, and then parses chunks too. The
+merge keeps the keys, values and errors of one pass.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
+import os
 import re
+import stat
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path, PurePosixPath
 from urllib.parse import quote
 
-from .dataio import (RawRuns, _in_two, _not_utf8, _parse_dimension,
-                     check_runs, write_files)
 from .exceptions import (
     ChecksumMismatch,
     IoError,
@@ -46,6 +46,8 @@ from .exceptions import (
     ParseError,
     UnknownLayout,
 )
+from .files import (MAX_CHUNKS, RawRuns, _not_utf8, _parse_dimension,
+                    check_runs, parse_chunks, write_files)
 
 MANIFEST_NAME = "manifest.csv"
 INVENTORY_NAME = "inventory.txt"
@@ -193,11 +195,11 @@ _SHAPE_TABLE = bytes(ord("0") if b in b"0123456789"
                      for b in range(256))
 
 
-def _parse_run_file(path: Path, known: set[bytes]) -> tuple[float, ...]:
+def _parse_run_file(path, known: set[bytes]) -> tuple[float, ...]:
     """A run file's kept values: the plain path when the file is plain,
     otherwise the text loop. known is as for _plain_runs."""
     try:
-        data = path.read_bytes()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     values = _plain_runs(data, known)
@@ -231,7 +233,7 @@ def _plain_runs(data: bytes, known: set[bytes]) -> tuple[float, ...] | None:
     return tuple(map(float, data.rstrip().rpartition(b"\n")[2].split()))
 
 
-def _parse_run_text(path: Path, data: bytes) -> tuple[float, ...]:
+def _parse_run_text(path, data: bytes) -> tuple[float, ...]:
     """The reference text loop over the bytes of the run file at path; the
     source of every run-file error. One leading byte-order mark is
     skipped."""
@@ -261,61 +263,97 @@ def _parse_run_text(path: Path, data: bytes) -> tuple[float, ...]:
                         "expected a flat list or a rectangular matrix")
 
 
+# Run files per chunk of the queue (see files.parse_chunks). On the
+# benchmark's 1560 files of 14 x 51 values (2-vCPU host), `hra stats` took
+# 0.29-0.30 s in the median with chunks of 3 to 48 files, and 0.35 s with
+# 96, which leave one process idle while the other ends its last chunk.
+_CHUNK_FILES = 24
+
+
 def load_raw_runs(directory) -> RawRuns:
     """Parse every `<algorithm>_<function>_<dimension>.txt` under directory;
     each file's values pass check_runs, so its errors name the file."""
     return _load_runs(Path(directory))
 
 
-def _load_runs(directory: Path, cut: int | None = None) -> RawRuns:
-    """load_raw_runs. The sorted run files are parsed in two halves by
-    dataio._in_two, cut at the first file boundary at or past half their
-    bytes (or after cut files, for tests). The first half raises its error
-    first; the second half is given the first half's keys, so a file of
-    its own whose key one of them holds raises the duplicate error where
-    one pass would. So keys, values and errors are those of one pass."""
+def _load_runs(directory: Path, chunk: int = _CHUNK_FILES,
+               reverse: bool = False) -> RawRuns:
+    """load_raw_runs, chunk files at a time (or more, to stay within
+    MAX_CHUNKS), the chunks taken in reverse order here if reverse (for
+    tests). A file whose key repeats an earlier file's raises the duplicate
+    error, found from the names before any file is read, after the errors
+    of the files before it, which alone are parsed. The parse's prepare()
+    loads dataio, which summarizes the runs next. So keys, values and
+    errors are those of one pass."""
     if not directory.is_dir():
         raise IoError(f"not a directory: {directory}")
-    files = [path for path in sorted(directory.rglob("*.txt"))
-             if len(path.stem.rsplit("_", 2)) == 3 and path.is_file()]
-    sizes = list(map(_size, files))
-    if cut is None:
-        ends = list(itertools.accumulate(sizes))
-        cut = bisect.bisect_left(ends, sum(sizes) / 2) + 1
-    runs, tail = _in_two(
-        partial(_parse_runs, files[:cut]),
-        partial(_parse_runs, files[cut:], frozenset(map(_key, files[:cut]))),
-        sum(sizes))
-    runs.update(tail)
-    if not runs:
+    files, sizes = _run_files(directory)
+    keys = list(map(_key, files))
+    first = {}
+    repeat = next((i for i, key in enumerate(keys)
+                   if first.setdefault(key, i) != i), len(keys))
+    parsed = files[:repeat]
+    chunk = max(chunk, -(-repeat // MAX_CHUNKS))
+    count = -(-repeat // chunk)
+    known: set[bytes] = set()  # token shapes matched so far, per process
+
+    def parse(index: int) -> list[tuple[float, ...]]:
+        return [check_runs(path, _parse_run_file(path, known))
+                for path in parsed[index * chunk:(index + 1) * chunk]]
+
+    values = parse_chunks(parse, count, sum(sizes[:repeat]), _load_dataio,
+                          range(count)[::-1] if reverse else None)
+    if repeat < len(files):
+        raise ParseError(f"{files[repeat]}: duplicate run file for "
+                         f"{keys[repeat]}")
+    if not files:
         raise ParseError(f"{directory}: no run files found "
                          "(expected <algorithm>_<function>_<dimension>.txt)")
-    return RawRuns(runs)
+    return RawRuns(dict(zip(keys, itertools.chain.from_iterable(values))))
 
 
-def _size(path: Path) -> int:
-    """The bytes of a run file; 0 if it cannot be read, which its parse
-    reports."""
-    try:
-        return path.stat().st_size
-    except OSError:
-        return 0
+def _load_dataio() -> None:
+    """The run loader's prepare(): dataio summarizes the runs next, so the
+    parent loads it, and numpy, while its child parses."""
+    from . import dataio  # noqa: F401
 
 
-def _key(path: Path) -> tuple:
+def _run_files(directory: Path) -> tuple[list[str], list[int]]:
+    """The run files under directory and their sizes, sorted by their path
+    parts, so `a/b.txt` comes before `a-b.txt`: each regular file, or
+    symlink to one, named `.txt` with a stem in three parts, as
+    directory.rglob("*.txt") finds them. Subdirectories are walked with
+    names sorted, and symlinks to directories are not followed; one stat
+    per candidate file gives its type and size. Each path reads as the
+    Path that rglob gives would print."""
+    files, sizes = [], []
+
+    def walk(folder: str) -> None:
+        try:
+            with os.scandir(folder or ".") as scan:
+                entries = sorted(scan, key=lambda entry: entry.name)
+        except PermissionError:  # as rglob, which skips such a directory
+            return
+        for entry in entries:
+            path = os.path.join(folder, entry.name)
+            if entry.is_dir(follow_symlinks=False):
+                walk(path)
+            elif entry.name.endswith(".txt") \
+                    and len(entry.name[:-4].rsplit("_", 2)) == 3:
+                try:
+                    status = entry.stat()
+                except OSError:  # a dangling symlink: no file
+                    continue
+                if stat.S_ISREG(status.st_mode):
+                    files.append(path)
+                    sizes.append(status.st_size)
+
+    walk("" if str(directory) == "." else str(directory))
+    return files, sizes
+
+
+def _key(path: str) -> tuple:
     """The (dimension, algorithm, function) key of a run file's name."""
-    algorithm, function, dim_text = path.stem.rsplit("_", 2)
+    algorithm, function, dim_text = \
+        os.path.basename(path)[:-4].rsplit("_", 2)
     return _parse_dimension(dim_text), algorithm, function
-
-
-def _parse_runs(files: list[Path], taken: frozenset = frozenset()) -> dict:
-    """{key: runs} of the run files in files, in order; a file whose key is
-    in taken or repeats an earlier one's raises a duplicate error."""
-    runs: dict[tuple, tuple[float, ...]] = {}
-    known: set[bytes] = set()  # token shapes matched so far
-    for path in files:
-        key = _key(path)
-        if key in runs or key in taken:
-            raise ParseError(f"{path}: duplicate run file for {key}")
-        runs[key] = check_runs(path, _parse_run_file(path, known))
-    return runs

@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
+from ._blas import np
 from .dataio import PerformanceDataset, _parse_dimension
 from .exceptions import MissingCell, ShapeMismatch
 from .rtopsis import (CriteriaSpec, DecisionMatrix, Direction, TopsisResult,

@@ -16,8 +16,7 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from ._blas import np
 from .exceptions import (
     DegenerateDomain,
     DegenerateIdeals,

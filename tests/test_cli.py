@@ -655,15 +655,19 @@ class TestUsage:
 SRC_DIR = Path(hra.__file__).resolve().parents[1]
 
 # runs `python -m hra.cli ARGS` in-process, through the module's __main__
-# block, then prints the exit code and the collector's state
+# block, then prints the exit code and the collector's state; numpy's
+# module dict is out of the collected generations once it is frozen
 ENTRY_PROBE = """
 import gc, json, runpy, sys
 try:
     runpy.run_module("hra.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
+numpy = sys.modules.get("numpy")
 print(json.dumps({"code": code, "frozen": gc.get_freeze_count(),
-                  "numpy.ma": "numpy.ma" in sys.modules}))
+                  "numpy.ma": "numpy.ma" in sys.modules,
+                  "numpy frozen": numpy is not None and id(vars(numpy))
+                  not in set(map(id, gc.get_objects()))}))
 """
 
 # `import hra` and one main(ARGS), as a library caller does
@@ -735,6 +739,21 @@ class TestProcess:
         found = probe(ENTRY_PROBE, "--version")
         assert found["code"] == 0 and found["frozen"] > 0
 
+    @pytest.mark.parametrize("command", ["run", "stats", "verify-paper"])
+    def test_entry_freezes_what_the_command_imports(self, tmp_path, command):
+        """Each command loads numpy, after the freeze at entry; a second
+        freeze covers what the import made."""
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "solver_1_10.txt").write_text("1 2 3\n")
+        argv = {"run": ["run", "--data", str(SYNTHETIC_CSV), "--out",
+                        str(tmp_path / "report")],
+                "stats": ["stats", str(runs), "--out",
+                          str(tmp_path / "stats.csv")],
+                "verify-paper": ["verify-paper"]}[command]
+        found = probe(ENTRY_PROBE, *argv)
+        assert found["code"] == 0 and found["numpy frozen"]
+
     def test_library_use_leaves_the_collector_alone(self, tmp_path):
         found = probe(LIBRARY_PROBE, "run", "--data", str(SYNTHETIC_CSV),
                       "--out", str(tmp_path))
@@ -784,7 +803,7 @@ def test_error_class_exit_code(name, capsys, tmp_path, monkeypatch):
         raise error(["cell"]) if issubclass(error, hra.MissingCell) \
             else error("boom")
 
-    monkeypatch.setattr(cli, "load_long_csv", fail)
+    monkeypatch.setattr(dataio, "load_long_csv", fail)
     code, out, err = run_cli(capsys, "run", "--data", "x.csv", "--out",
                              str(tmp_path))
     expected_code, prefix = EXIT_CODES[name]

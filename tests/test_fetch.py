@@ -3,6 +3,7 @@
 import codecs
 import hashlib
 import math
+import os
 import subprocess
 import sys
 import urllib.error
@@ -475,13 +476,14 @@ def test_raise_sites(tmp_path, build, error, message):
 
 def _faulty_directory(root, fault):
     """Eight run files s0..s7 under root and at most one fault: a negative
-    value, a ragged matrix, or a second file for key s1 that sorts last,
-    alone, holding a ragged matrix, or followed by a negative value."""
+    value, a ragged matrix, both (the ragged one first), or a second file
+    for key s1 that sorts last, alone, holding a ragged matrix, or followed
+    by a negative value."""
     for i in range(8):
         _run_file(root / f"s{i}_f1_10.txt", f"{i} {i + 1}\n")
-    if fault == "negative":
+    if fault in ("negative", "ragged-then-negative"):
         _run_file(root / "s5_f1_10.txt", "1 -5 3\n")
-    elif fault == "ragged":
+    if fault in ("ragged", "ragged-then-negative"):
         _run_file(root / "s2_f1_10.txt", "1 2\n3\n")
     elif fault.startswith("duplicate"):
         _run_file(root / "z" / "s1_f1_10.txt",
@@ -491,10 +493,10 @@ def _faulty_directory(root, fault):
     return len(list(root.rglob("*.txt")))
 
 
-def _runs_outcome(directory, cut):
+def _runs_outcome(directory, *chunking):
     """_load_runs' keys and values in order, or its error."""
     try:
-        return list(fetch._load_runs(directory, cut).runs.items())
+        return list(fetch._load_runs(directory, *chunking).runs.items())
     except HraError as exc:
         return type(exc), str(exc)
 
@@ -502,10 +504,12 @@ def _runs_outcome(directory, cut):
 @pytest.mark.parametrize("fault, error", [
     ("none", None), ("negative", ParseError), ("ragged", UnknownLayout),
     ("duplicate", ParseError), ("duplicate-ragged", ParseError),
-    ("duplicate-then-negative", ParseError)])
+    ("duplicate-then-negative", ParseError),
+    ("ragged-then-negative", UnknownLayout)])
 def test_every_split_loads_like_one_pass(tmp_path, fault, error):
-    """The halves of the run-file list, cut at any index, give the runs or
-    the error of one pass over the files (the cut after the last)."""
+    """The chunk queue, run here with every chunk size and the chunks taken
+    in order or in reverse, gives the runs or the error of one pass over
+    the files (one chunk)."""
     count = _faulty_directory(tmp_path, fault)
     one_pass = _runs_outcome(tmp_path, count)
     if error is None:
@@ -516,9 +520,46 @@ def test_every_split_loads_like_one_pass(tmp_path, fault, error):
     if fault.startswith("duplicate"):
         assert one_pass[1] == (f"{tmp_path}/z/s1_f1_10.txt: duplicate run "
                                "file for (10, 's1', 'f1')")
-    for cut in range(count + 1):
-        assert _runs_outcome(tmp_path, cut) == one_pass, cut
-    assert _runs_outcome(tmp_path, None) == one_pass
+    for chunk in range(1, count + 1):
+        for reverse in (False, True):
+            assert _runs_outcome(tmp_path, chunk, reverse) == one_pass, \
+                (chunk, reverse)
+    assert _runs_outcome(tmp_path) == one_pass
+
+
+def test_run_files_keep_the_rglob_set_and_order(tmp_path):
+    """One scandir pass finds the files that sorted(rglob("*.txt")) with an
+    is_file() check found, in that order: by path parts, so `a/...` comes
+    before `a-b...` and `a.b/...`, though '/' sorts after '-' and '.'."""
+    root = tmp_path / "runs"
+    for name in ("a/s_f_10.txt", "a-b_f_10.txt", "a.b/s_f_10.txt",
+                 "x_y_10.txt/s_g_10.txt", "a/deeper/s_f_10.txt",
+                 "ab_10.txt", "s_f_10.csv", ".txt", "real.dat"):
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text("1 2\n")
+    (root / "l_f_10.txt").symlink_to(root / "real.dat")  # a file
+    (root / "d_f_10.txt").symlink_to(root / "a")  # a directory
+    (root / "linked").symlink_to(root / "a")  # not followed
+    (root / "gone_f_10.txt").symlink_to(root / "missing.txt")
+    files, sizes = fetch._run_files(root)
+    assert files == [f"{root}/{name}" for name in (
+        "a/deeper/s_f_10.txt", "a/s_f_10.txt", "a-b_f_10.txt",
+        "a.b/s_f_10.txt", "l_f_10.txt", "x_y_10.txt/s_g_10.txt")]
+    assert files == [str(path) for path in sorted(root.rglob("*.txt"))
+                     if len(path.stem.rsplit("_", 2)) == 3
+                     and path.is_file()]
+    assert sizes == [os.stat(path).st_size for path in files]
+
+
+def test_run_files_of_the_working_directory(tmp_path, monkeypatch):
+    """Paths under "." read as rglob's do: `a_f_10.txt`, not `./a_f_10.txt`,
+    so an error names the file as before."""
+    _run_file(tmp_path / "a_f_10.txt", "1 -5 3\n")
+    _run_file(tmp_path / "sub" / "b_f_10.txt")
+    monkeypatch.chdir(tmp_path)
+    assert fetch._run_files(Path("."))[0] == ["a_f_10.txt", "sub/b_f_10.txt"]
+    with pytest.raises(ParseError, match=r"^a_f_10\.txt: negative"):
+        load_raw_runs(".")
 
 
 @pytest.mark.parametrize("runs, error, rule", [

@@ -1,4 +1,6 @@
-"""`import hra` loads numpy's OpenBLAS with one thread unless told otherwise.
+"""hra's first numpy import loads OpenBLAS with one thread unless told
+otherwise. `import hra` loads no numpy; `import hra.dataio` is the first
+hra import that does.
 
 conftest.py imports numpy before hra, so every case runs in a fresh
 interpreter.
@@ -17,7 +19,8 @@ THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                     "OMP_NUM_THREADS")
 
 # prints the process's thread count, the three variables and every change
-# made to them while hra was imported (numpy itself sets other variables)
+# made to them while hra.dataio was imported (numpy itself sets other
+# variables)
 PROBE = """
 import json, os, sys
 {before}
@@ -26,7 +29,7 @@ sys.addaudithook(lambda event, args: changes.append(
     [event, *(arg.decode() for arg in args)])
     if event in ("os.putenv", "os.unsetenv")
     and args[0].decode() in {names!r} else None)
-import hra
+import hra.dataio
 status = open("/proc/self/status").read().splitlines()
 threads = next(int(line.split()[1]) for line in status
                if line.startswith("Threads:"))

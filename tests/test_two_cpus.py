@@ -1,8 +1,10 @@
-"""Large inputs have their second half parsed in a forked child.
+"""Large inputs are parsed by two processes that take chunks from one
+queue: a forked child and the process itself.
 
 conftest.py imports numpy before hra, so pytest's own process has OpenBLAS
 threads and never forks; every case here starts a fresh interpreter, in
-which `import hra` leaves one thread. An audit hook counts the forks.
+which hra loads numpy with one thread, and `hra stats` forks before it
+loads numpy at all. An audit hook counts the forks.
 """
 
 import json
@@ -13,7 +15,7 @@ import sys
 
 import pytest
 
-from hra import dataio
+from hra import files
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                     "OMP_NUM_THREADS")
@@ -40,15 +42,38 @@ sys.exit(entry())
 """
 
 # loads one input; prints the outcome, the forks made and whether a child
-# of this process is left
+# of this process is left. With a path as argv[4], this process's import of
+# hra.dataio, which a run-file load makes while its child parses, waits
+# until a child has opened that file, so that the child takes its chunk.
 LOAD = """
-import json, os, signal, sys
+import json, os, signal, sys, time
 import hra
 
-if sys.argv[3:] == ["ignore SIGCHLD"]:  # children reap themselves
+parent = os.getpid()
+if sys.argv[3:4] == ["ignore SIGCHLD"]:  # children reap themselves
     signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-forks = []
+forks, opened = [], sys.argv[2] + ".opened"
 sys.addaudithook(lambda event, args: event == "os.fork" and forks.append(1))
+
+
+class WaitForChild:
+    def find_spec(self, name, path=None, target=None):
+        deadline = time.monotonic() + 30
+        while name == "hra.dataio" and not os.path.exists(opened) \
+                and time.monotonic() < deadline:
+            time.sleep(0.001)
+
+
+def child_opens(event, args):
+    if event == "open" and os.getpid() != parent \
+            and str(args[0]) == sys.argv[4]:
+        with open(opened, "w") as handle:
+            handle.write("child")
+
+
+if sys.argv[4:]:
+    sys.meta_path.insert(0, WaitForChild())
+    sys.addaudithook(child_opens)
 load = hra.load_long_csv if sys.argv[1] == "csv" else hra.load_raw_runs
 try:
     load(sys.argv[2])
@@ -60,45 +85,67 @@ try:
     left = True
 except ChildProcessError:
     left = False
-print(json.dumps({"outcome": outcome, "forks": len(forks), "left": left}))
+print(json.dumps({"outcome": outcome, "forks": len(forks), "left": left,
+                  "child opened": os.path.exists(opened)}))
 """
 
-# _in_two on an input over the threshold; the second half behaves as the
-# case says in the child, and returns "inline" when run here
+# files.parse_chunks on two chunks of an input over the threshold. The child
+# takes chunk 0, and holds it until this process has taken chunk 1; then it
+# behaves as the case says. This process's chunks return "here <index>".
 HELPER = """
-import json, os, sys, time
-from hra import dataio  # before numpy, so that numpy starts no thread
-import numpy as np
+import json, os, signal, sys, time
+from hra import files
+from hra._blas import np  # one BLAS thread, so that this process forks
 
 case, marker = sys.argv[1:]
 parent = os.getpid()
+if case.endswith("SIGCHLD ignored"):  # children reap themselves
+    signal.signal(signal.SIGCHLD, signal.SIG_IGN)
 
-def first():
-    if case == "first raises":
-        raise RuntimeError("first")
-    return "first"
 
-def second():
+def wait_for(path):
+    deadline = time.monotonic() + 30
+    while not os.path.exists(path) and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
+def prepare():
+    wait_for(marker)
+
+
+def parse(index):
     if os.getpid() == parent:
-        return "inline"
-    with open(marker, "w") as handle:
-        handle.write(case)
-    if case == "second raises":
-        raise RuntimeError("second")
-    if case == "second exits":
-        os._exit(0)
-    if case == "first raises":
+        with open(f"{marker}.{index}", "w"):
+            pass
+        if case.startswith("parent raises") and index == 1:
+            raise RuntimeError(f"chunk {index}")
+        if case == "parent interrupted" and index == 1:
+            raise KeyboardInterrupt
+        return f"here {index}"
+    with open(f"{marker}.tmp", "w") as handle:
+        handle.write(f"{case}: {index}")
+    os.replace(f"{marker}.tmp", marker)  # appears with its text
+    wait_for(f"{marker}.1")
+    if case.startswith("parent"):
         time.sleep(60)
-    return {"from": "child", "values": np.arange(3.0)}
+    if case == "child raises":
+        raise RuntimeError("child")
+    if case == "child exits":
+        os._exit(0)
+    if case == "child killed":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return {"from": "child", "values": np.arange(3.0) + index}
+
 
 start = time.monotonic()
 try:
-    head, tail = dataio._in_two(first, second, dataio._FORK_BYTES + 1)
-    if isinstance(tail, dict):
-        tail = [tail["from"], tail["values"].tolist()]
-    result = [head, tail]
+    result = files.parse_chunks(parse, 2, files._FORK_BYTES + 1, prepare)
+    result = [[r["from"], r["values"].tolist()] if isinstance(r, dict)
+              else r for r in result]
 except RuntimeError as exc:
     result = f"raised {exc}"
+except KeyboardInterrupt:
+    result = "interrupted"
 try:
     os.waitpid(-1, os.WNOHANG)
     left = True
@@ -132,7 +179,7 @@ def large_csv(path):
                     handle.writelines(f"{d},p{p},F{f},alg{a},"
                                       f"{rng.uniform(0, 1e3)!r}\n"
                                       for a in range(60))
-    assert path.stat().st_size > dataio._FORK_BYTES
+    assert path.stat().st_size > files._FORK_BYTES
     return path
 
 
@@ -146,7 +193,7 @@ def large_run_directory(root):
         (root / f"alg{i % 8}_F{i // 8}_10.txt").write_text(
             "\n".join(rows) + "\n", encoding="utf-8")
     assert sum(path.stat().st_size for path in root.iterdir()) \
-        > dataio._FORK_BYTES
+        > files._FORK_BYTES
     return root
 
 
@@ -176,7 +223,9 @@ def test_one_cpu_and_two_cpus_write_the_same_bytes(tmp_path):
 
 def test_bad_run_file_in_the_child_half(tmp_path):
     runs = large_run_directory(tmp_path / "runs")
-    bad = sorted(runs.glob("*.txt"))[-1]  # parsed by the child
+    # in the first chunk, which the child takes while its parent loads numpy
+    # (test_a_bad_file_the_child_took makes sure of that)
+    bad = sorted(runs.glob("*.txt"))[0]
     bad.write_text("1 -5 3\n")
     cpu = min(os.sched_getaffinity(0))
     for tag, cpus in (("two", None), ("one", {cpu})):
@@ -196,8 +245,9 @@ def test_bad_run_file_in_the_child_half(tmp_path):
     ("runs", None, "loaded"),
     ("runs", "first", "ParseError: {bad}: negative error value -5.0"),
     ("runs", "last", "ParseError: {bad}: negative error value -5.0"),
+    ("runs", "ignore SIGCHLD", "loaded"),
 ], ids=["csv", "csv-bad-last-line", "csv-sigchld-ignored", "runs",
-        "runs-bad-first-file", "runs-bad-last-file"])
+        "runs-bad-first-file", "runs-bad-last-file", "runs-sigchld-ignored"])
 def test_no_child_outlives_a_load(tmp_path, kind, fault, outcome):
     bad = None
     if kind == "csv":
@@ -207,24 +257,45 @@ def test_no_child_outlives_a_load(tmp_path, kind, fault, outcome):
                 handle.write(fault)
     else:
         path = large_run_directory(tmp_path / "runs")
-        if fault:
+        if fault in ("first", "last"):
             files = sorted(path.glob("*.txt"))
             bad = files[0] if fault == "first" else files[-1]
             bad.write_text("1 -5 3\n")
     done = python(LOAD, kind, path, *[fault] * (fault == "ignore SIGCHLD"))
     assert done.returncode == 0, done.stderr
+    found = json.loads(done.stdout)
+    del found["child opened"]
+    assert found == {"outcome": outcome.format(path=path, bad=bad),
+                     "forks": 1, "left": False}
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+def test_a_bad_file_the_child_took(tmp_path, position):
+    """The child parses the chunk that holds a bad file, stops there, and
+    the parent raises that file's error, the first in file order, after
+    parsing the chunk itself."""
+    runs = large_run_directory(tmp_path / "runs")
+    names = sorted(runs.glob("*.txt"))
+    bad = names[{"first": 0, "middle": 80, "last": -1}[position]]
+    bad.write_text("1 -5 3\n")
+    done = python(LOAD, "runs", runs, "", bad)
+    assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {
-        "outcome": outcome.format(path=path, bad=bad), "forks": 1,
-        "left": False}
+        "outcome": f"ParseError: {bad}: negative error value -5.0",
+        "forks": 1, "left": False, "child opened": True}
 
 
 @pytest.mark.parametrize("case, result", [
-    ("second returns", ["first", ["child", [0.0, 1.0, 2.0]]]),
-    ("second raises", ["first", "inline"]),
-    ("second exits", ["first", "inline"]),
-    ("first raises", "raised first"),
+    ("child returns", [["child", [0.0, 1.0, 2.0]], "here 1"]),
+    ("child raises", ["here 0", "here 1"]),
+    ("child exits", ["here 0", "here 1"]),
+    ("child killed", ["here 0", "here 1"]),
+    ("parent raises", "raised chunk 1"),
+    ("child returns, SIGCHLD ignored", [["child", [0.0, 1.0, 2.0]], "here 1"]),
+    ("parent raises, SIGCHLD ignored", "raised chunk 1"),
+    ("parent interrupted", "interrupted"),
 ])
-def test_helper_falls_back_and_reaps(tmp_path, case, result):
+def test_queue_falls_back_and_reaps(tmp_path, case, result):
     marker = tmp_path / "child.txt"
     done = python(HELPER, case, marker)
     assert done.returncode == 0, done.stderr
@@ -233,5 +304,4 @@ def test_helper_falls_back_and_reaps(tmp_path, case, result):
     assert found["left"] is False
     # a sleeping child was killed, not awaited
     assert found["seconds"] < 30
-    if case != "first raises":  # the second half did run in a child
-        assert marker.read_text() == case
+    assert marker.read_text() == f"{case}: 0"  # the child took chunk 0
