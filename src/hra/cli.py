@@ -175,12 +175,14 @@ def cmd_stats(args, loaded) -> int:
     from .fetch import load_raw_runs
 
     raw = load_raw_runs(args.runs_dir)  # loads dataio while a child parses
+    from ._blas import np
     from .dataio import dataset_from_runs, save_long_csv
 
     loaded()
     dataset = dataset_from_runs(raw, population_std=args.std_population)
     save_long_csv(dataset, args.out)
-    print(f"{len(dataset.values)} rows written to {args.out}")
+    rows = np.count_nonzero(~np.isnan(dataset.array))  # the present cells
+    print(f"{rows} rows written to {args.out}")
     return EXIT_OK
 
 

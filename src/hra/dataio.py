@@ -26,10 +26,11 @@ import csv
 import itertools
 import math
 import os
-from collections.abc import ItemsView, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from ._blas import np
@@ -43,9 +44,9 @@ from .exceptions import (
     ParseError,
     ShapeMismatch,
 )
-# defined without numpy in files; dataio.check_runs stays reachable too
-from .files import (RawRuns, _not_utf8, _parse_dimension,  # noqa: F401
-                    check_runs, parse_chunks, write_files)
+# defined without numpy in files
+from .files import (RawRuns, _not_utf8, _parse_dimension, parse_chunks,
+                    write_files)
 from .rtopsis import DecisionMatrix, check_labels, label_fault
 
 if TYPE_CHECKING:
@@ -132,46 +133,6 @@ def _check_statistic_ordering(dataset: "PerformanceDataset") -> None:
         f"[best={float(best[i, a, f])}, worst={float(worst[i, a, f])}]")
 
 
-class CellValues(Mapping):
-    """Read-only view of a dataset's present cells.
-
-    Maps (dimension, measure, algorithm, function) to a float; iterates in
-    axis order and skips missing cells.
-    """
-
-    __slots__ = ("_dataset",)
-
-    def __init__(self, dataset: "PerformanceDataset"):
-        self._dataset = dataset
-
-    def __getitem__(self, key) -> float:
-        dataset = self._dataset
-        try:
-            value = float(dataset.array[dataset._position(key)])
-        except (KeyError, TypeError, ValueError):
-            raise KeyError(key) from None
-        if math.isnan(value):
-            raise KeyError(key)
-        return value
-
-    def __iter__(self):
-        return iter(self._dataset._cells(~np.isnan(self._dataset.array)))
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(~np.isnan(self._dataset.array)))
-
-    def items(self) -> ItemsView:
-        return _CellItems(self)
-
-
-class _CellItems(ItemsView):
-    def __iter__(self):
-        cube = self._mapping._dataset.array
-        present = ~np.isnan(cube)
-        return zip(self._mapping._dataset._cells(present),
-                   cube[present].tolist())
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class PerformanceDataset:
     """Raw values over (dimension, measure, algorithm, function) axes.
@@ -181,7 +142,8 @@ class PerformanceDataset:
     cell, so present values are always finite. Axis tuples fix the
     presentation order everywhere downstream. A dataset may be partial;
     the aggregation entry point rejects partial data rather than imputing.
-    `values` is the same data as a read-only mapping keyed by cell.
+    `values` is the same data as a read-only mapping keyed by cell, built
+    on first read.
     """
 
     algorithms: tuple[str, ...]
@@ -196,9 +158,11 @@ class PerformanceDataset:
                 tuple(functions))
         object.__setattr__(self, "_index", _axis_index(axes))
         cube = np.full(tuple(map(len, axes)), np.nan)
+        d_index, p_index, a_index, f_index = self._index
         for key, v in values.items():
+            d, p, a, f = key
             try:
-                position = self._position(key)
+                position = d_index[d], p_index[p], a_index[a], f_index[f]
             except KeyError:
                 raise ShapeMismatch(f"cell {_cell_text(key)} is outside "
                                     "the declared axes") from None
@@ -241,15 +205,13 @@ class PerformanceDataset:
                                     other.algorithms, other.functions) \
             and np.array_equal(self.array, other.array, equal_nan=True)
 
-    @property
-    def values(self) -> CellValues:
-        return CellValues(self)
-
-    def _position(self, key: Cell) -> tuple[int, int, int, int]:
-        """Array index of a (d, p, a, f) key; KeyError outside the axes."""
-        d, p, a, f = key
-        d_index, p_index, a_index, f_index = self._index
-        return d_index[d], p_index[p], a_index[a], f_index[f]
+    @cached_property
+    def values(self) -> Mapping[Cell, float]:
+        """{(d, p, a, f): value} of the present cells, in axis order,
+        read-only."""
+        present = ~np.isnan(self.array)
+        return MappingProxyType(dict(zip(self._cells(present),
+                                         self.array[present].tolist())))
 
     def _cells(self, mask: np.ndarray, dimensions=None,
                measures=None) -> list[Cell]:

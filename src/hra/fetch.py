@@ -46,8 +46,8 @@ from .exceptions import (
     ParseError,
     UnknownLayout,
 )
-from .files import (MAX_CHUNKS, RawRuns, _not_utf8, _parse_dimension,
-                    check_runs, parse_chunks, write_files)
+from .files import (MAX_CHUNKS, RawRuns, _checked_runs, _not_utf8,
+                    _parse_dimension, check_runs, parse_chunks, write_files)
 
 MANIFEST_NAME = "manifest.csv"
 INVENTORY_NAME = "inventory.txt"
@@ -272,7 +272,7 @@ _CHUNK_FILES = 24
 
 def load_raw_runs(directory) -> RawRuns:
     """Parse every `<algorithm>_<function>_<dimension>.txt` under directory;
-    each file's values pass check_runs, so its errors name the file."""
+    each file's values pass check_runs once, so its errors name the file."""
     return _load_runs(Path(directory))
 
 
@@ -309,7 +309,8 @@ def _load_runs(directory: Path, chunk: int = _CHUNK_FILES,
     if not files:
         raise ParseError(f"{directory}: no run files found "
                          "(expected <algorithm>_<function>_<dimension>.txt)")
-    return RawRuns(dict(zip(keys, itertools.chain.from_iterable(values))))
+    return _checked_runs(
+        dict(zip(keys, itertools.chain.from_iterable(values))))
 
 
 def _load_dataio() -> None:

@@ -1,17 +1,16 @@
 """What hra's file input and output need without numpy.
 
-The rule for a cell's runs (check_runs, RawRuns), the dimension label
-parse, the error for a file that is not UTF-8, the all-or-nothing writer
-(write_files) and the chunk queue that spreads a parse over two CPUs
-(parse_chunks). dataio imports each of them back. `hra stats` parses its
-run files with only this module, fetch and exceptions loaded, so it can
-fork while it has one thread and no numpy, and load numpy while its child
-parses.
+The rule for a cell's runs (check_runs, RawRuns, and _checked_runs for
+lists that already passed it), the dimension label parse, the error for a
+file that is not UTF-8, the all-or-nothing writer (write_files) and the
+chunk queue that spreads a parse over two CPUs (parse_chunks). dataio
+imports what it needs of them back. `hra stats` parses its run files with
+only this module, fetch and exceptions loaded, so it can fork while it has
+one thread and no numpy, and load numpy while its child parses.
 """
 
 from __future__ import annotations
 
-import array
 import contextlib
 import math
 import os
@@ -46,6 +45,14 @@ class RawRuns:
     def __post_init__(self):
         object.__setattr__(self, "runs", {
             key: check_runs(key, values) for key, values in self.runs.items()})
+
+
+def _checked_runs(runs: dict) -> RawRuns:
+    """RawRuns over {key: run list}, each list as check_runs returned it,
+    so that no list is checked twice."""
+    raw = object.__new__(RawRuns)
+    object.__setattr__(raw, "runs", runs)
+    return raw
 
 
 def _parse_dimension(text: str):
@@ -185,8 +192,8 @@ class _Child:
     4-byte read from a pipe is atomic, so each id is taken by one process.
     The child stops when the queue is empty or at its first chunk that
     raises, and sends {id: result} of the chunks it parsed through a second
-    pipe: a pickle, its numpy arrays as raw out-of-band buffers that the
-    parent reads straight into place. It ends with os._exit.
+    pipe as one pickle, which the parent loads from the pipe; the unpickler
+    reads a numpy array's data straight into place. It ends with os._exit.
     """
 
     def __init__(self, parse: Callable[[int], object], count: int):
@@ -213,10 +220,15 @@ class _Child:
     def results(self) -> dict:
         """{id: result} of the chunks the child parsed; {} if its whole
         result does not arrive."""
-        with open(self.pipe, "rb", buffering=0, closefd=False) as pipe:
-            received = _receive(pipe)
-        self.whole = received is not None
-        return received[0] if self.whole else {}
+        import pickle
+
+        with open(self.pipe, "rb", closefd=False) as pipe:
+            try:
+                done = pickle.load(pipe)
+            except Exception:  # the child's output is never trusted whole
+                return {}
+        self.whole = True
+        return done
 
     def end(self) -> None:
         """Close the pipes, kill the child unless its whole result arrived,
@@ -234,9 +246,9 @@ class _Child:
 
 def _child(queue: int, send: int, parse: Callable[[int], object]) -> None:
     """The forked child: parse the chunks taken from the queue until it is
-    empty or one raises, send {id: result} of those parsed, as _receive
-    reads it, and exit with status 0; any failure exits with status 1.
-    Never returns."""
+    empty or one raises, send {id: result} of those parsed as one pickle,
+    and exit with status 0; any failure exits with status 1. Never
+    returns."""
     status = 1
     try:
         import pickle
@@ -246,43 +258,8 @@ def _child(queue: int, send: int, parse: Callable[[int], object]) -> None:
         with contextlib.suppress(Exception):
             for index in _taken(queue):
                 done[index] = parse(index)
-        buffers = []
-        data = pickle.dumps(done, 5, buffer_callback=buffers.append)
-        views = [memoryview(data), *(buffer.raw() for buffer in buffers)]
         with open(send, "wb") as pipe:
-            pipe.write(array.array("Q", [len(views)]
-                                   + [view.nbytes for view in views]))
-            for view in views:
-                pipe.write(view)
+            pickle.dump(done, pipe, 5)
         status = 0
     finally:
         os._exit(status)
-
-
-def _receive(pipe) -> tuple | None:
-    """(result,) of what _child wrote to the pipe, read straight into its
-    buffers; None if the pipe ends early or what it holds does not load."""
-    def filled(buffer) -> bool:
-        view, got = memoryview(buffer).cast("B"), 0
-        while got < len(view):
-            read = pipe.readinto(view[got:])
-            if not read:
-                return False
-            got += read
-        return True
-
-    try:
-        import pickle
-
-        count = array.array("Q", [0])
-        if not filled(count):
-            return None
-        sizes = array.array("Q", bytes(8 * count[0]))
-        if not filled(sizes):
-            return None
-        data, *buffers = (bytearray(size) for size in sizes)
-        if not all(map(filled, [data, *buffers])):
-            return None
-        return (pickle.loads(data, buffers=buffers),)
-    except Exception:  # the child's output is never trusted to be whole
-        return None

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ._blas import np
-from .dataio import PerformanceDataset, _parse_dimension
+from .dataio import PerformanceDataset
 from .exceptions import MissingCell, ShapeMismatch
+from .files import _parse_dimension
 from .rtopsis import (CriteriaSpec, DecisionMatrix, Direction, TopsisResult,
                       check_labels, check_weights, rank_columns, rtopsis)
 

@@ -436,9 +436,11 @@ class TestStats:
         for name in ("_f1_10.txt", "b_f1_10.txt", "b__10.txt"):
             (runs_dir / name).write_text("1 2 3\n")
         out_csv = tmp_path / "stats.csv"
-        code, _, err = run_cli(capsys, "stats", str(runs_dir), "--out",
-                               str(out_csv))
+        code, out, err = run_cli(capsys, "stats", str(runs_dir), "--out",
+                                 str(out_csv))
         assert code == 0 and err == ""
+        # the present cells, not the 1 x 5 x 2 x 2 cells of the axes
+        assert out == f"15 rows written to {out_csv}\n"
         dataset = load_long_csv(out_csv)
         assert sorted(dataset.algorithms) == ["", "b"]
         assert sorted(dataset.functions) == ["", "f1"]

@@ -583,3 +583,27 @@ def test_one_run_rule_for_keys_and_files(tmp_path, runs, error, rule):
             build(argument)
         assert type(excinfo.value) is error
         assert str(excinfo.value) == f"{name}: {rule}"
+
+
+def test_load_raw_runs_checks_each_run_file_once(tmp_path, monkeypatch):
+    """check_runs runs once per run file, where its error names the file;
+    the RawRuns it returns holds what the library constructor would."""
+    from hra import files
+
+    names, check_runs = [], files.check_runs
+
+    def counted(name, values):
+        names.append(name)
+        return check_runs(name, values)
+
+    monkeypatch.setattr(files, "check_runs", counted)
+    monkeypatch.setattr(fetch, "check_runs", counted)
+    paths = [_run_file(tmp_path / name, text) for name, text in (
+        ("a_f1_10.txt", "1 2 3\n"), ("a_f2_10.txt", "9 9\n-0.0 4\n"),
+        ("b_f1_30.txt", "5\n6\n"))]
+    raw = load_raw_runs(tmp_path)
+    assert names == list(map(str, paths))
+    assert raw.runs == {(10, "a", "f1"): (1.0, 2.0, 3.0),
+                        (10, "a", "f2"): (-0.0, 4.0),
+                        (30, "b", "f1"): (5.0, 6.0)}
+    assert raw == RawRuns(raw.runs)

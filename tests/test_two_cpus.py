@@ -134,7 +134,14 @@ def parse(index):
         os._exit(0)
     if case == "child killed":
         os.kill(os.getpid(), signal.SIGKILL)
+    if case == "child result cut short":  # the payload reaches the pipe
+        return {"payload": bytes(1 << 20), "then": ExitWhenPickled()}
     return {"from": "child", "values": np.arange(3.0) + index}
+
+
+class ExitWhenPickled:
+    def __reduce__(self):
+        os._exit(0)
 
 
 start = time.monotonic()
@@ -294,6 +301,7 @@ def test_a_bad_file_the_child_took(tmp_path, position):
     ("child returns, SIGCHLD ignored", [["child", [0.0, 1.0, 2.0]], "here 1"]),
     ("parent raises, SIGCHLD ignored", "raised chunk 1"),
     ("parent interrupted", "interrupted"),
+    ("child result cut short", ["here 0", "here 1"]),
 ])
 def test_queue_falls_back_and_reaps(tmp_path, case, result):
     marker = tmp_path / "child.txt"
