@@ -36,7 +36,7 @@ from .exceptions import (
 
 # The other public names, by the submodule that defines them. Each is
 # imported on first use (__getattr__), so `import hra` loads no numpy and
-# `hra stats` can fork before numpy loads (see files.parse_chunks).
+# `hra stats`, which needs only fetch and files, loads none at all.
 _LAZY = {
     "dataio": ("STAT_MEASURES", "PerformanceDataset", "dataset_from_runs",
                "emit_report", "load_long_csv", "load_rank_matrix_csv",

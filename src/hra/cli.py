@@ -25,8 +25,9 @@ if TYPE_CHECKING:
     from .rtopsis import TopsisResult
 
 # Each command imports its own modules, so that `import hra.cli` and the
-# argument parsing load no numpy, and `hra stats` forks before it does.
-# Each then calls loaded(), with which entry() freezes the import-time heap.
+# argument parsing load no numpy, and `hra stats`, which needs only fetch
+# and files, loads none at all and can fork. Each command then calls
+# loaded(), with which entry() freezes the import-time heap.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -173,15 +174,11 @@ def cmd_verify_paper(args, loaded) -> int:
 
 def cmd_stats(args, loaded) -> int:
     from .fetch import load_raw_runs
+    from .files import _save_run_statistics
 
-    raw = load_raw_runs(args.runs_dir)  # loads dataio while a child parses
-    from ._blas import np
-    from .dataio import dataset_from_runs, save_long_csv
-
+    raw = load_raw_runs(args.runs_dir)  # a child parses beside this process
     loaded()
-    dataset = dataset_from_runs(raw, population_std=args.std_population)
-    save_long_csv(dataset, args.out)
-    rows = np.count_nonzero(~np.isnan(dataset.array))  # the present cells
+    rows = _save_run_statistics(raw, args.std_population, args.out)
     print(f"{rows} rows written to {args.out}")
     return EXIT_OK
 
@@ -274,7 +271,8 @@ def entry() -> int:
     gc.freeze() moves every object alive into the permanent generation, so
     no collection during the command, and none at exit, walks them again.
     It runs here, before any fork, and again once the command has loaded
-    its modules, which bring numpy and the rest of hra. What is alive then
+    its modules, which bring numpy (except in stats) and the rest of hra,
+    and in stats has parsed the run files too. What is alive then
     lives until the process exits anyway. Library use (`import hra`,
     main()) leaves the collector alone.
     """

@@ -13,9 +13,11 @@ The columnar path of load_long_csv parses a plain file's body as two
 chunks, cut at a line start, through files.parse_chunks, which runs one of
 them in a forked child when the file is over 1.5 MiB and the process has
 one thread and may use two CPUs; the merge gives the dataset of one pass,
-whichever process parsed which chunk. The rule for runs, the dimension
-label parse and the all-or-nothing writer live in files, which loads no
-numpy, and are imported back here.
+whichever process parsed which chunk. The rule for runs, the label rule
+and each axis's field parse, the run statistics, the long CSV's rows and
+writer and the all-or-nothing writer live in files, which loads no numpy,
+and are imported back here; dataset_from_runs puts files' statistics in
+a dataset.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import array
 import codecs
 import csv
-import itertools
 import math
 import os
 from collections.abc import Iterable, Mapping, Sequence
@@ -44,57 +45,19 @@ from .exceptions import (
     ParseError,
     ShapeMismatch,
 )
-# defined without numpy in files
-from .files import (RawRuns, _not_utf8, _parse_dimension, parse_chunks,
-                    write_files)
-from .rtopsis import DecisionMatrix, check_labels, label_fault
+# defined without numpy in files; STAT_MEASURES and _parse_dimension are
+# imported back for those who read them here
+from .files import (  # noqa: F401
+    AXIS_NAMES, AXIS_PARSERS, LONG_CSV_HEADER, STAT_MEASURES, RawRuns,
+    _axis_index, _cell_text, _long_rows, _not_utf8, _parse_dimension,
+    _run_statistics, _write_rows, format_number, label_fault, parse_chunks,
+    write_files)
+from .rtopsis import DecisionMatrix
 
 if TYPE_CHECKING:
     from .hierarchy import HraReport
 
-LONG_CSV_HEADER = ("dimension", "measure", "function", "algorithm", "value")
-STAT_MEASURES = ("best", "worst", "median", "mean", "std")
-AXIS_NAMES = ("dimensions", "measures", "algorithms", "functions")
-
 Cell = tuple  # (dimension, measure, algorithm, function)
-
-
-def format_number(x: float) -> str:
-    """17 significant digits: enough for float64 round-trip fidelity."""
-    return format(float(x), ".17g")
-
-
-def _statistics(runs: np.ndarray, population_std: bool) -> np.ndarray:
-    """(cells, 5) statistics in STAT_MEASURES order of a C-contiguous
-    (cells, R) array of finite runs, R >= 1.
-
-    Every statistic reduces along the contiguous last axis, so a row's
-    result is bit for bit that of its 1-D computation. The median takes
-    np.median's steps without its NaN check, which imports numpy.ma and
-    cannot fire on finite runs: partition at the one or two middle
-    positions, then take their mean, so that a middle -0.0 reads +0.0 as
-    in np.median.
-    """
-    half, odd = divmod(runs.shape[1], 2)
-    middle = np.partition(runs, [half] if odd else [half - 1, half], axis=1)
-    stats = np.empty((runs.shape[0], 5))
-    stats[:, 0] = runs.min(axis=1)
-    stats[:, 1] = runs.max(axis=1)
-    stats[:, 2] = middle[:, half - 1 + odd:half + 1].mean(axis=1)
-    stats[:, 3] = runs.mean(axis=1)
-    stats[:, 4] = 0.0 if runs.shape[1] == 1 else \
-        runs.std(axis=1, ddof=0 if population_std else 1)
-    return stats
-
-
-def _axis_index(axes) -> tuple[dict, ...]:
-    """label -> position for each axis; every axis non-empty, its labels
-    kept by the label rule as a long CSV reads them back."""
-    for name, parse, axis in zip(AXIS_NAMES, AXIS_PARSERS, axes):
-        if len(axis) == 0:
-            raise EmptyMatrix(f"dataset has no {name}")
-        check_labels(name[:-1], axis, parse)  # 'dimension' of 'dimensions'
-    return tuple({label: i for i, label in enumerate(axis)} for axis in axes)
 
 
 def _check_statistic_ordering(dataset: "PerformanceDataset") -> None:
@@ -249,44 +212,18 @@ class PerformanceDataset:
                               self.algorithms, self.functions)
 
 
-def _cell_text(key) -> str:
-    return "(" + ", ".join(map(str, key)) + ")"
-
-
-def _axis_sort_key(value):
-    return (0, value, "") if isinstance(value, int) else (1, 0, str(value))
-
-
 def dataset_from_runs(raw: RawRuns,
                       population_std: bool = False) -> PerformanceDataset:
-    """Summarize raw runs into the five standard measures."""
-    keys = raw.runs.keys()
-    dimensions, algorithms, functions = (
-        sorted({key[axis] for key in keys}, key=_axis_sort_key)
-        for axis in range(3))
-    d_index, a_index, f_index = ({label: i for i, label in enumerate(axis)}
-                                 for axis in (dimensions, algorithms,
-                                              functions))
-    cube = np.full((len(dimensions), len(STAT_MEASURES), len(algorithms),
-                    len(functions)), np.nan)
-    by_count: dict[int, list] = {}  # one batch per distinct run count
-    for key, runs in raw.runs.items():
-        by_count.setdefault(len(runs), []).append((key, runs))
-    for cells in by_count.values():
-        keys, runs = zip(*cells)
-        i, j, k = np.array([(d_index[d], a_index[a], f_index[f])
-                            for d, a, f in keys]).T
-        cube[i, :, j, k] = _statistics(np.array(runs), population_std)
-    return PerformanceDataset.from_array(
-        algorithms=algorithms, functions=functions, dimensions=dimensions,
-        measures=STAT_MEASURES, array=cube)
+    """Summarize raw runs into the five standard measures (see
+    files._statistics)."""
+    axes, cells = _run_statistics(raw, population_std)  # at least one cell
+    cube = np.full(tuple(map(len, axes)), np.nan)
+    i, a, f = np.array(list(cells)).T
+    cube[i, :, a, f] = list(cells.values())
+    return _dataset(axes, cube)
 
 
 # -- CSV input --------------------------------------------------------------
-
-# how a long CSV reads each axis's field back, in AXIS_NAMES order
-AXIS_PARSERS = (_parse_dimension, str.strip, str.strip, str.strip)
-
 
 def _records(path: Path):
     """Yield (line, row) for every CSV record of a UTF-8 file, unstripped;
@@ -330,25 +267,6 @@ def _data_rows(path: Path):
     for number, row in _records(path):
         if row:
             yield number, [cell.strip() for cell in row]
-
-
-def _write_rows(handle, rows: Iterable[Sequence]) -> None:
-    """csv.writer rows, quoting what csv leaves bare but would not reload
-    as written: a first field that starts, after blanks, with '#' (a
-    comment), and every field of a row with a field that holds '\r' (csv
-    quotes only the line terminator '\n')."""
-    writerow = csv.writer(handle, lineterminator="\n").writerow
-    quoted = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    first = csv.writer(handle, lineterminator=",", quoting=csv.QUOTE_ALL)
-    for row in rows:
-        if any(isinstance(cell, str) and "\r" in cell for cell in row):
-            quoted.writerow(row)
-            continue
-        head = row[0]
-        if isinstance(head, str) and head.lstrip()[:1] == "#":
-            first.writerow(row[:1])
-            row = row[1:]
-        writerow(row)
 
 
 def _first_repeat(flat: np.ndarray) -> int | None:
@@ -715,12 +633,11 @@ def save_long_csv(dataset: PerformanceDataset, path) -> Path:
     """Write a dataset in long format, in axis order; skips missing cells."""
     ordered = dataset.array.transpose(0, 1, 3, 2)  # rows run d, p, f, a
     present = ~np.isnan(ordered)
-    rows = ([dataset.dimensions[i], dataset.measures[j], dataset.functions[f],
-             dataset.algorithms[a], format_number(v)]
-            for (i, j, f, a), v in zip(np.argwhere(present).tolist(),
-                                       ordered[present].tolist()))
+    cells = zip(np.argwhere(present).tolist(), ordered[present].tolist())
+    axes = (dataset.dimensions, dataset.measures, dataset.algorithms,
+            dataset.functions)
     return write_files({Path(path): partial(
-        _write_rows, rows=itertools.chain([LONG_CSV_HEADER], rows))})[0]
+        _write_rows, rows=_long_rows(axes, cells))})[0]
 
 
 def load_rank_matrix_csv(path) -> DecisionMatrix:

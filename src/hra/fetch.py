@@ -23,10 +23,9 @@ converting the rows it discards; any other file goes through the text loop,
 which gives the same values and is the source of every error.
 load_raw_runs lists the run files in one pass, takes every key from the
 file names, and parses the files in chunks through files.parse_chunks. This
-module loads no numpy, so when the files are large enough the process
-forks before numpy loads: its child parses chunks while it loads numpy and
-dataio, which summarizes the runs next, and then parses chunks too. The
-merge keeps the keys, values and errors of one pass.
+module loads no numpy, so when the files are large enough the process,
+which has one thread, forks, and it and its child parse chunks from the
+start. The merge keeps the keys, values and errors of one pass.
 """
 
 from __future__ import annotations
@@ -282,8 +281,7 @@ def _load_runs(directory: Path, chunk: int = _CHUNK_FILES,
     MAX_CHUNKS), the chunks taken in reverse order here if reverse (for
     tests). A file whose key repeats an earlier file's raises the duplicate
     error, found from the names before any file is read, after the errors
-    of the files before it, which alone are parsed. The parse's prepare()
-    loads dataio, which summarizes the runs next. So keys, values and
+    of the files before it, which alone are parsed. So keys, values and
     errors are those of one pass."""
     if not directory.is_dir():
         raise IoError(f"not a directory: {directory}")
@@ -301,7 +299,7 @@ def _load_runs(directory: Path, chunk: int = _CHUNK_FILES,
         return [check_runs(path, _parse_run_file(path, known))
                 for path in parsed[index * chunk:(index + 1) * chunk]]
 
-    values = parse_chunks(parse, count, sum(sizes[:repeat]), _load_dataio,
+    values = parse_chunks(parse, count, sum(sizes[:repeat]),
                           range(count)[::-1] if reverse else None)
     if repeat < len(files):
         raise ParseError(f"{files[repeat]}: duplicate run file for "
@@ -311,12 +309,6 @@ def _load_runs(directory: Path, chunk: int = _CHUNK_FILES,
                          "(expected <algorithm>_<function>_<dimension>.txt)")
     return _checked_runs(
         dict(zip(keys, itertools.chain.from_iterable(values))))
-
-
-def _load_dataio() -> None:
-    """The run loader's prepare(): dataio summarizes the runs next, so the
-    parent loads it, and numpy, while its child parses."""
-    from . import dataio  # noqa: F401
 
 
 def _run_files(directory: Path) -> tuple[list[str], list[int]]:

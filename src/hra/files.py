@@ -1,24 +1,36 @@
 """What hra's file input and output need without numpy.
 
 The rule for a cell's runs (check_runs, RawRuns, and _checked_runs for
-lists that already passed it), the dimension label parse, the error for a
-file that is not UTF-8, the all-or-nothing writer (write_files) and the
-chunk queue that spreads a parse over two CPUs (parse_chunks). dataio
-imports what it needs of them back. `hra stats` parses its run files with
-only this module, fetch and exceptions loaded, so it can fork while it has
-one thread and no numpy, and load numpy while its child parses.
+lists that already passed it), the label rule (label_fault, check_labels)
+and each axis's field parse, the run statistics (_statistics), the long
+CSV's rows and writer, the error for a file that is not UTF-8, the
+all-or-nothing writer (write_files) and the chunk queue that spreads a
+parse over two CPUs (parse_chunks). dataio and rtopsis import what they
+need of them back. `hra stats` loads only this module, fetch and
+exceptions: it forks while it has one thread, both processes parse the
+run files, and it summarizes the runs and writes its long CSV without
+numpy (_save_run_statistics).
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
+import itertools
 import math
 import os
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import partial, reduce
+from operator import add, itemgetter
 from pathlib import Path
 
-from .exceptions import EmptyRuns, IoError, NonFiniteValue, ParseError
+from .exceptions import (EmptyMatrix, EmptyRuns, IoError, NonFiniteValue,
+                         ParseError, ShapeMismatch)
+
+LONG_CSV_HEADER = ("dimension", "measure", "function", "algorithm", "value")
+STAT_MEASURES = ("best", "worst", "median", "mean", "std")
+AXIS_NAMES = ("dimensions", "measures", "algorithms", "functions")
 
 
 def check_runs(name, values) -> tuple[float, ...]:
@@ -69,6 +81,191 @@ def _parse_dimension(text: str):
 def _not_utf8(source, exc: UnicodeDecodeError) -> ParseError:
     return ParseError(f"{source}: not UTF-8 text: cannot decode "
                       f"{exc.object[exc.start:exc.end]!r}")
+
+
+def label_fault(name: str, labels, parse=str.strip) -> tuple[int, str] | None:
+    """The label rule of every labelled type. A file shows a label as its
+    text str(label), so that text must differ from every other label's,
+    and parse, which reads a field as the label's file format does, must
+    turn it back into the label itself. The position and message of the
+    first label that breaks the rule, else None."""
+    texts: set[str] = set()
+    for position, label in enumerate(labels):
+        text = str(label)
+        reloaded = parse(text)
+        if reloaded != label:
+            return position, f"{name} {label!r} would reload as {reloaded!r}"
+        if text in texts:
+            return position, f"duplicate {name} {label!r}"
+        texts.add(text)
+    return None
+
+
+def check_labels(name: str, labels, parse=str.strip) -> None:
+    """ShapeMismatch if a label breaks label_fault's rule."""
+    fault = label_fault(name, labels, parse)
+    if fault is not None:
+        raise ShapeMismatch(fault[1])
+
+
+# how a long CSV reads each axis's field back, in AXIS_NAMES order
+AXIS_PARSERS = (_parse_dimension, str.strip, str.strip, str.strip)
+
+
+def _axis_index(axes) -> tuple[dict, ...]:
+    """label -> position for each axis; every axis non-empty, its labels
+    kept by the label rule as a long CSV reads them back."""
+    for name, parse, axis in zip(AXIS_NAMES, AXIS_PARSERS, axes):
+        if len(axis) == 0:
+            raise EmptyMatrix(f"dataset has no {name}")
+        check_labels(name[:-1], axis, parse)  # 'dimension' of 'dimensions'
+    return tuple({label: i for i, label in enumerate(axis)} for axis in axes)
+
+
+def _axis_sort_key(value):
+    return (0, value, "") if isinstance(value, int) else (1, 0, str(value))
+
+
+def _cell_text(key) -> str:
+    return "(" + ", ".join(map(str, key)) + ")"
+
+
+# -- run statistics ---------------------------------------------------------
+
+def _sum(values: Sequence[float]) -> float:
+    """np.add.reduce of a contiguous float64 row, bit for bit: its identity
+    0.0 plus numpy's pairwise_sum. Under 8 values are added left to right;
+    up to 128 go to eight accumulators, seeded with the first eight and
+    stepping by eight, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the rest left to right; a longer row is cut at n//2 rounded down
+    to a multiple of 8 and each part summed so. The builtin sum() is not
+    used: from Python 3.12 it compensates float sums."""
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, 0.0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum(values[:half]) + _sum(values[half:])
+    whole = n - n % 8
+    lanes = values[:8]
+    for start in range(8, whole, 8):
+        lanes = map(add, lanes, values[start:start + 8])
+    r0, r1, r2, r3, r4, r5, r6, r7 = lanes
+    return reduce(add, values[whole:],
+                  0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))))
+
+
+def _statistics(runs: Sequence[float], ddof: int) -> tuple[float, ...]:
+    """A cell's five statistics in STAT_MEASURES order, from its runs as
+    check_runs returns them: finite and at least one.
+
+    Median, mean and std are numpy's bit for bit: np.median (the middle
+    value plus 0.0, or (0.0 + a + b) / 2 of the two middle values), the
+    sum divided by n, and the square root of the sum of the squared
+    deviations from that mean divided by n - ddof; a single run has std 0.
+    Best and worst are min() and max(): of equal runs, the first in run
+    order, so of 0.0 and -0.0 the one that comes first. A finite mean is
+    clamped into [best, worst]: the sum of equal runs can round past them
+    (three runs of 0.1 give 0.10000000000000002). A sum that overflows
+    gives an infinite statistic, which _run_statistics rejects.
+    """
+    n = len(runs)
+    ordered = sorted(runs)
+    half = n // 2
+    median = 0.0 + ordered[half] if n % 2 \
+        else (0.0 + ordered[half - 1] + ordered[half]) / 2
+    best, worst = ordered[0], max(runs)  # sorted() is stable: min(runs)
+    mean = _sum(runs) / n
+    std = 0.0
+    if n > 1:  # (v - mean) ** 2 would raise OverflowError, not give inf
+        squares = [(value - mean) * (value - mean) for value in runs]
+        std = math.sqrt(_sum(squares) / (n - ddof))
+    if math.isfinite(mean):
+        mean = min(max(mean, best), worst)  # unchanged when inside
+    return best, worst, median, mean, std
+
+
+def _run_statistics(raw: RawRuns, population_std: bool):
+    """(axes, cells) of the dataset that summarizes raw: the axes
+    (dimensions, STAT_MEASURES, algorithms, functions), the run keys'
+    labels each sorted by _axis_sort_key, and {(d, a, f) positions:
+    _statistics}. The errors are PerformanceDataset's, in its order: the
+    label rule on each axis, then the first statistic that is not finite
+    in (d, p, a, f) order. With the mean clamped, the statistics meet the
+    dataset's ordering rule."""
+    keys = raw.runs.keys()
+    dimensions, algorithms, functions = (
+        tuple(sorted({key[axis] for key in keys}, key=_axis_sort_key))
+        for axis in range(3))
+    axes = (dimensions, STAT_MEASURES, algorithms, functions)
+    d_index, _, a_index, f_index = _axis_index(axes)
+    ddof = 0 if population_std else 1
+    cells = {(d_index[d], a_index[a], f_index[f]): _statistics(runs, ddof)
+             for (d, a, f), runs in raw.runs.items()}
+    bad = min(((i, j, a, f) for (i, a, f), stats in cells.items()
+               for j, value in enumerate(stats) if not math.isfinite(value)),
+              default=None)
+    if bad is not None:
+        i, j, a, f = bad
+        key = dimensions[i], STAT_MEASURES[j], algorithms[a], functions[f]
+        raise NonFiniteValue(f"cell {_cell_text(key)} is {cells[i, a, f][j]}")
+    return axes, cells
+
+
+# -- long CSV output --------------------------------------------------------
+
+def format_number(x: float) -> str:
+    """17 significant digits: enough for float64 round-trip fidelity."""
+    return format(float(x), ".17g")
+
+
+def _write_rows(handle, rows: Iterable[Sequence]) -> None:
+    """csv.writer rows, quoting what csv leaves bare but would not reload
+    as written: a first field that starts, after blanks, with '#' (a
+    comment), and every field of a row with a field that holds '\r' (csv
+    quotes only the line terminator '\n')."""
+    writerow = csv.writer(handle, lineterminator="\n").writerow
+    quoted = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    first = csv.writer(handle, lineterminator=",", quoting=csv.QUOTE_ALL)
+    for row in rows:
+        if any(isinstance(cell, str) and "\r" in cell for cell in row):
+            quoted.writerow(row)
+            continue
+        head = row[0]
+        if isinstance(head, str) and head.lstrip()[:1] == "#":
+            first.writerow(row[:1])
+            row = row[1:]
+        writerow(row)
+
+
+def _long_rows(axes, cells):
+    """A long CSV's header, then the row of each ((d, p, f, a) positions,
+    value) of cells, in the order of cells, which is the file's (d, p, f,
+    a) order; axes are (dimensions, measures, algorithms, functions)."""
+    dimensions, measures, algorithms, functions = axes
+    yield LONG_CSV_HEADER
+    for (i, j, f, a), value in cells:
+        yield [dimensions[i], measures[j], functions[f], algorithms[a],
+               format_number(value)]
+
+
+def _save_run_statistics(raw: RawRuns, population_std: bool, path) -> int:
+    """Write save_long_csv(dataset_from_runs(raw, population_std), path)
+    byte for byte, and raise its errors, with no dataset and no numpy; the
+    number of rows written after the header."""
+    axes, cells = _run_statistics(raw, population_std)
+    order = sorted((i, f, a) for i, a, f in cells)
+
+    def row_cells():
+        for _, group in itertools.groupby(order, key=itemgetter(0)):
+            group = list(group)
+            for j in range(len(STAT_MEASURES)):
+                for i, f, a in group:
+                    yield (i, j, f, a), cells[i, a, f][j]
+
+    write_files({Path(path): partial(_write_rows,
+                                     rows=_long_rows(axes, row_cells()))})
+    return len(cells) * len(STAT_MEASURES)
 
 
 def write_files(writers: Mapping[Path, Callable]) -> list[Path]:
@@ -130,23 +327,21 @@ def _forks(size: int, count: int) -> bool:
 
 
 def parse_chunks(parse: Callable[[int], object], count: int, size: int,
-                 prepare: Callable[[], object] | None = None,
                  order: Sequence[int] | None = None) -> list:
     """[parse(0), ..., parse(count - 1)] for the chunks of a size-byte
     input, or the error of the first chunk, in that order, that raises.
 
     When _forks(size, count), a child from os.fork() and this process take
-    chunk ids from one queue (see _Child). The child starts at once; this
-    process runs prepare() first and then takes chunks too, so the split
-    balances itself however long prepare() takes. A chunk whose result did
-    not arrive, because the child raised, failed or was killed, is parsed
-    here, so the result never depends on the child. If a chunk taken here
-    raises, the child is killed and the earlier chunks it took are parsed
-    here, so that an earlier error is raised first. The child is always
-    reaped.
+    chunk ids from one queue (see _Child), both from the start, so the
+    split balances itself however busy either CPU is. A chunk whose result
+    did not arrive, because the child raised, failed or was killed, is
+    parsed here, so the result never depends on the child. If a chunk
+    taken here raises, the child is killed and the earlier chunks it took
+    are parsed here, so that an earlier error is raised first. The child
+    is always reaped.
 
-    Otherwise every chunk is parsed here after prepare(), in order or in
-    the order given (for tests).
+    Otherwise every chunk is parsed here, in order or in the order given
+    (for tests).
     """
     child = None
     if order is None and _forks(size, count):
@@ -155,8 +350,6 @@ def parse_chunks(parse: Callable[[int], object], count: int, size: int,
     done: dict[int, object] = {}
     failed = None
     try:
-        if prepare is not None:
-            prepare()
         for index in _taken(child.queue) if child else order or range(count):
             try:
                 done[index] = parse(index)

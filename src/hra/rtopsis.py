@@ -27,6 +27,8 @@ from .exceptions import (
     ShapeMismatch,
     ZeroUpperBound,
 )
+# the label rule, defined without numpy in files
+from .files import check_labels, label_fault  # noqa: F401
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -49,31 +51,6 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     array = np.array(array, dtype=float)
     array.flags.writeable = False
     return array
-
-
-def label_fault(name: str, labels, parse=str.strip) -> tuple[int, str] | None:
-    """The label rule of every labelled type. A file shows a label as its
-    text str(label), so that text must differ from every other label's,
-    and parse, which reads a field as the label's file format does, must
-    turn it back into the label itself. The position and message of the
-    first label that breaks the rule, else None."""
-    texts: set[str] = set()
-    for position, label in enumerate(labels):
-        text = str(label)
-        reloaded = parse(text)
-        if reloaded != label:
-            return position, f"{name} {label!r} would reload as {reloaded!r}"
-        if text in texts:
-            return position, f"duplicate {name} {label!r}"
-        texts.add(text)
-    return None
-
-
-def check_labels(name: str, labels, parse=str.strip) -> None:
-    """ShapeMismatch if a label breaks label_fault's rule."""
-    fault = label_fault(name, labels, parse)
-    if fault is not None:
-        raise ShapeMismatch(fault[1])
 
 
 @dataclass(frozen=True)

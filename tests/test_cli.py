@@ -11,16 +11,20 @@ import shutil
 import string
 import subprocess
 import sys
+import tempfile
 import urllib.request
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hra
 from conftest import SYNTHETIC_CSV
-from hra import (cli, dataio, fetch, fixtures, hierarchy, load_long_csv,
-                 load_rank_matrix_csv, rtopsis, run_hra, verify)
+from hra import (cli, dataio, dataset_from_runs, fetch, files, fixtures,
+                 hierarchy, load_long_csv, load_rank_matrix_csv, load_raw_runs,
+                 rtopsis, run_hra, verify)
 from hra.cli import main
 from hra.verify import verify_reference_tables
 from test_dataio import failing_on_call, snapshot
@@ -448,6 +452,77 @@ class TestStats:
         assert dataset.missing_cells() == [(10, p, "", "")
                                            for p in dataset.measures]
 
+    def test_equal_runs_summarize(self, capsys, tmp_path):
+        """The sum of equal runs can round past them; the mean is clamped
+        into [best, worst], so the cell is no ordering error."""
+        runs_dir = tmp_path / "runs"
+        runs_dir.mkdir()
+        (runs_dir / "solverA_F1_10.txt").write_text("0.1 0.1 0.1\n")
+        out_csv = tmp_path / "stats.csv"
+        assert run_cli(capsys, "stats", str(runs_dir), "--out",
+                       str(out_csv)) == (0, f"5 rows written to {out_csv}\n",
+                                         "")
+        values = load_long_csv(out_csv).values
+        assert [values[(10, p, "solverA", "F1")] for p in
+                ("best", "worst", "median", "mean")] == [0.1] * 4
+
+    # Each line and exit code is the one numpy's summary gave: the label
+    # rule on each axis first, then the first statistic that is not finite
+    # in (dimension, measure, algorithm, function) order.
+    @pytest.mark.parametrize("runs, code, line", [
+        ({"a _f1_10.txt": "1.7e308 1.7e308", "a_f1_10.txt": "1 2 3"}, 3,
+         "validation error: algorithm 'a ' would reload as 'a'"),
+        ({"solverA_F1_10.txt": "1.7e308 1.7e308"}, 2,
+         "parse error: cell (10, median, solverA, F1) is inf"),
+        ({"solverA_F1_10.txt": "1.7e308 1.7e308 1.7e308",
+          "solverB_F1_10.txt": "1 2"}, 2,
+         "parse error: cell (10, mean, solverA, F1) is inf"),
+        ({"b_F2_10.txt": "0 1e200", "a_F3_10.txt": "1.7e308 1.7e308 1.7e308",
+          "c_F1_30.txt": "1.7e308 1.7e308"}, 2,
+         "parse error: cell (10, mean, a, F3) is inf"),
+        ({"x_F1_010.txt": "1 2", "x_F1_10.txt": "1.7e308 1.7e308"}, 2,
+         "parse error: cell (10, median, x, F1) is inf"),
+    ], ids=["blank-edged-algorithm", "median-overflows", "mean-overflows",
+            "mean-before-std", "int-dimension-first"])
+    def test_error_lines_of_the_numpy_summary(self, capsys, tmp_path, runs,
+                                              code, line):
+        runs_dir = tmp_path / "runs"
+        runs_dir.mkdir()
+        for name, text in runs.items():
+            (runs_dir / name).write_text(text + "\n")
+        out_csv = tmp_path / "stats.csv"
+        assert run_cli(capsys, "stats", str(runs_dir), "--out",
+                       str(out_csv)) == (code, "", f"hra: {line}\n")
+        assert not out_csv.exists()
+
+    @given(st.dictionaries(
+        st.tuples(st.sampled_from(("10", "30", "010", "x")),
+                  st.sampled_from(("a", "b_c", "x y")),
+                  st.sampled_from(("F1", "F10", "#f"))),
+        st.lists(st.sampled_from((0.0, -0.0, 0.1, 1e-8, 2.5, 1e4))
+                 | st.floats(0.0, 1e6), min_size=1, max_size=60),
+        min_size=1, max_size=12), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_output_reloads_as_dataset_from_runs(self, cells,
+                                                  population_std):
+        with tempfile.TemporaryDirectory() as directory:
+            runs_dir = Path(directory) / "runs"
+            runs_dir.mkdir()
+            for (d, a, f), runs in cells.items():
+                (runs_dir / f"{a}_{f}_{d}.txt").write_text(
+                    " ".join(map(repr, runs)) + "\n")
+            out_csv = Path(directory) / "stats.csv"
+            assert main(["stats", str(runs_dir), "--out", str(out_csv)]
+                        + ["--std-population"] * population_std) == 0
+            written = load_long_csv(out_csv)
+            expected = dataset_from_runs(load_raw_runs(runs_dir),
+                                         population_std=population_std)
+        assert {cell: value.hex() for cell, value in written.values.items()} \
+            == {cell: value.hex() for cell, value in expected.values.items()}
+        for axis in ("dimensions", "measures", "algorithms", "functions"):
+            assert set(getattr(written, axis)) == \
+                set(getattr(expected, axis))
+
     def test_population_std_flag(self, capsys, tmp_path):
         runs_dir = tmp_path / "runs"
         runs_dir.mkdir()
@@ -657,19 +732,22 @@ class TestUsage:
 SRC_DIR = Path(hra.__file__).resolve().parents[1]
 
 # runs `python -m hra.cli ARGS` in-process, through the module's __main__
-# block, then prints the exit code and the collector's state; numpy's
-# module dict is out of the collected generations once it is frozen
+# block, then prints the exit code, whether numpy is loaded and the
+# collector's state; a module's dict is out of the collected generations
+# once it is frozen
 ENTRY_PROBE = """
 import gc, json, runpy, sys
 try:
     runpy.run_module("hra.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-numpy = sys.modules.get("numpy")
+collected = set(map(id, gc.get_objects()))
 print(json.dumps({"code": code, "frozen": gc.get_freeze_count(),
-                  "numpy.ma": "numpy.ma" in sys.modules,
-                  "numpy frozen": numpy is not None and id(vars(numpy))
-                  not in set(map(id, gc.get_objects()))}))
+                  "numpy": "numpy" in sys.modules,
+                  "frozen modules": [name for name in ("numpy", "hra.files")
+                                     if name in sys.modules and
+                                     id(vars(sys.modules[name]))
+                                     not in collected]}))
 """
 
 # `import hra` and one main(ARGS), as a library caller does
@@ -743,8 +821,9 @@ class TestProcess:
 
     @pytest.mark.parametrize("command", ["run", "stats", "verify-paper"])
     def test_entry_freezes_what_the_command_imports(self, tmp_path, command):
-        """Each command loads numpy, after the freeze at entry; a second
-        freeze covers what the import made."""
+        """Each command loads its modules after the freeze at entry, numpy
+        among them except in stats; a second freeze covers what the
+        imports made."""
         runs = tmp_path / "runs"
         runs.mkdir()
         (runs / "solver_1_10.txt").write_text("1 2 3\n")
@@ -754,23 +833,24 @@ class TestProcess:
                           str(tmp_path / "stats.csv")],
                 "verify-paper": ["verify-paper"]}[command]
         found = probe(ENTRY_PROBE, *argv)
-        assert found["code"] == 0 and found["numpy frozen"]
+        assert found["code"] == 0 and found["numpy"] == (command != "stats")
+        assert found["frozen modules"] == (
+            ["hra.files"] if command == "stats" else ["numpy", "hra.files"])
 
     def test_library_use_leaves_the_collector_alone(self, tmp_path):
         found = probe(LIBRARY_PROBE, "run", "--data", str(SYNTHETIC_CSV),
                       "--out", str(tmp_path))
         assert found == {"code": 0, "frozen": 0, "enabled": True}
 
-    def test_stats_does_not_load_numpy_ma(self, tmp_path):
-        """The median of the runs takes np.median's steps without its NaN
-        check, which imports numpy.ma."""
+    def test_stats_does_not_load_numpy(self, tmp_path):
+        """The runs are summarized and written in pure Python."""
         runs = tmp_path / "runs"
         runs.mkdir()
         (runs / "solver_1_10.txt").write_text("1 2 3\n4 5 6\n")
         (runs / "solver_2_10.txt").write_text("1 2\n4 -0.0\n")
         found = probe(ENTRY_PROBE, "stats", str(runs), "--out",
                       str(tmp_path / "stats.csv"))
-        assert found["code"] == 0 and not found["numpy.ma"]
+        assert found["code"] == 0 and not found["numpy"]
 
 
 # exit code and stderr prefix of every error class the package exports;
@@ -890,8 +970,9 @@ class TestInterruptedWrites:
                        str(out_csv))[0] == 0
         before = snapshot(out_dir)
         (runs_dir / "solver_1_10.txt").write_text("4 5 6\n")
-        monkeypatch.setattr(dataio, "_write_rows",
-                            failing_on_call(dataio._write_rows, 1))
+        # hra stats writes its long CSV with files' writer, not dataio's
+        monkeypatch.setattr(files, "_write_rows",
+                            failing_on_call(files._write_rows, 1))
         code, _, err = run_cli(capsys, "stats", str(runs_dir), "--out",
                                str(out_csv))
         self.assert_one_io_error(code, err, "stats.csv")

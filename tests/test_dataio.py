@@ -107,14 +107,19 @@ class TestComputeStatistics:
 
 
 def one_cell_statistics(runs, population_std):
-    """The per-cell numpy definition the batch must reproduce bit for bit."""
-    runs = np.asarray(runs, dtype=float)
-    std = 0.0 if runs.size == 1 else runs.std(ddof=0 if population_std else 1)
-    return [runs.min(), runs.max(), np.median(runs), runs.mean(), std]
+    """The per-cell definition every cell must reproduce bit for bit:
+    numpy's median, mean and std, and best and worst by min() and max(),
+    which keep the first of equal runs (of 0.0 and -0.0, the first in run
+    order; numpy's sign for that case depends on its SIMD lanes)."""
+    values = np.asarray(runs, dtype=float)
+    std = 0.0 if values.size == 1 \
+        else values.std(ddof=0 if population_std else 1)
+    return [min(runs), max(runs), np.median(values), values.mean(), std]
 
 
 class TestBatchedStatistics:
-    """dataset_from_runs summarizes all cells of one run count at once."""
+    """dataset_from_runs gives each cell the statistics of its one-cell
+    definition, whatever else the runs hold."""
 
     @pytest.mark.parametrize("population_std", [False, True])
     def test_bit_identical_to_one_cell_at_a_time(self, population_std):
@@ -149,6 +154,69 @@ class TestBatchedStatistics:
             assert [v.hex() for v in ds.array[0, :, 0, 0].tolist()] \
                 == ["-0x0.0p+0"] * 2 + ["0x0.0p+0"] * 3
             assert ds.array[0, 4, 0, 1] == 0.0
+
+
+@st.composite
+def run_lists(draw):
+    """1 to 300 finite runs: spread, tied, of tiny spread, all equal, or
+    zeros of both signs beside subnormals."""
+    n = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(("spread", "ties", "tiny", "equal",
+                                 "zeros")))
+    if kind == "spread":
+        element = st.floats(0.0, 1e12, allow_subnormal=True)
+    elif kind == "ties":
+        element = st.sampled_from(draw(st.lists(
+            st.floats(0.0, 1e4), min_size=1, max_size=3)))
+    elif kind == "tiny":
+        base = draw(st.floats(1e-8, 1e6))
+        element = st.floats(base, base * (1 + 1e-12))
+    elif kind == "equal":
+        element = st.just(draw(st.floats(0.0, 1e12)))
+    else:
+        element = st.sampled_from((0.0, -0.0, 5e-324, 1e-300))
+    return tuple(draw(st.lists(element, min_size=n, max_size=n)))
+
+
+def bits(values):
+    return [float(value).hex() for value in values]
+
+
+class TestRunStatistics:
+    """The statistics of one cell, computed without numpy."""
+
+    @given(st.lists(run_lists(), min_size=1, max_size=4), st.booleans())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_numpy_bit_for_bit(self, cells, population_std):
+        """Median, mean and std are numpy's bit for bit, the mean clamped
+        into [best, worst]; best and worst are numpy's values, their zero
+        signs those of min() and max()."""
+        raw = RawRuns({(10, "alg", f"f{i}"): runs
+                       for i, runs in enumerate(cells)})
+        ds = dataset_from_runs(raw, population_std=population_std)
+        for (d, a, f), runs in raw.runs.items():
+            got = [ds.values[(d, p, a, f)] for p in ds.measures]
+            values = np.array(runs)
+            best, worst = values.min(), values.max()
+            mean = min(max(values.mean(), best), worst)
+            std = 0.0 if len(runs) == 1 \
+                else values.std(ddof=0 if population_std else 1)
+            assert got[:2] == [best, worst]
+            assert bits(got) == bits([min(runs), max(runs),
+                                      np.median(values), mean, std])
+
+    @pytest.mark.parametrize("runs, best, worst", [
+        ((0.0, -0.0), "0x0.0p+0", "0x0.0p+0"),
+        ((-0.0, 0.0), "-0x0.0p+0", "-0x0.0p+0"),
+        ((1.0, -0.0, 0.0, -0.0), "-0x0.0p+0", "0x1.0000000000000p+0"),
+        ((0.0,) * 9 + (-0.0,) * 9, "0x0.0p+0", "0x0.0p+0"),
+        ((-0.0,) * 9 + (0.0,) * 9, "-0x0.0p+0", "-0x0.0p+0"),
+    ])
+    def test_a_zero_best_or_worst_is_the_first_in_run_order(
+            self, runs, best, worst):
+        got = cell_statistics(runs)
+        assert (got["best"].hex(), got["worst"].hex()) == (best, worst)
 
 
 class TestPerformanceDataset:

@@ -1,6 +1,6 @@
 """`import hra` and the command line's parser load no numpy: each public
 name is imported on first use, and each command imports its own modules.
-So `hra stats` can fork before numpy loads."""
+So `hra stats` loads no numpy."""
 
 import json
 import subprocess

@@ -3,8 +3,8 @@ queue: a forked child and the process itself.
 
 conftest.py imports numpy before hra, so pytest's own process has OpenBLAS
 threads and never forks; every case here starts a fresh interpreter, in
-which hra loads numpy with one thread, and `hra stats` forks before it
-loads numpy at all. An audit hook counts the forks.
+which hra loads numpy with one thread, and `hra stats` loads no numpy at
+all. An audit hook counts the forks.
 """
 
 import json
@@ -42,12 +42,13 @@ sys.exit(entry())
 """
 
 # loads one input; prints the outcome, the forks made and whether a child
-# of this process is left. With a path as argv[4], this process's import of
-# hra.dataio, which a run-file load makes while its child parses, waits
-# until a child has opened that file, so that the child takes its chunk.
+# of this process is left. With a path as argv[4], this process takes no
+# chunk until a child has opened that file, so that the child takes its
+# chunk.
 LOAD = """
 import json, os, signal, sys, time
 import hra
+from hra import files
 
 parent = os.getpid()
 if sys.argv[3:4] == ["ignore SIGCHLD"]:  # children reap themselves
@@ -56,12 +57,15 @@ forks, opened = [], sys.argv[2] + ".opened"
 sys.addaudithook(lambda event, args: event == "os.fork" and forks.append(1))
 
 
-class WaitForChild:
-    def find_spec(self, name, path=None, target=None):
-        deadline = time.monotonic() + 30
-        while name == "hra.dataio" and not os.path.exists(opened) \
-                and time.monotonic() < deadline:
-            time.sleep(0.001)
+taken = files._taken
+
+
+def taken_after_child(queue):
+    deadline = time.monotonic() + 30
+    while os.getpid() == parent and not os.path.exists(opened) \
+            and time.monotonic() < deadline:
+        time.sleep(0.001)
+    yield from taken(queue)
 
 
 def child_opens(event, args):
@@ -72,7 +76,7 @@ def child_opens(event, args):
 
 
 if sys.argv[4:]:
-    sys.meta_path.insert(0, WaitForChild())
+    files._taken = taken_after_child
     sys.addaudithook(child_opens)
 load = hra.load_long_csv if sys.argv[1] == "csv" else hra.load_raw_runs
 try:
@@ -89,9 +93,10 @@ print(json.dumps({"outcome": outcome, "forks": len(forks), "left": left,
                   "child opened": os.path.exists(opened)}))
 """
 
-# files.parse_chunks on two chunks of an input over the threshold. The child
-# takes chunk 0, and holds it until this process has taken chunk 1; then it
-# behaves as the case says. This process's chunks return "here <index>".
+# files.parse_chunks on two chunks of an input over the threshold. This
+# process takes no chunk until the child has taken chunk 0, which the child
+# holds until this process has taken chunk 1; then it behaves as the case
+# says. This process's chunks return "here <index>".
 HELPER = """
 import json, os, signal, sys, time
 from hra import files
@@ -109,8 +114,16 @@ def wait_for(path):
         time.sleep(0.001)
 
 
-def prepare():
-    wait_for(marker)
+taken = files._taken
+
+
+def taken_after_child(queue):
+    if os.getpid() == parent:
+        wait_for(marker)
+    yield from taken(queue)
+
+
+files._taken = taken_after_child
 
 
 def parse(index):
@@ -146,7 +159,7 @@ class ExitWhenPickled:
 
 start = time.monotonic()
 try:
-    result = files.parse_chunks(parse, 2, files._FORK_BYTES + 1, prepare)
+    result = files.parse_chunks(parse, 2, files._FORK_BYTES + 1)
     result = [[r["from"], r["values"].tolist()] if isinstance(r, dict)
               else r for r in result]
 except RuntimeError as exc:
@@ -230,8 +243,8 @@ def test_one_cpu_and_two_cpus_write_the_same_bytes(tmp_path):
 
 def test_bad_run_file_in_the_child_half(tmp_path):
     runs = large_run_directory(tmp_path / "runs")
-    # in the first chunk, which the child takes while its parent loads numpy
-    # (test_a_bad_file_the_child_took makes sure of that)
+    # in the first chunk, which either process may take
+    # (test_a_bad_file_the_child_took has the child take it)
     bad = sorted(runs.glob("*.txt"))[0]
     bad.write_text("1 -5 3\n")
     cpu = min(os.sched_getaffinity(0))
@@ -292,16 +305,30 @@ def test_a_bad_file_the_child_took(tmp_path, position):
         "forks": 1, "left": False, "child opened": True}
 
 
+# Each case names its test id, so a case inserted anywhere renames no other.
+# The ids are those pytest derived from the list positions before they were
+# fixed here, so that every earlier run's name still finds its case; a new
+# case takes its case name as its id.
 @pytest.mark.parametrize("case, result", [
-    ("child returns", [["child", [0.0, 1.0, 2.0]], "here 1"]),
-    ("child raises", ["here 0", "here 1"]),
-    ("child exits", ["here 0", "here 1"]),
-    ("child killed", ["here 0", "here 1"]),
-    ("parent raises", "raised chunk 1"),
-    ("child returns, SIGCHLD ignored", [["child", [0.0, 1.0, 2.0]], "here 1"]),
-    ("parent raises, SIGCHLD ignored", "raised chunk 1"),
-    ("parent interrupted", "interrupted"),
-    ("child result cut short", ["here 0", "here 1"]),
+    pytest.param("child returns", [["child", [0.0, 1.0, 2.0]], "here 1"],
+                 id="child returns-result0"),
+    pytest.param("child raises", ["here 0", "here 1"],
+                 id="child raises-result1"),
+    pytest.param("child exits", ["here 0", "here 1"],
+                 id="child exits-result2"),
+    pytest.param("child killed", ["here 0", "here 1"],
+                 id="child killed-result3"),
+    pytest.param("parent raises", "raised chunk 1",
+                 id="parent raises-raised chunk 1"),
+    pytest.param("child returns, SIGCHLD ignored",
+                 [["child", [0.0, 1.0, 2.0]], "here 1"],
+                 id="child returns, SIGCHLD ignored-result5"),
+    pytest.param("parent raises, SIGCHLD ignored", "raised chunk 1",
+                 id="parent raises, SIGCHLD ignored-raised chunk 1"),
+    pytest.param("parent interrupted", "interrupted",
+                 id="parent interrupted-interrupted"),
+    pytest.param("child result cut short", ["here 0", "here 1"],
+                 id="child result cut short-result8"),
 ])
 def test_queue_falls_back_and_reaps(tmp_path, case, result):
     marker = tmp_path / "child.txt"
