@@ -38,11 +38,10 @@ from .exceptions import (
 # imported on first use (__getattr__), so `import hra` loads no numpy and
 # `hra stats`, which needs only fetch and files, loads none at all.
 _LAZY = {
-    "dataio": ("STAT_MEASURES", "PerformanceDataset", "dataset_from_runs",
-               "emit_report", "load_long_csv", "load_rank_matrix_csv",
-               "save_long_csv"),
+    "dataio": ("PerformanceDataset", "dataset_from_runs", "emit_report",
+               "load_long_csv", "load_rank_matrix_csv", "save_long_csv"),
     "fetch": ("FetchResult", "fetch_raw", "load_raw_runs"),
-    "files": ("RawRuns",),
+    "files": ("RawRuns", "STAT_MEASURES"),
     "hierarchy": ("HraConfig", "HraReport", "aggregate_dimension",
                   "aggregate_leaf", "aggregate_overall", "run_hra"),
     "rtopsis": ("CriteriaSpec", "DecisionMatrix", "Direction",

@@ -10,14 +10,13 @@ data, and the writers quote such a field. Numbers are written with 17
 significant digits so a save/load round trip is exact.
 
 The columnar path of load_long_csv parses a plain file's body as two
-chunks, cut at a line start, through files.parse_chunks, which runs one of
-them in a forked child when the file is over 1.5 MiB and the process has
-one thread and may use two CPUs; the merge gives the dataset of one pass,
-whichever process parsed which chunk. The rule for runs, the label rule
-and each axis's field parse, the run statistics, the long CSV's rows and
-writer and the all-or-nothing writer live in files, which loads no numpy,
-and are imported back here; dataset_from_runs puts files' statistics in
-a dataset.
+halves, cut at a line start, through files.parse_halves, which parses the
+second half in a forked child when the file is over 1.5 MiB and the
+process has one thread and may use two CPUs; the merge gives the dataset
+of one pass. The rule for runs, the label rule and each axis's field
+parse, the run statistics, the long CSV's rows and writer and the
+all-or-nothing writer live in files, which loads no numpy;
+dataset_from_runs puts files' statistics in a dataset.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ import codecs
 import csv
 import math
 import os
+import stat
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -45,13 +45,10 @@ from .exceptions import (
     ParseError,
     ShapeMismatch,
 )
-# defined without numpy in files; STAT_MEASURES and _parse_dimension are
-# imported back for those who read them here
-from .files import (  # noqa: F401
-    AXIS_NAMES, AXIS_PARSERS, LONG_CSV_HEADER, STAT_MEASURES, RawRuns,
-    _axis_index, _cell_text, _long_rows, _not_utf8, _parse_dimension,
-    _run_statistics, _write_rows, format_number, label_fault, parse_chunks,
-    write_files)
+from .files import (AXIS_NAMES, AXIS_PARSERS, LONG_CSV_HEADER, RawRuns,
+                    _axis_index, _cell_text, _long_rows, _not_utf8,
+                    _run_statistics, _write_rows, format_number, label_fault,
+                    parse_halves, write_files)
 from .rtopsis import DecisionMatrix
 
 if TYPE_CHECKING:
@@ -389,25 +386,29 @@ def _load_columns(path: Path, cut: int | None = None) \
         -> PerformanceDataset | None:
     """The dataset of a plain long CSV, or None for any other file.
 
-    A plain file is UTF-8 with no _NOT_PLAIN byte after one leading
-    byte-order mark, which both paths skip. Its comment lines are dropped,
-    as the row reader skips them (see _drop_comments); the header is the
-    first non-empty line left, and every other non-empty line holds
-    exactly four commas, fields of at most 256 bytes, at most
-    csv.field_size_limit() bytes in all, and a value that float() parses
-    as a finite number; no cell repeats. The file is read in blocks of
-    whole lines: numpy finds the newline and comma offsets, cuts each
-    field's texts into one fixed-width bytes array, groups each label
-    column exactly, and casts the values, which parses them as float()
-    does; each distinct label text is decoded once per block.
+    Only a regular file is read here: a pipe cannot seek, and the row
+    reader must be the one that opens it. A plain file is UTF-8 with no
+    _NOT_PLAIN byte after one leading byte-order mark, which both paths
+    skip. Its comment lines are dropped, as the row reader skips them
+    (see _drop_comments); the header is the first non-empty line left,
+    and every other non-empty line holds exactly four commas, fields of
+    at most 256 bytes, at most csv.field_size_limit() bytes in all, and a
+    value that float() parses as a finite number; no cell repeats. The
+    file is read in blocks of whole lines: numpy finds the newline and
+    comma offsets, cuts each field's texts into one fixed-width bytes
+    array, groups each label column exactly, and casts the values, which
+    parses them as float() does; each distinct label text is decoded once
+    per block.
 
-    The body after the header is parsed as two chunks by
-    files.parse_chunks, cut at the first line start at or past its middle
+    The body after the header is parsed in two halves by
+    files.parse_halves, cut at the first line start at or past its middle
     (or at cut, for tests). The second half's new labels join each axis
     after the first half's, in their order of first appearance, so the
     dataset is that of one pass over the file.
     """
     try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
         handle = open(path, "rb")
     except OSError:
         return None  # the row reader reports it
@@ -421,9 +422,9 @@ def _load_columns(path: Path, cut: int | None = None) \
         try:
             # no name holds the halves, so their columns go before _dataset
             halves = (body, cut), (cut, end)
-            merged = _merge(*parse_chunks(
-                lambda index: _parse_lines(fd, *halves[index]), 2,
-                end - body))
+            merged = _merge(*parse_halves(
+                lambda half: _parse_lines(fd, *halves[half]),
+                (cut - body, end - cut)))
         except _NotPlain:
             return None
     return None if merged is None else _dataset(*merged)

@@ -22,14 +22,16 @@ A plain run file (see _plain_runs) is checked token by token without
 converting the rows it discards; any other file goes through the text loop,
 which gives the same values and is the source of every error.
 load_raw_runs lists the run files in one pass, takes every key from the
-file names, and parses the files in chunks through files.parse_chunks. This
-module loads no numpy, so when the files are large enough the process,
-which has one thread, forks, and it and its child parse chunks from the
-start. The merge keeps the keys, values and errors of one pass.
+file names, and parses the files in two halves through files.parse_halves,
+cut at the first file at or past the middle byte. This module loads no
+numpy, so when the files are large enough the process, which has one
+thread, forks, and its child parses the second half while it parses the
+first. The halves joined keep the keys, values and errors of one pass.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import os
 import re
@@ -45,8 +47,8 @@ from .exceptions import (
     ParseError,
     UnknownLayout,
 )
-from .files import (MAX_CHUNKS, RawRuns, _checked_runs, _not_utf8,
-                    _parse_dimension, check_runs, parse_chunks, write_files)
+from .files import (RawRuns, _checked_runs, _not_utf8, _parse_dimension,
+                    check_runs, parse_halves, write_files)
 
 MANIFEST_NAME = "manifest.csv"
 INVENTORY_NAME = "inventory.txt"
@@ -262,27 +264,19 @@ def _parse_run_text(path, data: bytes) -> tuple[float, ...]:
                         "expected a flat list or a rectangular matrix")
 
 
-# Run files per chunk of the queue (see files.parse_chunks). On the
-# benchmark's 1560 files of 14 x 51 values (2-vCPU host), `hra stats` took
-# 0.29-0.30 s in the median with chunks of 3 to 48 files, and 0.35 s with
-# 96, which leave one process idle while the other ends its last chunk.
-_CHUNK_FILES = 24
-
-
 def load_raw_runs(directory) -> RawRuns:
     """Parse every `<algorithm>_<function>_<dimension>.txt` under directory;
     each file's values pass check_runs once, so its errors name the file."""
     return _load_runs(Path(directory))
 
 
-def _load_runs(directory: Path, chunk: int = _CHUNK_FILES,
-               reverse: bool = False) -> RawRuns:
-    """load_raw_runs, chunk files at a time (or more, to stay within
-    MAX_CHUNKS), the chunks taken in reverse order here if reverse (for
-    tests). A file whose key repeats an earlier file's raises the duplicate
-    error, found from the names before any file is read, after the errors
-    of the files before it, which alone are parsed. So keys, values and
-    errors are those of one pass."""
+def _load_runs(directory: Path, cut: int | None = None) -> RawRuns:
+    """load_raw_runs, the files it parses cut in two halves at the first
+    file at or past their middle byte (or before file cut, for tests). A
+    file whose key repeats an earlier file's raises the duplicate error,
+    found from the names before any file is read, after the errors of the
+    files before it, which alone are parsed. So keys, values and errors
+    are those of one pass."""
     if not directory.is_dir():
         raise IoError(f"not a directory: {directory}")
     files, sizes = _run_files(directory)
@@ -290,17 +284,17 @@ def _load_runs(directory: Path, chunk: int = _CHUNK_FILES,
     first = {}
     repeat = next((i for i, key in enumerate(keys)
                    if first.setdefault(key, i) != i), len(keys))
-    parsed = files[:repeat]
-    chunk = max(chunk, -(-repeat // MAX_CHUNKS))
-    count = -(-repeat // chunk)
+    starts = list(itertools.accumulate(sizes[:repeat], initial=0))
+    cut = bisect.bisect_left(starts, starts[-1] // 2) if cut is None \
+        else min(cut, repeat)
+    halves = files[:cut], files[cut:repeat]
     known: set[bytes] = set()  # token shapes matched so far, per process
 
-    def parse(index: int) -> list[tuple[float, ...]]:
+    def parse(half: int) -> list[tuple[float, ...]]:
         return [check_runs(path, _parse_run_file(path, known))
-                for path in parsed[index * chunk:(index + 1) * chunk]]
+                for path in halves[half]]
 
-    values = parse_chunks(parse, count, sum(sizes[:repeat]),
-                          range(count)[::-1] if reverse else None)
+    values = parse_halves(parse, (starts[cut], starts[-1] - starts[cut]))
     if repeat < len(files):
         raise ParseError(f"{files[repeat]}: duplicate run file for "
                          f"{keys[repeat]}")

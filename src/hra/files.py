@@ -4,11 +4,12 @@ The rule for a cell's runs (check_runs, RawRuns, and _checked_runs for
 lists that already passed it), the label rule (label_fault, check_labels)
 and each axis's field parse, the run statistics (_statistics), the long
 CSV's rows and writer, the error for a file that is not UTF-8, the
-all-or-nothing writer (write_files) and the chunk queue that spreads a
-parse over two CPUs (parse_chunks). dataio and rtopsis import what they
-need of them back. `hra stats` loads only this module, fetch and
-exceptions: it forks while it has one thread, both processes parse the
-run files, and it summarizes the runs and writes its long CSV without
+all-or-nothing writer (write_files) and the helper that parses an input's
+two halves on two CPUs (parse_halves). dataio, rtopsis, hierarchy and
+fetch import what they need of them from here. `hra stats` loads only
+this module, fetch and exceptions: it forks while it has one thread, a
+child parses the second half of the run files while the process parses
+the first, and it summarizes the runs and writes its long CSV without
 numpy (_save_run_statistics).
 """
 
@@ -223,17 +224,17 @@ def _write_rows(handle, rows: Iterable[Sequence]) -> None:
     """csv.writer rows, quoting what csv leaves bare but would not reload
     as written: a first field that starts, after blanks, with '#' (a
     comment), and every field of a row with a field that holds '\r' (csv
-    quotes only the line terminator '\n')."""
+    quotes only the line terminator '\n'). The '#' field is quoted here as
+    csv.QUOTE_ALL would, its quotes doubled."""
     writerow = csv.writer(handle, lineterminator="\n").writerow
     quoted = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    first = csv.writer(handle, lineterminator=",", quoting=csv.QUOTE_ALL)
     for row in rows:
         if any(isinstance(cell, str) and "\r" in cell for cell in row):
             quoted.writerow(row)
             continue
         head = row[0]
         if isinstance(head, str) and head.lstrip()[:1] == "#":
-            first.writerow(row[:1])
+            handle.write('"' + head.replace('"', '""') + '",')
             row = row[1:]
         writerow(row)
 
@@ -303,21 +304,17 @@ def write_files(writers: Mapping[Path, Callable]) -> list[Path]:
 # -- both CPUs --------------------------------------------------------------
 
 # An input over this many bytes is parsed by two processes (see
-# parse_chunks). Forking costs about 2 ms and wins from about 1.25 MiB on a
+# parse_halves). Forking costs about 2 ms and wins from about 1.25 MiB on a
 # 2-vCPU host, for a long CSV and for a run directory alike.
 _FORK_BYTES = 3 << 19  # 1.5 MiB
-# The queue holds one 4-byte id per chunk, written at once before the fork:
-# 4096 bytes at most is one atomic write that fits any Linux pipe.
-MAX_CHUNKS = 1024
 
 
-def _forks(size: int, count: int) -> bool:
-    """Whether parse_chunks forks: the input is over _FORK_BYTES in 2 to
-    MAX_CHUNKS chunks, the process may run on at least 2 CPUs, and it has
+def _forks(size: int) -> bool:
+    """Whether parse_halves forks for a size-byte input: it is over
+    _FORK_BYTES, the process may run on at least 2 CPUs, and it has
     exactly one thread, so fork() copies no lock that another thread
     holds."""
-    if size <= _FORK_BYTES or not 1 < count <= MAX_CHUNKS \
-            or not hasattr(os, "fork"):
+    if size <= _FORK_BYTES or not hasattr(os, "fork"):
         return False
     try:
         return len(os.sched_getaffinity(0)) >= 2 \
@@ -326,133 +323,78 @@ def _forks(size: int, count: int) -> bool:
         return False
 
 
-def parse_chunks(parse: Callable[[int], object], count: int, size: int,
-                 order: Sequence[int] | None = None) -> list:
-    """[parse(0), ..., parse(count - 1)] for the chunks of a size-byte
-    input, or the error of the first chunk, in that order, that raises.
+def parse_halves(parse: Callable[[int], object],
+                 sizes: tuple[int, int]) -> list:
+    """[parse(0), parse(1)] of an input in two halves of sizes bytes, or
+    the error of the first half that raises.
 
-    When _forks(size, count), a child from os.fork() and this process take
-    chunk ids from one queue (see _Child), both from the start, so the
-    split balances itself however busy either CPU is. A chunk whose result
-    did not arrive, because the child raised, failed or was killed, is
-    parsed here, so the result never depends on the child. If a chunk
-    taken here raises, the child is killed and the earlier chunks it took
-    are parsed here, so that an earlier error is raised first. The child
-    is always reaped.
-
-    Otherwise every chunk is parsed here, in order or in the order given
-    (for tests).
+    When neither half is empty and _forks(sum(sizes)), a child from
+    _fork() parses half 1 while this process parses half 0. An error in
+    half 0 kills the child and is raised: it comes first in the input. If
+    half 1's result does not arrive whole, because the child raised,
+    failed or was killed, half 1 is parsed here, so the result never
+    depends on the child. The child is always reaped; a caller that
+    ignores SIGCHLD may have no child left to reap. Otherwise both halves
+    are parsed here, in order.
     """
-    child = None
-    if order is None and _forks(size, count):
-        with contextlib.suppress(OSError):  # no process: all chunks run here
-            child = _Child(parse, count)
-    done: dict[int, object] = {}
-    failed = None
+    forked = None
+    if all(sizes) and _forks(sum(sizes)):
+        with contextlib.suppress(OSError):  # no process: both run here
+            forked = _fork(parse)
+    if forked is None:
+        return [parse(0), parse(1)]
+    import signal
+
+    pid, pipe = forked
+    tail = None
     try:
-        for index in _taken(child.queue) if child else order or range(count):
-            try:
-                done[index] = parse(index)
-            except Exception as exc:
-                failed = index, exc
-                break
-        if child and failed is None:
-            done.update(child.results())
+        head = parse(0)
+        tail = _received(pipe)
     finally:
-        if child:
-            child.end()
-    if failed is not None:
-        index, exc = failed
-        for earlier in range(index):
-            if earlier not in done:
-                parse(earlier)
-        raise exc
-    return [done[index] if index in done else parse(index)
-            for index in range(count)]
-
-
-def _taken(queue: int):
-    """The chunk ids this process takes from the queue, until it is empty."""
-    while len(data := os.read(queue, 4)) == 4:
-        yield int.from_bytes(data, "little")
-
-
-class _Child:
-    """A child from os.fork() that parses the chunks it takes from a queue.
-
-    The queue is a pipe that holds the ids 0..count-1, written before the
-    fork in one write and closed, so a read finds it empty at the end. A
-    4-byte read from a pipe is atomic, so each id is taken by one process.
-    The child stops when the queue is empty or at its first chunk that
-    raises, and sends {id: result} of the chunks it parsed through a second
-    pipe as one pickle, which the parent loads from the pipe; the unpickler
-    reads a numpy array's data straight into place. It ends with os._exit.
-    """
-
-    def __init__(self, parse: Callable[[int], object], count: int):
-        fds = []
-        try:
-            fds += os.pipe()  # the queue: read end, write end
-            fds += os.pipe()  # the child's results: read end, write end
-            os.write(fds[1], b"".join(index.to_bytes(4, "little")
-                                      for index in range(count)))
-            pid = os.fork()
-        except OSError:
-            for fd in fds:
-                os.close(fd)
-            raise
-        queue, fill, results, send = fds
-        os.close(fill)  # in both processes: an empty queue reads as its end
-        if pid == 0:
-            os.close(results)
-            _child(queue, send, parse)
-        os.close(send)
-        self.queue, self.pipe, self.pid = queue, results, pid
-        self.whole = False  # whether the child's whole result arrived
-
-    def results(self) -> dict:
-        """{id: result} of the chunks the child parsed; {} if its whole
-        result does not arrive."""
-        import pickle
-
-        with open(self.pipe, "rb", closefd=False) as pipe:
-            try:
-                done = pickle.load(pipe)
-            except Exception:  # the child's output is never trusted whole
-                return {}
-        self.whole = True
-        return done
-
-    def end(self) -> None:
-        """Close the pipes, kill the child unless its whole result arrived,
-        and reap it; a caller that ignores SIGCHLD may have no child left."""
-        import signal
-
-        os.close(self.queue)
-        os.close(self.pipe)
-        if not self.whole:
+        os.close(pipe)
+        if tail is None:  # the child may still run
             with contextlib.suppress(ProcessLookupError):
-                os.kill(self.pid, signal.SIGKILL)
+                os.kill(pid, signal.SIGKILL)
         with contextlib.suppress(ChildProcessError):
-            os.waitpid(self.pid, 0)
+            os.waitpid(pid, 0)
+    return [head, parse(1) if tail is None else tail[0]]
 
 
-def _child(queue: int, send: int, parse: Callable[[int], object]) -> None:
-    """The forked child: parse the chunks taken from the queue until it is
-    empty or one raises, send {id: result} of those parsed as one pickle,
-    and exit with status 0; any failure exits with status 1. Never
-    returns."""
-    status = 1
+def _fork(parse: Callable[[int], object]) -> tuple[int, int]:
+    """(pid, read end of a pipe) of a child from os.fork() that sends
+    (parse(1),) through the pipe as one pickle and ends with os._exit:
+    status 0 once it is sent, 1 on any failure, its half raising too."""
+    results, send = os.pipe()
     try:
-        import pickle
+        pid = os.fork()
+    except OSError:
+        os.close(results)
+        os.close(send)
+        raise
+    if pid == 0:  # the child: never returns
+        status = 1
+        try:
+            import pickle
 
-        done = {}
-        # a chunk that raises is parsed again by the parent, which raises
-        with contextlib.suppress(Exception):
-            for index in _taken(queue):
-                done[index] = parse(index)
-        with open(send, "wb") as pipe:
-            pickle.dump(done, pipe, 5)
-        status = 0
-    finally:
-        os._exit(status)
+            os.close(results)
+            result = parse(1)
+            with open(send, "wb") as pipe:
+                pickle.dump((result,), pipe, 5)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(send)
+    return pid, results
+
+
+def _received(pipe: int) -> tuple | None:
+    """The child's (result,) loaded from the pipe, or None if it does not
+    arrive whole; the unpickler reads a numpy array's data straight into
+    place."""
+    import pickle
+
+    with open(pipe, "rb", closefd=False) as handle:
+        try:
+            return pickle.load(handle)
+        except Exception:  # the child's output is never trusted whole
+            return None

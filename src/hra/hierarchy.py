@@ -18,9 +18,9 @@ from typing import Sequence
 from ._blas import np
 from .dataio import PerformanceDataset
 from .exceptions import MissingCell, ShapeMismatch
-from .files import _parse_dimension
+from .files import _parse_dimension, check_labels
 from .rtopsis import (CriteriaSpec, DecisionMatrix, Direction, TopsisResult,
-                      check_labels, check_weights, rank_columns, rtopsis)
+                      check_weights, rank_columns, rtopsis)
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,7 @@ from .exceptions import (
     ShapeMismatch,
     ZeroUpperBound,
 )
-# the label rule, defined without numpy in files
-from .files import check_labels, label_fault  # noqa: F401
+from .files import check_labels
 
 WEIGHT_SUM_TOL = 1e-12
 

@@ -761,13 +761,14 @@ print(json.dumps({"code": code, "frozen": gc.get_freeze_count(),
 """
 
 
-def run_python(*args, cwd=None):
-    """A fresh interpreter that imports the hra under test."""
+def run_python(*args, cwd=None, stdin=None):
+    """A fresh interpreter that imports the hra under test; stdin, if
+    given, is the text fed to it through a pipe."""
     path = os.pathsep.join(filter(None, (str(SRC_DIR),
                                          os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, *args], cwd=cwd,
                           env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, input=stdin)
 
 
 def probe(script, *argv):
@@ -792,6 +793,23 @@ class TestProcess:
         assert process.stdout == out and process.stderr == err == ""
         assert snapshot(tmp_path / "process" / "report") \
             == snapshot(tmp_path / "main" / "report")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"),
+                        reason="needs /dev/stdin")
+    def test_data_from_a_pipe_writes_the_files_report(self, tmp_path):
+        """A long CSV on a pipe, which cannot seek, is read once, by the
+        row reader, and gives the report of the same file by its path."""
+        out = {}
+        for side, data, stdin in (
+                ("file", str(SYNTHETIC_CSV), None),
+                ("pipe", "/dev/stdin", SYNTHETIC_CSV.read_text("utf-8"))):
+            process = run_python("-m", "hra.cli", "run", "--data", data,
+                                 "--out", side, cwd=tmp_path, stdin=stdin)
+            assert process.returncode == 0, process.stderr
+            assert process.stderr == ""
+            out[side] = process.stdout.replace(f"to {side} (", "to <out> (")
+        assert out["pipe"] == out["file"]
+        assert snapshot(tmp_path / "pipe") == snapshot(tmp_path / "file")
 
     def test_missing_file_exits_4(self, tmp_path):
         missing = tmp_path / "nowhere.csv"

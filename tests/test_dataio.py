@@ -41,7 +41,7 @@ from hra import (
     run_hra,
     save_long_csv,
 )
-from hra import dataio
+from hra import dataio, files
 from hra.dataio import format_number
 
 
@@ -1057,7 +1057,7 @@ def round_trip_arguments(draw, hostile=False):
     dimension may also be an int's canonical text or a float."""
     label = round_trip_labels(draw(st.booleans()))
     text_dimension = label.filter(
-        lambda t: isinstance(dataio._parse_dimension(t), str))
+        lambda t: isinstance(files._parse_dimension(t), str))
     dimension = st.one_of(st.integers(-20, 200), text_dimension)
     if hostile:
         label = st.one_of(label, blank_edged(label), st.integers(-20, 200))
@@ -1066,11 +1066,11 @@ def round_trip_arguments(draw, hostile=False):
     axes = [draw(st.lists(strategy, min_size=1, max_size=size, unique=True))
             for strategy, size in (
                 (dimension, 2),
-                (label.filter(lambda t: t not in dataio.STAT_MEASURES), 2),
+                (label.filter(lambda t: t not in files.STAT_MEASURES), 2),
                 (label, 3), (label, 3))]
     values = draw(arrays(float, tuple(map(len, axes)), elements=st.floats(
         allow_nan=False, allow_infinity=False)))
-    return dict(zip(dataio.AXIS_NAMES, axes), array=values)
+    return dict(zip(files.AXIS_NAMES, axes), array=values)
 
 
 def round_trip_datasets():
@@ -1102,7 +1102,7 @@ class TestRoundTripProperty:
             header, *rows = (row for _, row in dataio._data_rows(
                 directory / "report" / "leaf_ranks.csv"))
             assert header == ["dimension", "measure", "algorithm", "rank"]
-            assert [(dataio._parse_dimension(d), p, a, float(r))
+            assert [(files._parse_dimension(d), p, a, float(r))
                     for d, p, a, r in rows] == [
                 (d, p, a, r) for (d, p), ranks in report.leaf_ranks.items()
                 for a, r in zip(report.algorithms, ranks.tolist())]
@@ -1121,7 +1121,7 @@ class TestRoundTripProperty:
         @settings(max_examples=150, deadline=None)
         def refused_or_reloaded(arguments):
             offending = []
-            for name, parse in zip(dataio.AXIS_NAMES, dataio.AXIS_PARSERS):
+            for name, parse in zip(files.AXIS_NAMES, files.AXIS_PARSERS):
                 texts = [str(label) for label in arguments[name]]
                 offending += [label for label, text in zip(arguments[name],
                                                            texts)

@@ -1,5 +1,5 @@
-"""Large inputs are parsed by two processes that take chunks from one
-queue: a forked child and the process itself.
+"""Large inputs are parsed in two halves by two processes: a forked child
+parses the second half while the process parses the first.
 
 conftest.py imports numpy before hra, so pytest's own process has OpenBLAS
 threads and never forks; every case here starts a fresh interpreter, in
@@ -42,42 +42,35 @@ sys.exit(entry())
 """
 
 # loads one input; prints the outcome, the forks made and whether a child
-# of this process is left. With a path as argv[4], this process takes no
-# chunk until a child has opened that file, so that the child takes its
-# chunk.
+# of this process is left. With a path as argv[4], a file of the second
+# half, this process opens no file of the input until the child has opened
+# that one.
 LOAD = """
 import json, os, signal, sys, time
 import hra
-from hra import files
 
 parent = os.getpid()
 if sys.argv[3:4] == ["ignore SIGCHLD"]:  # children reap themselves
     signal.signal(signal.SIGCHLD, signal.SIG_IGN)
 forks, opened = [], sys.argv[2] + ".opened"
 sys.addaudithook(lambda event, args: event == "os.fork" and forks.append(1))
+deadline = time.monotonic() + 30
 
 
-taken = files._taken
-
-
-def taken_after_child(queue):
-    deadline = time.monotonic() + 30
-    while os.getpid() == parent and not os.path.exists(opened) \
-            and time.monotonic() < deadline:
+def child_opens_first(event, args):
+    if event != "open" or not str(args[0]).startswith(sys.argv[2] + os.sep):
+        return
+    if os.getpid() != parent:
+        if str(args[0]) == sys.argv[4]:
+            with open(opened, "w") as handle:
+                handle.write("child")
+        return
+    while not os.path.exists(opened) and time.monotonic() < deadline:
         time.sleep(0.001)
-    yield from taken(queue)
-
-
-def child_opens(event, args):
-    if event == "open" and os.getpid() != parent \
-            and str(args[0]) == sys.argv[4]:
-        with open(opened, "w") as handle:
-            handle.write("child")
 
 
 if sys.argv[4:]:
-    files._taken = taken_after_child
-    sys.addaudithook(child_opens)
+    sys.addaudithook(child_opens_first)
 load = hra.load_long_csv if sys.argv[1] == "csv" else hra.load_raw_runs
 try:
     load(sys.argv[2])
@@ -93,10 +86,10 @@ print(json.dumps({"outcome": outcome, "forks": len(forks), "left": left,
                   "child opened": os.path.exists(opened)}))
 """
 
-# files.parse_chunks on two chunks of an input over the threshold. This
-# process takes no chunk until the child has taken chunk 0, which the child
-# holds until this process has taken chunk 1; then it behaves as the case
-# says. This process's chunks return "here <index>".
+# files.parse_halves on two halves of an input over the threshold. This
+# process parses half 0 once the child has started half 1, which the child
+# holds until this process has started half 0; then each behaves as the
+# case says. This process's halves return "here <half>".
 HELPER = """
 import json, os, signal, sys, time
 from hra import files
@@ -114,31 +107,20 @@ def wait_for(path):
         time.sleep(0.001)
 
 
-taken = files._taken
-
-
-def taken_after_child(queue):
+def parse(half):
     if os.getpid() == parent:
-        wait_for(marker)
-    yield from taken(queue)
-
-
-files._taken = taken_after_child
-
-
-def parse(index):
-    if os.getpid() == parent:
-        with open(f"{marker}.{index}", "w"):
+        with open(f"{marker}.{half}", "w"):
             pass
-        if case.startswith("parent raises") and index == 1:
-            raise RuntimeError(f"chunk {index}")
-        if case == "parent interrupted" and index == 1:
+        wait_for(marker)
+        if case.startswith("parent raises") and half == 0:
+            raise RuntimeError(f"half {half}")
+        if case == "parent interrupted" and half == 0:
             raise KeyboardInterrupt
-        return f"here {index}"
+        return f"here {half}"
     with open(f"{marker}.tmp", "w") as handle:
-        handle.write(f"{case}: {index}")
+        handle.write(f"{case}: {half}")
     os.replace(f"{marker}.tmp", marker)  # appears with its text
-    wait_for(f"{marker}.1")
+    wait_for(f"{marker}.0")
     if case.startswith("parent"):
         time.sleep(60)
     if case == "child raises":
@@ -149,7 +131,7 @@ def parse(index):
         os.kill(os.getpid(), signal.SIGKILL)
     if case == "child result cut short":  # the payload reaches the pipe
         return {"payload": bytes(1 << 20), "then": ExitWhenPickled()}
-    return {"from": "child", "values": np.arange(3.0) + index}
+    return {"from": "child", "values": np.arange(3.0) + half}
 
 
 class ExitWhenPickled:
@@ -159,7 +141,7 @@ class ExitWhenPickled:
 
 start = time.monotonic()
 try:
-    result = files.parse_chunks(parse, 2, files._FORK_BYTES + 1)
+    result = files.parse_halves(parse, (files._FORK_BYTES, 1))
     result = [[r["from"], r["values"].tolist()] if isinstance(r, dict)
               else r for r in result]
 except RuntimeError as exc:
@@ -243,9 +225,7 @@ def test_one_cpu_and_two_cpus_write_the_same_bytes(tmp_path):
 
 def test_bad_run_file_in_the_child_half(tmp_path):
     runs = large_run_directory(tmp_path / "runs")
-    # in the first chunk, which either process may take
-    # (test_a_bad_file_the_child_took has the child take it)
-    bad = sorted(runs.glob("*.txt"))[0]
+    bad = sorted(runs.glob("*.txt"))[-1]  # in the child's half
     bad.write_text("1 -5 3\n")
     cpu = min(os.sched_getaffinity(0))
     for tag, cpus in (("two", None), ("one", {cpu})):
@@ -289,19 +269,36 @@ def test_no_child_outlives_a_load(tmp_path, kind, fault, outcome):
                      "forks": 1, "left": False}
 
 
+def bad_files(names, position):
+    """The files made bad for a position, and the child's file that the
+    parent waits for. The bad files are the first, in the parent's half;
+    the last, in the child's; or, in the middle, the last of the parent's
+    half and the first of the child's. The halves are cut at the first
+    file at or past the middle byte; each bad file keeps its size, so the
+    cut stays where it was."""
+    sizes = [path.stat().st_size for path in names]
+    cut = next(i for i in range(len(names))
+               if sum(sizes[:i]) >= sum(sizes) // 2)
+    bad = {"first": names[:1], "middle": names[cut - 1:cut + 1],
+           "last": names[-1:]}[position]
+    for path in bad:
+        path.write_text("1 -5 3".ljust(path.stat().st_size - 1) + "\n")
+    return bad, names[max(cut, names.index(bad[-1]))]
+
+
 @pytest.mark.parametrize("position", ["first", "middle", "last"])
 def test_a_bad_file_the_child_took(tmp_path, position):
-    """The child parses the chunk that holds a bad file, stops there, and
-    the parent raises that file's error, the first in file order, after
-    parsing the chunk itself."""
+    """The child parses the second half and stops at a bad file there; the
+    parent raises the first bad file's error in file order: of its own
+    half if it holds one, which kills the child, else of the child's half,
+    which it parses itself. The parent opens no run file until the child
+    has opened a file of its half: its bad file, else its first."""
     runs = large_run_directory(tmp_path / "runs")
-    names = sorted(runs.glob("*.txt"))
-    bad = names[{"first": 0, "middle": 80, "last": -1}[position]]
-    bad.write_text("1 -5 3\n")
-    done = python(LOAD, "runs", runs, "", bad)
+    bad, held = bad_files(sorted(runs.glob("*.txt")), position)
+    done = python(LOAD, "runs", runs, "", held)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {
-        "outcome": f"ParseError: {bad}: negative error value -5.0",
+        "outcome": f"ParseError: {bad[0]}: negative error value -5.0",
         "forks": 1, "left": False, "child opened": True}
 
 
@@ -310,7 +307,7 @@ def test_a_bad_file_the_child_took(tmp_path, position):
 # fixed here, so that every earlier run's name still finds its case; a new
 # case takes its case name as its id.
 @pytest.mark.parametrize("case, result", [
-    pytest.param("child returns", [["child", [0.0, 1.0, 2.0]], "here 1"],
+    pytest.param("child returns", ["here 0", ["child", [1.0, 2.0, 3.0]]],
                  id="child returns-result0"),
     pytest.param("child raises", ["here 0", "here 1"],
                  id="child raises-result1"),
@@ -318,12 +315,12 @@ def test_a_bad_file_the_child_took(tmp_path, position):
                  id="child exits-result2"),
     pytest.param("child killed", ["here 0", "here 1"],
                  id="child killed-result3"),
-    pytest.param("parent raises", "raised chunk 1",
+    pytest.param("parent raises", "raised half 0",
                  id="parent raises-raised chunk 1"),
     pytest.param("child returns, SIGCHLD ignored",
-                 [["child", [0.0, 1.0, 2.0]], "here 1"],
+                 ["here 0", ["child", [1.0, 2.0, 3.0]]],
                  id="child returns, SIGCHLD ignored-result5"),
-    pytest.param("parent raises, SIGCHLD ignored", "raised chunk 1",
+    pytest.param("parent raises, SIGCHLD ignored", "raised half 0",
                  id="parent raises, SIGCHLD ignored-raised chunk 1"),
     pytest.param("parent interrupted", "interrupted",
                  id="parent interrupted-interrupted"),
@@ -339,4 +336,4 @@ def test_queue_falls_back_and_reaps(tmp_path, case, result):
     assert found["left"] is False
     # a sleeping child was killed, not awaited
     assert found["seconds"] < 30
-    assert marker.read_text() == f"{case}: 0"  # the child took chunk 0
+    assert marker.read_text() == f"{case}: 1"  # the child parsed half 1
