@@ -26,8 +26,8 @@ if TYPE_CHECKING:
 
 # Each command imports its own modules, so that `import hra.cli` and the
 # argument parsing load no numpy, and `hra stats`, which needs only fetch
-# and files, loads none at all and can fork. Each command then calls
-# loaded(), with which entry() freezes the import-time heap.
+# and files, loads none at all and can fork. The collector policy of the
+# `hra` program lives in entry() alone.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -113,11 +113,10 @@ def _print_trace(name: str, result: TopsisResult) -> None:
     show("CC", result.closeness)
 
 
-def cmd_run(args, loaded) -> int:
+def cmd_run(args) -> int:
     from . import dataio
     from .hierarchy import HraConfig, run_hra
 
-    loaded()
     dataset = dataio.load_long_csv(args.data)
     config = HraConfig.for_dataset(
         dataset,
@@ -140,11 +139,10 @@ def cmd_run(args, loaded) -> int:
     return EXIT_OK
 
 
-def cmd_rtopsis(args, loaded) -> int:
+def cmd_rtopsis(args) -> int:
     from .dataio import load_rank_matrix_csv
     from .rtopsis import CriteriaSpec, Direction, rtopsis
 
-    loaded()
     matrix = load_rank_matrix_csv(args.matrix)
     domain = _parse_domain(args.domain) if args.domain \
         else (0.0, float(matrix.m) + 1.0)
@@ -160,10 +158,9 @@ def cmd_rtopsis(args, loaded) -> int:
     return EXIT_OK
 
 
-def cmd_verify_paper(args, loaded) -> int:
+def cmd_verify_paper(args) -> int:
     from .verify import verify_reference_tables
 
-    loaded()
     checks = verify_reference_tables()
     for check in checks:
         print(check.line())
@@ -172,21 +169,19 @@ def cmd_verify_paper(args, loaded) -> int:
     return EXIT_OK if passed == len(checks) else EXIT_USAGE
 
 
-def cmd_stats(args, loaded) -> int:
+def cmd_stats(args) -> int:
     from .fetch import load_raw_runs
     from .files import _save_run_statistics
 
     raw = load_raw_runs(args.runs_dir)  # a child parses beside this process
-    loaded()
     rows = _save_run_statistics(raw, args.std_population, args.out)
     print(f"{rows} rows written to {args.out}")
     return EXIT_OK
 
 
-def cmd_fetch(args, loaded) -> int:
+def cmd_fetch(args) -> int:
     from .fetch import fetch_raw
 
-    loaded()
     result = fetch_raw(args.source, args.out)
     print(f"{len(result.downloaded)} downloaded, {len(result.skipped)} "
           f"already verified; manifest at {result.manifest_path}")
@@ -243,15 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    return _main(argv, loaded=lambda: None)
-
-
-def _main(argv, loaded) -> int:
-    """main(); each command calls loaded() once its modules have loaded."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, loaded)
+        return args.func(args)
     except _Exited as exc:
         return exc.args[0]
     except _UsageError as exc:
@@ -268,16 +258,20 @@ def _main(argv, loaded) -> int:
 def entry() -> int:
     """The `hra` program: main() on sys.argv, in a process of its own.
 
-    gc.freeze() moves every object alive into the permanent generation, so
-    no collection during the command, and none at exit, walks them again.
-    It runs here, before any fork, and again once the command has loaded
-    its modules, which bring numpy (except in stats) and the rest of hra,
-    and in stats has parsed the run files too. What is alive then
-    lives until the process exits anyway. Library use (`import hra`,
-    main()) leaves the collector alone.
+    The collector is off for the whole command, and gc.freeze() at the
+    end moves every object still alive into the permanent generation, so
+    the full collection that the interpreter runs at exit even with the
+    collector off walks none of them. It is safe because one command
+    makes few cycles and the process exits right after it, and none of
+    hra's objects needs a finalizer (files are closed by `with` blocks).
+    A child forked by `hra stats` never collects either. Library use
+    (`import hra`, main()) leaves the collector alone.
     """
-    gc.freeze()
-    return _main(None, loaded=gc.freeze)
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

@@ -229,14 +229,16 @@ def _write_rows(handle, rows: Iterable[Sequence]) -> None:
     writerow = csv.writer(handle, lineterminator="\n").writerow
     quoted = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
     for row in rows:
-        if any(isinstance(cell, str) and "\r" in cell for cell in row):
-            quoted.writerow(row)
-            continue
-        head = row[0]
-        if isinstance(head, str) and head.lstrip()[:1] == "#":
-            handle.write('"' + head.replace('"', '""') + '",')
-            row = row[1:]
-        writerow(row)
+        for cell in row:  # a plain loop: any() over a generator cost more
+            if isinstance(cell, str) and "\r" in cell:
+                quoted.writerow(row)
+                break
+        else:
+            head = row[0]
+            if isinstance(head, str) and head.lstrip()[:1] == "#":
+                handle.write('"' + head.replace('"', '""') + '",')
+                row = row[1:]
+            writerow(row)
 
 
 def _long_rows(axes, cells):

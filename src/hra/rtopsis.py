@@ -13,6 +13,7 @@ matrices concurrently is safe.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -148,7 +149,7 @@ class CriteriaSpec:
                    else f"an array of shape {weights.shape}")
             raise ShapeMismatch(f"expected {n} weights, got {got}")
         for j, (d1, d2) in enumerate(domains):
-            if not (np.isfinite(d1) and np.isfinite(d2)):
+            if not (math.isfinite(d1) and math.isfinite(d2)):
                 raise DegenerateDomain(f"domain of criterion {j} is not finite")
             if d2 <= 0.0:
                 raise ZeroUpperBound(
@@ -333,25 +334,28 @@ def closeness(s_plus: np.ndarray, s_minus: np.ndarray) -> np.ndarray:
 def mean_ranks(x, axis: int = -1) -> np.ndarray:
     """Ascending ranks 1..m along one axis; exact ties share the mean rank.
 
-    A stable argsort orders each slice; a run of equal sorted values
-    spanning positions first..last gets (first + last) / 2 + 1. Equality
-    is exact, so -0.0 ties with 0.0. The result is C-contiguous, so slices
-    of it feed the same summation order as freshly stacked columns.
+    An argsort orders each slice; a run of equal sorted values spanning
+    positions first..last gets (first + last) / 2 + 1. Every member of a
+    run gets that rank, so the order of equal values among themselves does
+    not matter and the sort need not be stable. Equality is exact, so -0.0
+    ties with 0.0; a NaN equals nothing, so NaNs take the last ranks, one
+    each, in no set order among themselves (no caller in hra passes one).
+    The result is C-contiguous, so slices of it feed the same summation
+    order as freshly stacked columns.
     """
     x = np.moveaxis(np.asarray(x, dtype=float), axis, -1)
-    order = np.argsort(x, axis=-1, kind="stable")
+    order = np.argsort(x, axis=-1)
     ordered = np.take_along_axis(x, order, axis=-1)
-    m = x.shape[-1]
-    position = np.broadcast_to(np.arange(m), x.shape)
     starts = np.ones(x.shape, dtype=bool)
     starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
-    ends = np.ones(x.shape, dtype=bool)
-    ends[..., :-1] = starts[..., 1:]
-    first = np.maximum.accumulate(np.where(starts, position, 0), axis=-1)
-    last = np.flip(np.minimum.accumulate(
-        np.flip(np.where(ends, position, m), axis=-1), axis=-1), axis=-1)
+    starts = starts.ravel()
+    # each slice starts a run, so no run crosses from one slice to the next
+    first = np.flatnonzero(starts)
+    length = np.diff(first, append=starts.size)
+    mean = first % x.shape[-1] + (length + 1) / 2.0
     ranks = np.empty(x.shape)
-    np.put_along_axis(ranks, order, (first + last) / 2.0 + 1.0, axis=-1)
+    np.put_along_axis(ranks, order,
+                      mean[np.cumsum(starts) - 1].reshape(x.shape), axis=-1)
     return np.ascontiguousarray(np.moveaxis(ranks, -1, axis))
 
 

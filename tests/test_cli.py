@@ -743,6 +743,7 @@ except SystemExit as exc:
     code = exc.code
 collected = set(map(id, gc.get_objects()))
 print(json.dumps({"code": code, "frozen": gc.get_freeze_count(),
+                  "enabled": gc.isenabled(),
                   "numpy": "numpy" in sys.modules,
                   "frozen modules": [name for name in ("numpy", "hra.files")
                                      if name in sys.modules and
@@ -839,9 +840,9 @@ class TestProcess:
 
     @pytest.mark.parametrize("command", ["run", "stats", "verify-paper"])
     def test_entry_freezes_what_the_command_imports(self, tmp_path, command):
-        """Each command loads its modules after the freeze at entry, numpy
-        among them except in stats; a second freeze covers what the
-        imports made."""
+        """The collector stays off through the command, and the freeze as
+        entry returns covers the modules the command loaded, numpy among
+        them except in stats."""
         runs = tmp_path / "runs"
         runs.mkdir()
         (runs / "solver_1_10.txt").write_text("1 2 3\n")
@@ -852,6 +853,7 @@ class TestProcess:
                 "verify-paper": ["verify-paper"]}[command]
         found = probe(ENTRY_PROBE, *argv)
         assert found["code"] == 0 and found["numpy"] == (command != "stats")
+        assert not found["enabled"] and found["frozen"] > 0
         assert found["frozen modules"] == (
             ["hra.files"] if command == "stats" else ["numpy", "hra.files"])
 

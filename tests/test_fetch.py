@@ -238,10 +238,10 @@ class TestLoadRawRuns:
     def test_unreadable_run_file_is_io_error(self, tmp_path, monkeypatch):
         (tmp_path / "solver_1_10.txt").write_text("1 2\n")
 
-        def denied(path):
+        def denied(path, *args, **kwargs):
             raise PermissionError(13, "Permission denied", str(path))
 
-        monkeypatch.setattr(Path, "read_bytes", denied)
+        monkeypatch.setattr(fetch, "open", denied, raising=False)
         with pytest.raises(IoError, match=r"cannot read .*solver_1_10\.txt"):
             load_raw_runs(tmp_path)
 
@@ -415,15 +415,17 @@ class TestPlainRunFiles:
         read_bytes, read_text = Path.read_bytes, Path.read_text
 
         def counted(kind, read):
-            def wrapper(self, *args, **kwargs):
+            def wrapper(*args, **kwargs):
                 reads.append(kind)
-                return read(self, *args, **kwargs)
+                return read(*args, **kwargs)
             return wrapper
 
+        monkeypatch.setattr(fetch, "open", counted("open", open),
+                            raising=False)
         monkeypatch.setattr(Path, "read_bytes", counted("bytes", read_bytes))
         monkeypatch.setattr(Path, "read_text", counted("text", read_text))
         assert load_raw_runs(tmp_path).runs == {(10, "solver", "1"): (1, 2)}
-        assert reads == ["bytes"]
+        assert reads == ["open"]
 
     def test_non_utf8_byte_takes_text_loop(self, tmp_path):
         path = tmp_path / "solver_1_10.txt"

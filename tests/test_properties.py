@@ -1,7 +1,7 @@
 """Property-based tests of the engine's structural invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -218,15 +218,29 @@ def test_rank_columns_produces_valid_rank_matrix(dm, direction):
 tie_heavy = st.sampled_from((-0.0, 0.0, 1.0, 2.0, 3.0))
 
 
-@given(arrays(float, array_shapes(min_dims=1, max_dims=3, max_side=6),
+@given(arrays(float, array_shapes(min_dims=1, max_dims=3, min_side=0,
+                                  max_side=6),
               elements=tie_heavy))
+@example(np.zeros(0))
+@example(np.zeros((3, 0)))
+@example(np.zeros((2, 0, 4)))
 @settings(max_examples=200, deadline=None)
 def test_mean_ranks_matches_oracle_on_every_axis(x):
+    """Along every axis, empty ones too, each value ranks 1 + #smaller +
+    (#equal - 1) / 2 within its slice, exactly, as the oracle ranks it."""
     for axis in range(x.ndim):
         ranks = mean_ranks(x, axis)
         assert ranks.shape == x.shape and ranks.flags.c_contiguous
-        columns = np.moveaxis(x, axis, -1).reshape(-1, x.shape[axis])
-        ranked = np.moveaxis(ranks, axis, -1).reshape(columns.shape)
-        for column, got in zip(columns, ranked):
-            np.testing.assert_array_equal(got,
-                                          oracle.mean_ranks(column.tolist()))
+        assert ranks.dtype == np.float64
+        slices = np.moveaxis(x, axis, -1)
+        smaller = (slices[..., None, :] < slices[..., :, None]).sum(-1)
+        equal = (slices[..., None, :] == slices[..., :, None]).sum(-1)
+        np.testing.assert_array_equal(
+            ranks, np.moveaxis(1 + smaller + (equal - 1) / 2, -1, axis))
+        if x.size:
+            columns = slices.reshape(-1, x.shape[axis])
+            ranked = np.moveaxis(ranks, axis, -1).reshape(columns.shape)
+            for column, got in zip(columns, ranked):
+                np.testing.assert_array_equal(
+                    got, oracle.mean_ranks(column.tolist()))
+
