@@ -3,15 +3,16 @@
 Level 1 turns every (dimension, measure) leaf into a rank vector, level 2
 joins the measure vectors of each dimension into one per-dimension ranking,
 and level 3 joins the dimensions into the overall ranking. Every node of
-the tree is one fixed-domain TOPSIS evaluation made by `evaluate`, so a
-full run costs exactly 1 + k + l*k evaluations for k dimensions and l
-measures.
+the tree is one fixed-domain TOPSIS evaluation, so a full run costs exactly
+1 + k + l*k evaluations for k dimensions and l measures; run_hra makes them
+in three calls of the kernel `topsis_stack`, one per level.
 
 Vectors passed between levels are ranks, not raw closeness scores.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -20,7 +21,7 @@ from .dataio import PerformanceDataset
 from .exceptions import MissingCell, ShapeMismatch
 from .files import _parse_dimension, check_labels
 from .rtopsis import (CriteriaSpec, DecisionMatrix, Direction, TopsisResult,
-                      check_weights, rank_columns, rtopsis)
+                      check_weights, mean_ranks, topsis_stack)
 
 
 @dataclass(frozen=True)
@@ -29,8 +30,9 @@ class HraConfig:
 
     Weight vectors left as None mean equal weights. measure_weights and
     dimension_weights are checked by `check_weights` when the config is
-    built; the config holds no functions axis, so run_hra checks
-    function_weights against the dataset. Every message names its vector.
+    built; the config holds no functions axis, so it checks only that
+    function_weights is a vector of real numbers, and run_hra checks it
+    against the dataset. Every message names its vector.
     Measures default to Direction.COST (smaller is better); `objectives`
     maps a measure to another direction, such as {"p": Direction.BENEFIT},
     and is stored as (measure, Direction) pairs in measures order. Every
@@ -52,9 +54,8 @@ class HraConfig:
                                 "one measure")
         check_labels("dimension", self.dimensions, _parse_dimension)
         check_labels("measure", self.measures)
-        if self.function_weights is not None:
-            object.__setattr__(self, "function_weights", tuple(
-                map(float, self.function_weights)))
+        object.__setattr__(self, "function_weights", check_weights(
+            "function_weights", self.function_weights))
         object.__setattr__(self, "measure_weights", check_weights(
             "measure_weights", self.measure_weights, len(self.measures)))
         object.__setattr__(self, "dimension_weights", check_weights(
@@ -96,15 +97,6 @@ class Evaluation:
     spec = property(lambda self: self.result.spec)
 
 
-def evaluate(key: tuple, matrix: DecisionMatrix,
-             weights: Sequence[float] | None = None,
-             children: Sequence[tuple] = ()) -> Evaluation:
-    """The tree's one kernel: cost criteria on the rank domain
-    (0, domain_rows + 1), the given or equal weights, one rtopsis call."""
-    spec = CriteriaSpec.for_ranks(matrix.domain_rows, matrix.n, weights)
-    return Evaluation(key, rtopsis(matrix, spec), tuple(children))
-
-
 @dataclass(frozen=True)
 class HraReport:
     """One aggregation run: the algorithms, which label every matrix row,
@@ -129,27 +121,33 @@ class HraReport:
     final_ranks = property(lambda self: self.nodes[-1].result.ranks)
 
 
-def _join(key: tuple, vectors: Sequence[np.ndarray], criterion_labels,
-          alternative_labels, weights: Sequence[float] | None = None,
-          children: Sequence[tuple] = ()) -> Evaluation:
-    """An upper node: the rank vectors as the columns of one matrix, whose
-    criterion labels are the given labels as text and whose alternatives
-    default to A1..Am, evaluated by `evaluate`."""
+def _evaluate(matrix: DecisionMatrix,
+              weights: Sequence[float] | None) -> tuple[np.ndarray, ...]:
+    """A stack of one through the tree's kernel: cost criteria on the rank
+    domain (0, domain_rows + 1), the given or equal weights."""
+    return topsis_stack(matrix.values, CriteriaSpec.for_ranks(
+        matrix.domain_rows, matrix.n, weights), matrix.alternative_labels,
+        matrix.criterion_labels)
+
+
+def _columns(vectors: Sequence[np.ndarray], criterion_labels,
+             alternative_labels) -> DecisionMatrix:
+    """The rank vectors as the columns of one matrix, whose criterion labels
+    are the given labels as text and whose alternatives default to A1..Am."""
     vectors = [np.asarray(v, dtype=float) for v in vectors]
     sizes = {v.shape for v in vectors}
     if len(sizes) != 1 or vectors[0].ndim != 1:
         raise ShapeMismatch(f"rank vectors have inconsistent shapes: {sizes}")
-    matrix = DecisionMatrix(np.stack(vectors, axis=1),
-                            tuple(alternative_labels or ()),
-                            tuple(str(c) for c in criterion_labels))
-    return evaluate(key, matrix, weights, children)
+    return DecisionMatrix(np.stack(vectors, axis=1),
+                          tuple(alternative_labels or ()),
+                          tuple(map(str, criterion_labels)))
 
 
 def aggregate_leaf(rank_matrix: DecisionMatrix,
                    function_weights: Sequence[float] | None = None
                    ) -> np.ndarray:
     """Rank vector of one (dimension, measure) leaf."""
-    return evaluate(("leaf",), rank_matrix, function_weights).result.ranks
+    return _evaluate(rank_matrix, function_weights)[3]
 
 
 def aggregate_dimension(leaf_ranks: Sequence[np.ndarray],
@@ -161,9 +159,8 @@ def aggregate_dimension(leaf_ranks: Sequence[np.ndarray],
     (columns in measure order) and the dimension's rank vector."""
     if measure_labels is None:
         measure_labels = [f"P{i + 1}" for i in range(len(leaf_ranks))]
-    node = _join(("dimension",), leaf_ranks, measure_labels,
-                 alternative_labels, measure_weights)
-    return node.matrix, node.result.ranks
+    matrix = _columns(leaf_ranks, measure_labels, alternative_labels)
+    return matrix, _evaluate(matrix, measure_weights)[3]
 
 
 def aggregate_overall(dimension_ranks: Sequence[np.ndarray],
@@ -175,9 +172,24 @@ def aggregate_overall(dimension_ranks: Sequence[np.ndarray],
     matrix, the closeness scores and the overall ranks."""
     if dimension_labels is None:
         dimension_labels = [f"D{i + 1}" for i in range(len(dimension_ranks))]
-    node = _join(("overall",), dimension_ranks, dimension_labels,
-                 alternative_labels, dimension_weights)
-    return node.matrix, node.result.closeness, node.result.ranks
+    matrix = _columns(dimension_ranks, dimension_labels, alternative_labels)
+    return (matrix, *_evaluate(matrix, dimension_weights)[2:])
+
+
+def _level(keys, stack: np.ndarray, criterion_labels, algorithms, weights,
+           children=itertools.repeat(())) -> tuple[list, np.ndarray]:
+    """One kernel call over a level's (..., m, n) stack of rank matrices,
+    whose leading axes run in key order: the level's nodes, which share the
+    stack's slices and the kernel's vectors, and its (..., m) ranks."""
+    stack.flags.writeable = False  # so that each node's matrix is a view
+    m, n = stack.shape[-2:]
+    spec = CriteriaSpec.for_ranks(m, n, weights)
+    criterion_labels = tuple(map(str, criterion_labels))
+    vectors = topsis_stack(stack, spec, algorithms, criterion_labels)
+    rows = zip(stack.reshape(-1, m, n), *(v.reshape(-1, m) for v in vectors))
+    return [Evaluation(key, TopsisResult(DecisionMatrix(
+        values, algorithms, criterion_labels), spec, *row), kids)
+        for key, kids, (values, *row) in zip(keys, children, rows)], vectors[3]
 
 
 def run_hra(dataset: PerformanceDataset,
@@ -185,9 +197,12 @@ def run_hra(dataset: PerformanceDataset,
     """Full three-level aggregation of a complete dataset.
 
     Deterministic: identical inputs give bit-identical reports. The report
-    holds one node per TOPSIS evaluation, always 1 + k + l*k of them.
+    holds one node per TOPSIS evaluation, always 1 + k + l*k of them, from
+    three kernel calls: the (k, l, m, n) stack of leaf rank matrices, the
+    (k, m, l) stack of dimension matrices and the (m, k) overall matrix.
     function_weights, then every absent cell, is checked before any leaf is
-    gathered by dataset.matrix and ranked; the leaves go one at a time.
+    ranked; the leaves are ranked one at a time, so the rank transform's
+    temporaries stay leaf-sized.
     """
     if config is None:
         config = HraConfig.for_dataset(dataset)
@@ -196,18 +211,26 @@ def run_hra(dataset: PerformanceDataset,
     missing = dataset.missing_cells(config.dimensions, config.measures)
     if missing:
         raise MissingCell(missing)
-    nodes: dict[tuple, Evaluation] = {}
-    for d in config.dimensions:
-        for p in config.measures:
-            leaf = rank_columns(dataset.matrix(d, p), config.objective_for(p))
-            nodes["leaf", d, p] = evaluate(("leaf", d, p), leaf,
-                                           config.function_weights)
-    joins = [(("dimension", d), [("leaf", d, p) for p in config.measures],
-              config.measures, config.measure_weights)
-             for d in config.dimensions]
-    joins.append((("overall",), [("dimension", d) for d in config.dimensions],
-                  config.dimensions, config.dimension_weights))
-    for key, children, labels, weights in joins:
-        nodes[key] = _join(key, [nodes[c].result.ranks for c in children],
-                           labels, dataset.algorithms, weights, children)
-    return HraReport(dataset.algorithms, tuple(nodes.values()))
+    dimensions, measures = config.dimensions, config.measures
+    algorithms = dataset.algorithms
+    leaves = np.empty((len(dimensions), len(measures))
+                      + dataset.array.shape[2:])
+    for i, d in enumerate(dimensions):
+        for j, p in enumerate(measures):
+            leaf = dataset.array[dataset.dimensions.index(d),
+                                 dataset.measures.index(p)]
+            if config.objective_for(p) is Direction.BENEFIT:
+                leaf = -leaf  # as rank_columns does
+            leaves[i, j] = mean_ranks(leaf, axis=0)
+    leaf_keys = [tuple(("leaf", d, p) for p in measures) for d in dimensions]
+    dimension_keys = tuple(("dimension", d) for d in dimensions)
+    leaf_nodes, leaf_ranks = _level(
+        itertools.chain(*leaf_keys), leaves, dataset.functions, algorithms,
+        config.function_weights)
+    dimension_nodes, dimension_ranks = _level(
+        dimension_keys, np.ascontiguousarray(leaf_ranks.transpose(0, 2, 1)),
+        measures, algorithms, config.measure_weights, leaf_keys)
+    overall, _ = _level(
+        [("overall",)], np.ascontiguousarray(dimension_ranks.T), dimensions,
+        algorithms, config.dimension_weights, [dimension_keys])
+    return HraReport(algorithms, tuple(leaf_nodes + dimension_nodes + overall))

@@ -6,6 +6,8 @@ anchors come from a per-criterion domain [d1, d2] declared up front: the
 positive and negative ideals depend only on the criteria specification, and
 the score of an alternative never changes when other rows come or go.
 
+`topsis_stack` is the one evaluation kernel: it scores a whole stack of
+matrices under one spec, and `rtopsis` is that kernel on a stack of one.
 All functions are pure and operate on immutable inputs; evaluating many
 matrices concurrently is safe.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,6 +34,7 @@ from .exceptions import (
 from .files import check_labels
 
 WEIGHT_SUM_TOL = 1e-12
+BLOCK_VALUES = 1 << 13  # values weighted and summed at a time by topsis_stack
 
 
 class Direction(enum.Enum):
@@ -47,8 +51,15 @@ class Normalization(enum.Enum):
     MAXMIN = "maxmin"
 
 
-def _freeze(array: np.ndarray) -> np.ndarray:
-    array = np.array(array, dtype=float)
+def _freeze(array) -> np.ndarray:
+    """array as read-only floats: shared when it is read-only down to the
+    array that owns its memory, so that nothing can write it, else copied."""
+    array = owner = np.asarray(array, dtype=float)
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        if owner.base is None:
+            return array
+        owner = owner.base
+    array = np.array(array)
     array.flags.writeable = False
     return array
 
@@ -61,6 +72,8 @@ class DecisionMatrix:
     (0, domain_rows + 1). It is frozen at construction and survives
     drop_alternatives, so evaluating a reduced matrix under the default
     spec cannot silently shift the domain and reintroduce rank reversal.
+    values is copied unless it is already read-only down to the array that
+    owns its memory; then the matrix shares it.
     """
 
     values: np.ndarray
@@ -89,7 +102,12 @@ class DecisionMatrix:
             raise ShapeMismatch(f"{len(criteria)} criterion labels for {n} columns")
         check_labels("alternative", alternatives)
         check_labels("criterion", criteria)
-        domain_rows = m if self.domain_rows is None else int(self.domain_rows)
+        try:
+            domain_rows = m if self.domain_rows is None \
+                else operator.index(self.domain_rows)
+        except TypeError:
+            raise ShapeMismatch(f"domain_rows must be an integer, got "
+                                f"{self.domain_rows!r}") from None
         if domain_rows < m:
             raise ShapeMismatch(
                 f"domain_rows {domain_rows} is smaller than the row count {m}")
@@ -123,8 +141,9 @@ class DecisionMatrix:
 class CriteriaSpec:
     """Per-criterion direction, fixed domain [d1, d2], and weight.
 
-    Weights must be strictly positive and sum to 1 within 1e-12; an
-    out-of-tolerance vector is rejected rather than silently renormalized.
+    Weights must be real numbers, strictly positive, and sum to 1 within
+    1e-12; an out-of-tolerance vector is rejected rather than silently
+    renormalized.
     Domains must satisfy d1 < d2 and d2 > 0 (max normalization divides
     by d2).
     """
@@ -136,7 +155,7 @@ class CriteriaSpec:
     def __post_init__(self):
         directions = tuple(Direction(d) for d in self.directions)
         domains = tuple((float(d1), float(d2)) for d1, d2 in self.domains)
-        weights = np.asarray(self.weights, dtype=float)
+        weights = _real(self.weights)
         n = len(directions)
         if n == 0:
             raise EmptyMatrix("criteria spec must cover at least one criterion")
@@ -187,14 +206,35 @@ class CriteriaSpec:
             weights = equal_weights(n_criteria)
         return cls(directions=(Direction.COST,) * n_criteria,
                    domains=((0.0, float(n_alternatives) + 1.0),) * n_criteria,
-                   weights=np.asarray(weights, dtype=float))
+                   weights=weights)
 
 
-def check_weights(name: str, weights, n: int) -> tuple[float, ...] | None:
-    """CriteriaSpec's rule for n weights, with name first in any error."""
+def _real(weights) -> np.ndarray:
+    """weights as a float array. Text and complex numbers are not real
+    numbers, nor is anything that does not convert: InvalidWeights."""
     try:
-        return None if weights is None else tuple(
-            CriteriaSpec.for_ranks(1, n, weights).weights.tolist())
+        if np.asarray(weights).dtype.kind in "cSUV":
+            raise TypeError
+        return np.asarray(weights, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidWeights(
+            f"weights must be real numbers, got {weights!r}") from None
+
+
+def check_weights(name: str, weights,
+                  n: int | None = None) -> tuple[float, ...] | None:
+    """CriteriaSpec's rule for n weights, with name first in any error; with
+    n None, only that the weights are a vector of real numbers."""
+    if weights is None:
+        return None
+    try:
+        if n is not None:
+            return tuple(CriteriaSpec.for_ranks(1, n, weights).weights.tolist())
+        weights = _real(weights)
+        if weights.ndim != 1:
+            raise ShapeMismatch(f"expected a vector of weights, got an array "
+                                f"of shape {weights.shape}")
+        return tuple(weights.tolist())
     except (InvalidWeights, ShapeMismatch) as exc:
         raise type(exc)(f"{name}: {exc}") from None
 
@@ -236,9 +276,9 @@ class TopsisResult:
 
     @property
     def trace(self) -> TopsisTrace:
-        """The full trace, rebuilt on every read by the calls rtopsis made,
-        so its bits are the stored ones. It is not cached: a result keeps no
-        m x n array beyond its matrix."""
+        """The full trace, rebuilt on every read by the steps topsis_stack
+        takes, so its bits are the stored ones. It is not cached: a result
+        keeps no m x n array beyond its matrix."""
         normalized = normalize(self.matrix, self.spec)
         pis, nis = ideal_solutions(self.spec)
         return TopsisTrace(normalized, weight_matrix(normalized, self.spec),
@@ -250,6 +290,24 @@ def _spec_matrix_agree(spec: CriteriaSpec, n: int) -> None:
         raise ShapeMismatch(f"spec covers {spec.n} criteria, matrix has {n}")
 
 
+def _in_domain(values: np.ndarray, spec: CriteriaSpec, alternative_labels,
+               criterion_labels) -> tuple[np.ndarray, np.ndarray]:
+    """The domain ends d1 and d2, once every value lies in its criterion's
+    domain (NaN lies in none); else DomainViolation names the first value
+    outside by its labels, and its matrix when the values are a stack."""
+    _spec_matrix_agree(spec, values.shape[-1])
+    d1, d2 = (np.array(ends) for ends in zip(*spec.domains))
+    outside = ~((values >= d1) & (values <= d2))
+    if outside.any():
+        *stack, i, j = np.argwhere(outside)[0].tolist()
+        where = f" in matrix {tuple(stack)}" if stack else ""
+        raise DomainViolation(
+            f"value {values[(*stack, i, j)]} of alternative "
+            f"{alternative_labels[i]!r}{where} is outside the domain "
+            f"[{d1[j]}, {d2[j]}] of criterion {criterion_labels[j]!r}")
+    return d1, d2
+
+
 def normalize(matrix: DecisionMatrix, spec: CriteriaSpec,
               mode: Normalization = Normalization.MAXMIN) -> np.ndarray:
     """Normalized matrix n_ij: x/d2 (max) or (x-d1)/(d2-d1) (max-min).
@@ -259,17 +317,9 @@ def normalize(matrix: DecisionMatrix, spec: CriteriaSpec,
     bound).
     """
     mode = Normalization(mode)
-    _spec_matrix_agree(spec, matrix.n)
-    d1 = np.array([d[0] for d in spec.domains])
-    d2 = np.array([d[1] for d in spec.domains])
     values = matrix.values
-    out_of_domain = (values < d1) | (values > d2)
-    if out_of_domain.any():
-        i, j = np.argwhere(out_of_domain)[0]
-        raise DomainViolation(
-            f"value {values[i, j]} of alternative "
-            f"{matrix.alternative_labels[i]!r} is outside the domain "
-            f"[{d1[j]}, {d2[j]}] of criterion {matrix.criterion_labels[j]!r}")
+    d1, d2 = _in_domain(values, spec, matrix.alternative_labels,
+                        matrix.criterion_labels)
     if mode is Normalization.MAX:
         return values / d2
     return (values - d1) / (d2 - d1)
@@ -386,10 +436,41 @@ def scores_to_ranks(scores: np.ndarray) -> np.ndarray:
     return mean_ranks(-scores)
 
 
+def topsis_stack(values, spec: CriteriaSpec, alternative_labels,
+                 criterion_labels) -> tuple[np.ndarray, ...]:
+    """Fixed-domain TOPSIS of each (m, n) matrix of a (..., m, n) stack, all
+    under one spec and labelled alike: (S+, S-, closeness, ranks), each
+    (..., m) and read-only.
+
+    The domain check, which refuses NaN, and the degenerate-ideal check run
+    once per stack. Rows are normalized, weighted and summed BLOCK_VALUES
+    values at a time, each row as one C-contiguous run, so the temporaries
+    stay small and a matrix gets the same bits alone as in any stack.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim < 2:
+        raise ShapeMismatch(f"a stack of matrices needs 2 or more axes, got "
+                            f"{values.ndim}")
+    d1, d2 = _in_domain(values, spec, alternative_labels, criterion_labels)
+    pis, nis = ideal_solutions(spec)
+    rows = values.reshape(-1, spec.n)
+    s_plus, s_minus = np.empty(len(rows)), np.empty(len(rows))
+    step = max(1, BLOCK_VALUES // spec.n)
+    for start in range(0, len(rows), step):
+        block = slice(start, start + step)
+        weighted = (rows[block] - d1) / (d2 - d1) * spec.weights
+        s_plus[block], s_minus[block] = separations(weighted, pis, nis)
+    s_plus, s_minus = (s.reshape(values.shape[:-1]) for s in (s_plus, s_minus))
+    scores = closeness(s_plus, s_minus)
+    ranks = scores_to_ranks(scores)
+    for array in (s_plus, s_minus, scores, ranks):
+        array.flags.writeable = False
+    return s_plus, s_minus, scores, ranks
+
+
 def rtopsis(matrix: DecisionMatrix,
             spec: CriteriaSpec | None = None) -> TopsisResult:
-    """Full pipeline: max-min normalize, weight, ideals, separations,
-    closeness.
+    """topsis_stack on a stack of one: the matrix's result.
 
     With spec=None the matrix is treated as rank data: cost criteria,
     equal weights, domain (0, m+1) anchored at the matrix's frozen
@@ -398,10 +479,6 @@ def rtopsis(matrix: DecisionMatrix,
     """
     if spec is None:
         spec = CriteriaSpec.for_ranks(matrix.domain_rows, matrix.n)
-    weighted = weight_matrix(normalize(matrix, spec), spec)
-    s_plus, s_minus = separations(weighted, *ideal_solutions(spec))
-    scores = closeness(s_plus, s_minus)
-    ranks = scores_to_ranks(scores)
-    for array in (s_plus, s_minus, scores, ranks):
-        array.flags.writeable = False
-    return TopsisResult(matrix, spec, s_plus, s_minus, scores, ranks)
+    return TopsisResult(matrix, spec, *topsis_stack(
+        matrix.values, spec, matrix.alternative_labels,
+        matrix.criterion_labels))

@@ -1,9 +1,10 @@
 """Self-contained consistency checks of the bundled CEC'17 tables.
 
 Each aggregation level is recomputed from the level below it, fixtures
-only, no network, by the same kernel `hra run` uses: the four per-dimension
-rankings from the per-measure rank tables (aggregate_dimension), and the
-overall scores and ranks from the per-dimension table (aggregate_overall).
+only, no network, by the kernel `hra run` uses, topsis_stack, on a stack of
+one matrix: the four per-dimension rankings from the per-measure rank
+tables (aggregate_dimension), and the overall scores and ranks from the
+per-dimension table (aggregate_overall).
 Every check compares each recomputed value, printed the way its table
 prints it, with the table's text: ranks with `g`, scores with four
 decimals. So a score passes exactly when it rounds to its printed value.

@@ -1,8 +1,10 @@
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hra.hierarchy
 from hra import dataio, fixtures
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -40,3 +42,18 @@ def random_dataset(m, n, k, l, seed):
                                      functions=functions,
                                      dimensions=dimensions,
                                      measures=measures, values=values)
+
+
+def count_evaluations(monkeypatch) -> list[int]:
+    """Patch the stack kernel where hra.hierarchy looks it up. The returned
+    list gets, for each call, the number of matrices in the stack, which is
+    the number of TOPSIS evaluations the call makes."""
+    kernel = hra.hierarchy.topsis_stack
+    counts = []
+
+    def counting(values, *args, **kwargs):
+        counts.append(math.prod(np.shape(values)[:-2]))
+        return kernel(values, *args, **kwargs)
+
+    monkeypatch.setattr(hra.hierarchy, "topsis_stack", counting)
+    return counts

@@ -5,6 +5,7 @@ import hashlib
 import http.client
 import json
 import os
+import random
 import re
 import runpy
 import shutil
@@ -21,10 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hra
-from conftest import SYNTHETIC_CSV
+from conftest import SYNTHETIC_CSV, count_evaluations
 from hra import (cli, dataio, dataset_from_runs, fetch, files, fixtures,
                  hierarchy, load_long_csv, load_rank_matrix_csv, load_raw_runs,
-                 rtopsis, run_hra, verify)
+                 run_hra, verify)
 from hra.cli import main
 from hra.verify import verify_reference_tables
 from test_dataio import failing_on_call, snapshot
@@ -155,6 +156,61 @@ STDOUT_DIGESTS = {
 }
 
 
+# the same for `hra run --data tied.csv --out weighted` with the weights of
+# WEIGHT_FLAGS, where tied.csv is what write_tie_heavy_csv writes: integer
+# values 0-3 over 7 algorithms, 9 functions, 3 dimensions and 5 measures, so
+# most leaves hold ties and every level sums unequal weights
+WEIGHTED_REPORT_DIGESTS = {
+    "csv": {
+        "dimension_10.csv": "13d8ee213c1ea1046000563fa5408ac6"
+                            "ed0ab2e4bc2bf2ea0f1615aed80723c3",
+        "dimension_30.csv": "60d914a064f35e560cc7569fe8f8b84b"
+                            "5be024c8ce4846d70f77374f443a0988",
+        "dimension_50.csv": "0179f38477d6f26ac04a5897617b3e4c"
+                            "7e320951a3b7944a2603602ec4a53e91",
+        "final_matrix.csv": "7b65dd5c8659dc190d12ac8466a8c491"
+                            "f400ad222fcb1f4558c14c390d78ab64",
+        "final_ranking.csv": "f78e3f1ec697071e31e6c3bac1b082ec"
+                             "a0f1fe64485f09902916b9b57d4985bc",
+        "leaf_ranks.csv": "81eb116c4bfc35bf49135a35599ab4b8"
+                          "900d77596e82be68f1f985ff208a5fa6",
+    },
+    "markdown": {
+        "dimension_10.md": "2892694e3430b992cc219c6091fe0677"
+                           "d1852b33a1a2258e2b193db1218527bc",
+        "dimension_30.md": "34b75219163aa3d2daa362f138c35705"
+                           "04c24a9198e63cf39193cdece94b5bd1",
+        "dimension_50.md": "03781e580db97c1931b797e66ef29ef9"
+                           "7fe3a4513b7b15575b3fe8a8b5afd90b",
+        "final_matrix.md": "59d591abd638d4d2abe1f4c7e01becaa"
+                           "43489fb39765aa6980f5798198180dfd",
+        "final_ranking.md": "3dc5a4233d3df10b8dd37245d470ecf8"
+                            "8bff213f0ee3dcc305fe9ca025b31718",
+        "leaf_ranks.md": "bee5ebe1436be2bfe9836444d3b9d76f"
+                         "0fbe2ecf89a3520642678f0690a39f2e",
+    },
+}
+WEIGHTED_STDOUT_DIGESTS = {
+    False: "04a2a14d189d97bb1a9a6206811611f0"
+           "f7b1fe0131f61642cd02b8a22c2e1193",
+    True: "08f146a4935843e39612830aa864d4b7"
+          "9c05431236839c40dc0b58c461ca857c",
+}
+WEIGHT_FLAGS = (
+    "--weights", "0.05,0.05,0.1,0.1,0.1,0.1,0.1,0.15,0.25",
+    "--measure-weights", "0.1,0.15,0.2,0.25,0.3",
+    "--dimension-weights", "0.5,0.3,0.2")
+
+
+def write_tie_heavy_csv(path: Path) -> None:
+    """Integer values from random.Random(31), whose stream does not depend
+    on the Python or numpy version."""
+    rng = random.Random(31)
+    path.write_text("dimension,measure,function,algorithm,value\n" + "".join(
+        f"{d},p{q},f{j},a{i},{rng.randrange(4)}\n" for d in (10, 30, 50)
+        for q in range(5) for j in range(9) for i in range(7)))
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -165,13 +221,18 @@ class TestReportBytes:
     def test_pinned_digests(self, capsys, tmp_path, monkeypatch, fmt,
                             verbose):
         monkeypatch.chdir(tmp_path)  # stdout names the relative --out
-        code, out, err = run_cli(
-            capsys, "run", "--data", str(SYNTHETIC_CSV), "--out", "report",
-            "--format", fmt, *(["--verbose"] if verbose else []))
-        assert code == 0 and err == ""
-        assert {path.name: sha256(path.read_bytes()) for path
-                in (tmp_path / "report").iterdir()} == REPORT_DIGESTS[fmt]
-        assert sha256(out.encode()) == STDOUT_DIGESTS[verbose]
+        write_tie_heavy_csv(tmp_path / "tied.csv")
+        for data, flags, out_dir, reports, stdouts in (
+                (SYNTHETIC_CSV, (), "report", REPORT_DIGESTS, STDOUT_DIGESTS),
+                ("tied.csv", WEIGHT_FLAGS, "weighted",
+                 WEIGHTED_REPORT_DIGESTS, WEIGHTED_STDOUT_DIGESTS)):
+            code, out, err = run_cli(
+                capsys, "run", "--data", str(data), *flags, "--out", out_dir,
+                "--format", fmt, *(["--verbose"] if verbose else []))
+            assert code == 0 and err == ""
+            assert {path.name: sha256(path.read_bytes()) for path
+                    in (tmp_path / out_dir).iterdir()} == reports[fmt]
+            assert sha256(out.encode()) == stdouts[verbose]
 
     @pytest.mark.parametrize("fmt,ext", [("csv", "csv"), ("markdown", "md")])
     def test_dimension_labels_that_are_not_file_names(self, capsys, tmp_path,
@@ -373,17 +434,12 @@ class TestVerifyPaper:
         assert code == 0 and "6/6 checks PASS" in out
 
     def test_checks_the_kernel_of_run(self, monkeypatch):
-        """Every recomputed level is one evaluation of hierarchy.evaluate:
-        four dimensions and the overall ranking."""
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return rtopsis(*args, **kwargs)
-
-        monkeypatch.setattr(hierarchy, "rtopsis", counted)
+        """Every recomputed level is one evaluation of run_hra's kernel,
+        topsis_stack on a stack of one: four dimensions and the overall
+        ranking."""
+        calls = count_evaluations(monkeypatch)
         assert all(check.passed for check in verify_reference_tables())
-        assert len(calls) == 5
+        assert calls == [1] * 5
 
 
 class TestStats:

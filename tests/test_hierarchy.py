@@ -1,14 +1,20 @@
 """Unit and integration tests for the three-level aggregation."""
 
 import dataclasses
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracle
-from conftest import random_dataset
+from conftest import count_evaluations, random_dataset
 from hra import (
+    CriteriaSpec,
     DecisionMatrix,
     Direction,
     HraConfig,
@@ -22,10 +28,12 @@ from hra import (
     fixtures,
     TopsisResult,
     rank_columns,
+    rtopsis,
     run_hra,
     squared_gaps,
 )
 from hra.hierarchy import Evaluation, HraReport
+from hra.rtopsis import check_weights
 from test_properties import assert_gaps_rebuild
 
 
@@ -227,10 +235,7 @@ class TestRunHra:
         # the config holds no functions axis: run_hra checks function_weights
         # against the dataset's functions, however the config was built,
         # before any leaf, and the message names the vector first
-        import hra
-        calls = []
-        monkeypatch.setattr(hra.hierarchy, "rtopsis",
-                            lambda *args: calls.append(args))
+        calls = count_evaluations(monkeypatch)
         ds = synthetic_dataset
         for config in (HraConfig.for_dataset(ds, function_weights=(0.5, 0.5)),
                        HraConfig(ds.dimensions, ds.measures, (0.5, 0.5))):
@@ -242,10 +247,7 @@ class TestRunHra:
 
     def test_function_weight_sum_validated(self, synthetic_dataset,
                                            monkeypatch):
-        import hra
-        calls = []
-        monkeypatch.setattr(hra.hierarchy, "rtopsis",
-                            lambda *args: calls.append(args))
+        calls = count_evaluations(monkeypatch)
         ds = synthetic_dataset
         config = HraConfig.for_dataset(ds, function_weights=[0.5] * 6)
         with pytest.raises(InvalidWeights) as excinfo:
@@ -364,10 +366,7 @@ class TestEvaluationNodes:
         assert ranks.tobytes() == report.final_ranks.tobytes()
 
     def test_missing_cells_listed_before_any_evaluation(self, monkeypatch):
-        import hra
-        calls = []
-        monkeypatch.setattr(hra.hierarchy, "rtopsis",
-                            lambda *args: calls.append(args))
+        calls = count_evaluations(monkeypatch)
         ds = random_dataset(m=3, n=2, k=2, l=2, seed=5)
         values = dict(ds.values)
         gone = [(10, "p1", "alg0", "f1"), (20, "p0", "alg2", "f0")]
@@ -385,10 +384,7 @@ class TestEvaluationNodes:
             self, monkeypatch):
         # both would be written as dimension_10.csv and both label a
         # column '10' of the overall matrix
-        import hra
-        calls = []
-        monkeypatch.setattr(hra.hierarchy, "rtopsis",
-                            lambda *args: calls.append(args))
+        calls = count_evaluations(monkeypatch)
         with pytest.raises(ShapeMismatch, match="would reload as 10"):
             run_hra(PerformanceDataset.from_array(
                 algorithms=("a", "b"), functions=("f",),
@@ -412,6 +408,139 @@ class TestEvaluationNodes:
         assert report.invocation_count == 1 + 4 + 5 * 4
         assert peak <= 2 * dataset.array.nbytes
         assert kept <= 1.5 * dataset.array.nbytes
+
+
+def per_node(ds, config) -> dict:
+    """Every node's TopsisResult by the public per-node calls: rank_columns,
+    then rtopsis under the level's rank spec, node by node. aggregate_leaf,
+    aggregate_dimension and aggregate_overall give the same bits."""
+    m = len(ds.algorithms)
+    results = {}
+
+    def evaluate(key, matrix, weights):
+        results[key] = rtopsis(matrix, CriteriaSpec.for_ranks(m, matrix.n,
+                                                              weights))
+        return results[key].ranks
+
+    dimension_ranks = []
+    for d in config.dimensions:
+        leaf_ranks = []
+        for p in config.measures:
+            leaf = rank_columns(ds.matrix(d, p), config.objective_for(p))
+            leaf_ranks.append(evaluate(("leaf", d, p), leaf,
+                                       config.function_weights))
+            assert aggregate_leaf(leaf, config.function_weights).tobytes() \
+                == leaf_ranks[-1].tobytes()
+        matrix, ranks = aggregate_dimension(
+            leaf_ranks, config.measure_weights, config.measures,
+            ds.algorithms)
+        dimension_ranks.append(evaluate(("dimension", d), matrix,
+                                        config.measure_weights))
+        assert ranks.tobytes() == dimension_ranks[-1].tobytes()
+    matrix, scores, ranks = aggregate_overall(
+        dimension_ranks, config.dimension_weights, config.dimensions,
+        ds.algorithms)
+    overall = results["overall",] = rtopsis(matrix, CriteriaSpec.for_ranks(
+        m, matrix.n, config.dimension_weights))
+    assert scores.tobytes() == overall.closeness.tobytes()
+    assert ranks.tobytes() == overall.ranks.tobytes()
+    return results
+
+
+def assert_matches_per_node(report, expected: dict):
+    """Each node's matrix and four vectors equal the per-node path's, byte
+    for byte, and so do the labels and weights it read."""
+    assert sorted(map(repr, expected)) == sorted(repr(n.key) for n in
+                                                 report.nodes)
+    for node in report.nodes:
+        want = expected[node.key]
+        assert node.matrix.values.tobytes() == want.matrix.values.tobytes()
+        assert node.matrix.alternative_labels == want.matrix.alternative_labels
+        assert node.matrix.criterion_labels == want.matrix.criterion_labels
+        assert node.spec.weights.tobytes() == want.spec.weights.tobytes()
+        assert node.spec.domains == want.spec.domains
+        for field in ("s_plus", "s_minus", "closeness", "ranks"):
+            mine, theirs = getattr(node.result, field), getattr(want, field)
+            assert (mine.dtype, mine.shape, mine.tobytes()) == \
+                (theirs.dtype, theirs.shape, theirs.tobytes()), \
+                (node.key, field)
+
+
+def benchmark_dataset(monkeypatch, shape, seed) -> PerformanceDataset:
+    """The benchmark's simulated cube, from perfbench/workloads.py."""
+    monkeypatch.syspath_prepend(Path(__file__).resolve().parent.parent
+                                / "perfbench")
+    import workloads
+
+    algorithms, functions = workloads.Shape(*shape).labels()
+    cube = workloads.simulate(workloads.Shape(*shape), seed)
+    return PerformanceDataset.from_array(
+        algorithms=algorithms, functions=functions,
+        dimensions=cube.dimensions, measures=workloads.MEASURES,
+        array=cube.stats.transpose(0, 3, 1, 2))
+
+
+@st.composite
+def configured_datasets(draw):
+    """A dataset of integer values 0-3, so most leaves hold ties, and a
+    config over a subset of its dimensions and measures in any order, with
+    or without weights at each level and benefit measures; and a block
+    size for topsis_stack."""
+    k, l, m, n = (draw(st.integers(1, top)) for top in (3, 4, 6, 5))
+    ds = PerformanceDataset.from_array(
+        algorithms=tuple(f"a{i}" for i in range(m)),
+        functions=tuple(f"f{j}" for j in range(n)),
+        dimensions=tuple(10 * (d + 1) for d in range(k)),
+        measures=tuple(f"p{q}" for q in range(l)),
+        array=draw(arrays(float, (k, l, m, n),
+                          elements=st.sampled_from([0.0, 1.0, 2.0, 3.0]))))
+
+    def subset(axis):
+        order = draw(st.permutations(axis))
+        return tuple(order[:draw(st.integers(1, len(axis)))])
+
+    def weights(size):
+        drawn = draw(st.none() | st.lists(st.integers(1, 9), min_size=size,
+                                          max_size=size))
+        return None if drawn is None else tuple(np.array(drawn) / sum(drawn))
+
+    dimensions, measures = subset(ds.dimensions), subset(ds.measures)
+    config = HraConfig(
+        dimensions, measures, function_weights=weights(n),
+        measure_weights=weights(len(measures)),
+        dimension_weights=weights(len(dimensions)),
+        objectives={p: Direction.BENEFIT
+                    for p in draw(st.sets(st.sampled_from(measures)))})
+    return ds, config, draw(st.integers(1, 64))
+
+
+class TestStackKernel:
+    """run_hra's three batched kernel calls give every node the bits of the
+    per-node public path."""
+
+    def test_three_kernel_calls_make_every_evaluation(self, monkeypatch):
+        # the positive control for the tests that forbid any evaluation:
+        # the same patch sees all 25 evaluations of a valid run
+        calls = count_evaluations(monkeypatch)
+        report = run_hra(random_dataset(m=6, n=8, k=4, l=5, seed=55))
+        assert calls == [20, 4, 1]
+        assert report.invocation_count == sum(calls) == 25
+
+    @pytest.mark.parametrize("seed", [1, 16])
+    def test_benchmark_cubes(self, monkeypatch, seed):
+        # seed 16's overall node splits alg-006 and alg-001 on rounding
+        ds = benchmark_dataset(monkeypatch, (13, 30), seed)
+        config = HraConfig.for_dataset(ds)
+        assert_matches_per_node(run_hra(ds, config), per_node(ds, config))
+
+    @given(configured_datasets())
+    @settings(max_examples=150, deadline=None)
+    def test_any_config(self, case):
+        ds, config, block = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sys.modules["hra.rtopsis"], "BLOCK_VALUES", block)
+            report = run_hra(ds, config)
+        assert_matches_per_node(report, per_node(ds, config))
 
 
 class TestHraConfig:
@@ -514,12 +643,44 @@ FIVE = ("best", "worst", "median", "mean", "std")
     (lambda: HraConfig(dimensions=(10, 30), measures=("best",),
                        dimension_weights=(1.0,)),
      ShapeMismatch, "dimension_weights: expected 2 weights, got 1"),
+    (lambda: HraConfig(dimensions=(10,), measures=("a",),
+                       measure_weights=("x",)),
+     InvalidWeights, "measure_weights: weights must be real numbers, got "
+                     "('x',)"),
+    (lambda: HraConfig(dimensions=(10,), measures=("a",),
+                       measure_weights=("1",)),
+     InvalidWeights, "measure_weights: weights must be real numbers, got "
+                     "('1',)"),
+    (lambda: HraConfig(dimensions=(10,), measures=("a",),
+                       dimension_weights=(1 + 0j,)),
+     InvalidWeights, "dimension_weights: weights must be real numbers, got "
+                     "((1+0j),)"),
+    (lambda: HraConfig(dimensions=(10,), measures=("a",),
+                       function_weights=("x",)),
+     InvalidWeights, "function_weights: weights must be real numbers, got "
+                     "('x',)"),
+    (lambda: HraConfig(dimensions=(10,), measures=("a",),
+                       function_weights=(0.5, 1j)),
+     InvalidWeights, "function_weights: weights must be real numbers, got "
+                     "(0.5, 1j)"),
+    (lambda: HraConfig(dimensions=(10,), measures=("a",),
+                       function_weights=((0.5, 0.5),)),
+     ShapeMismatch, "function_weights: expected a vector of weights, got an "
+                    "array of shape (1, 2)"),
+    (lambda: check_weights("w", [1j], 1),
+     InvalidWeights, "w: weights must be real numbers, got [1j]"),
+    (lambda: check_weights("w", [0.5, None], 2),
+     InvalidWeights, "w: weights contain non-finite values"),
 ], ids=["repeated-dimension", "dimensions-equal-as-text", "text-dimension",
         "measures-equal-as-text", "blank-edged-measure", "misspelt-objective",
         "removed-objective", "measure-weights-sum",
         "measure-weights-not-positive", "measure-weights-count",
         "dimension-weights-sum", "dimension-weights-not-positive",
-        "dimension-weights-count"])
+        "dimension-weights-count", "measure-weight-text",
+        "measure-weight-number-as-text", "dimension-weight-complex",
+        "function-weight-text", "function-weight-complex",
+        "function-weights-not-a-vector", "complex-weight",
+        "missing-weight"])
 def test_raise_sites(build, error, message):
     with pytest.raises(error) as excinfo:
         build()

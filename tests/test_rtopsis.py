@@ -1,6 +1,7 @@
 """Unit tests for the fixed-domain TOPSIS core."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from hra import (
     scores_to_ranks,
     separations,
     squared_gaps,
+    topsis_stack,
     weight_matrix,
 )
 
@@ -87,6 +89,18 @@ class TestDecisionMatrix:
     def test_domain_rows_cannot_undercut_row_count(self):
         with pytest.raises(ShapeMismatch):
             DecisionMatrix([[1.0], [2.0]], domain_rows=1)
+
+    @pytest.mark.parametrize("rows", [2.5, 3.0, "3", None])
+    def test_domain_rows_must_be_an_integer(self, rows):
+        # int(2.5) would silently anchor the domain at (0, 3)
+        if rows is None:
+            assert DecisionMatrix(np.ones((2, 2)), domain_rows=np.int64(3)) \
+                .domain_rows == 3
+            return
+        with pytest.raises(ShapeMismatch) as excinfo:
+            DecisionMatrix(np.ones((2, 2)), domain_rows=rows)
+        assert str(excinfo.value) == \
+            f"domain_rows must be an integer, got {rows!r}"
 
 
 class TestCriteriaSpec:
@@ -283,6 +297,43 @@ class TestScoresToRanks:
             scores_to_ranks([0.1, float("nan")])
 
 
+class TestTopsisStack:
+    SPEC = CriteriaSpec((COST, BENEFIT, COST, BENEFIT, COST),
+                        ((0.0, 5.0),) * 4 + ((1.0, 6.0),),
+                        [0.1, 0.2, 0.3, 0.25, 0.15])
+
+    @pytest.mark.parametrize("block", [1, 7, 8192])
+    def test_each_matrix_scores_as_it_does_alone(self, monkeypatch, block):
+        # blocks of 1 and 7 values cut the stack's rows across matrices
+        monkeypatch.setattr(sys.modules["hra.rtopsis"], "BLOCK_VALUES", block)
+        stack = np.random.default_rng(3).integers(1, 6, size=(2, 3, 4, 5))
+        vectors = topsis_stack(stack, self.SPEC, "abcd", "vwxyz")
+        for v in vectors:
+            assert v.shape == (2, 3, 4) and not v.flags.writeable
+        monkeypatch.undo()
+        for index in np.ndindex(2, 3):
+            alone = rtopsis(DecisionMatrix(stack[index]), self.SPEC)
+            for v, field in zip(vectors, ("s_plus", "s_minus", "closeness",
+                                          "ranks")):
+                assert v[index].tobytes() == getattr(alone, field).tobytes()
+
+    def test_value_outside_names_its_matrix(self):
+        stack = np.ones((2, 3, 1))
+        stack[1, 2, 0] = 7.0
+        with pytest.raises(DomainViolation) as excinfo:
+            topsis_stack(stack, cost_spec([1.0], ((0.0, 4.0),)),
+                         ("a", "b", "c"), ("x",))
+        assert str(excinfo.value) == (
+            "value 7.0 of alternative 'c' in matrix (1,) is outside the domain "
+            "[0.0, 4.0] of criterion 'x'")
+
+    def test_nan_lies_in_no_domain(self):
+        with pytest.raises(DomainViolation, match="value nan of alternative "
+                                                  "'b' is outside"):
+            topsis_stack([[1.0], [np.nan]], cost_spec([1.0], ((0.0, 4.0),)),
+                         ("a", "b"), ("x",))
+
+
 class TestRtopsis:
     def test_published_overall_table(self, dimension_table):
         result = rtopsis(dimension_table, CriteriaSpec.for_ranks(13, 4))
@@ -393,11 +444,20 @@ class TestRtopsis:
      NonFiniteValue, "normalized matrix contains non-finite values"),
     (lambda: closeness(np.ones(2), np.ones(3)),
      ShapeMismatch, "separation shapes differ: (2,) vs (3,)"),
+    (lambda: topsis_stack(np.ones(3), CriteriaSpec.for_ranks(3, 3), "a",
+                          "xyz"),
+     ShapeMismatch, "a stack of matrices needs 2 or more axes, got 1"),
+    (lambda: topsis_stack(np.ones((2, 2, 3)), CriteriaSpec.for_ranks(3, 2),
+                          "ab", "xyz"),
+     ShapeMismatch, "spec covers 2 criteria, matrix has 3"),
+    (lambda: CriteriaSpec.for_ranks(3, 2, ["0.5", "0.5"]),
+     InvalidWeights, "weights must be real numbers, got ['0.5', '0.5']"),
 ], ids=["3-d-values", "criterion-label-count", "repeated-criterion-label",
         "blank-edged-alternative",
         "no-criteria", "infinite-domain", "weight-count", "2-d-weights",
         "domain-count", "equal-weights-of-none", "non-finite-weighting",
-        "unequal-separations"])
+        "unequal-separations", "stack-of-a-vector", "stack-spec-count",
+        "weights-as-text"])
 def test_raise_sites(build, error, message):
     with pytest.raises(error) as excinfo:
         build()
