@@ -48,8 +48,7 @@ _LAZY = {
                 "Normalization", "TopsisResult", "TopsisTrace", "closeness",
                 "equal_weights", "ideal_solutions", "mean_ranks",
                 "normalize", "rank_columns", "rtopsis", "scores_to_ranks",
-                "separations", "squared_gaps", "topsis_stack",
-                "weight_matrix"),
+                "separations", "squared_gaps", "weight_matrix"),
     "verify": ("CheckResult", "verify_reference_tables"),
 }
 _SOURCE = {name: module for module, names in _LAZY.items() for name in names}

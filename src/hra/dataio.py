@@ -205,10 +205,8 @@ class PerformanceDataset:
         if missing:
             raise MissingCell(missing)
         d_index, p_index = self._index[:2]
-        # a read-only copy: the matrix keeps it and not the whole cube
-        leaf = np.array(self.array[d_index[dimension], p_index[measure]])
-        leaf.flags.writeable = False
-        return DecisionMatrix(leaf, self.algorithms, self.functions)
+        return DecisionMatrix(self.array[d_index[dimension], p_index[measure]],
+                              self.algorithms, self.functions)
 
 
 def dataset_from_runs(raw: RawRuns,

@@ -21,7 +21,7 @@ from .dataio import PerformanceDataset
 from .exceptions import MissingCell, ShapeMismatch
 from .files import _parse_dimension, check_labels
 from .rtopsis import (CriteriaSpec, DecisionMatrix, Direction, TopsisResult,
-                      check_weights, mean_ranks, topsis_stack)
+                      _sharing, check_weights, rank_columns, topsis_stack)
 
 
 @dataclass(frozen=True)
@@ -181,13 +181,13 @@ def _level(keys, stack: np.ndarray, criterion_labels, algorithms, weights,
     """One kernel call over a level's (..., m, n) stack of rank matrices,
     whose leading axes run in key order: the level's nodes, which share the
     stack's slices and the kernel's vectors, and its (..., m) ranks."""
-    stack.flags.writeable = False  # so that each node's matrix is a view
+    stack.flags.writeable = False  # the nodes' matrices share its slices
     m, n = stack.shape[-2:]
     spec = CriteriaSpec.for_ranks(m, n, weights)
     criterion_labels = tuple(map(str, criterion_labels))
     vectors = topsis_stack(stack, spec, algorithms, criterion_labels)
     rows = zip(stack.reshape(-1, m, n), *(v.reshape(-1, m) for v in vectors))
-    return [Evaluation(key, TopsisResult(DecisionMatrix(
+    return [Evaluation(key, TopsisResult(_sharing(
         values, algorithms, criterion_labels), spec, *row), kids)
         for key, kids, (values, *row) in zip(keys, children, rows)], vectors[3]
 
@@ -201,8 +201,8 @@ def run_hra(dataset: PerformanceDataset,
     three kernel calls: the (k, l, m, n) stack of leaf rank matrices, the
     (k, m, l) stack of dimension matrices and the (m, k) overall matrix.
     function_weights, then every absent cell, is checked before any leaf is
-    ranked; the leaves are ranked one at a time, so the rank transform's
-    temporaries stay leaf-sized.
+    gathered by dataset.matrix and ranked; the leaves go one at a time, so
+    the rank transform's temporaries stay leaf-sized.
     """
     if config is None:
         config = HraConfig.for_dataset(dataset)
@@ -217,11 +217,8 @@ def run_hra(dataset: PerformanceDataset,
                       + dataset.array.shape[2:])
     for i, d in enumerate(dimensions):
         for j, p in enumerate(measures):
-            leaf = dataset.array[dataset.dimensions.index(d),
-                                 dataset.measures.index(p)]
-            if config.objective_for(p) is Direction.BENEFIT:
-                leaf = -leaf  # as rank_columns does
-            leaves[i, j] = mean_ranks(leaf, axis=0)
+            leaves[i, j] = rank_columns(dataset.matrix(d, p),
+                                        config.objective_for(p)).values
     leaf_keys = [tuple(("leaf", d, p) for p in measures) for d in dimensions]
     dimension_keys = tuple(("dimension", d) for d in dimensions)
     leaf_nodes, leaf_ranks = _level(

@@ -18,7 +18,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ._blas import np
 from .exceptions import (
@@ -51,15 +51,8 @@ class Normalization(enum.Enum):
     MAXMIN = "maxmin"
 
 
-def _freeze(array) -> np.ndarray:
-    """array as read-only floats: shared when it is read-only down to the
-    array that owns its memory, so that nothing can write it, else copied."""
-    array = owner = np.asarray(array, dtype=float)
-    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
-        if owner.base is None:
-            return array
-        owner = owner.base
-    array = np.array(array)
+def _freeze(array: np.ndarray) -> np.ndarray:
+    array = np.array(array, dtype=float)
     array.flags.writeable = False
     return array
 
@@ -72,8 +65,6 @@ class DecisionMatrix:
     (0, domain_rows + 1). It is frozen at construction and survives
     drop_alternatives, so evaluating a reduced matrix under the default
     spec cannot silently shift the domain and reintroduce rank reversal.
-    values is copied unless it is already read-only down to the array that
-    owns its memory; then the matrix shares it.
     """
 
     values: np.ndarray
@@ -135,6 +126,16 @@ class DecisionMatrix:
                               tuple(self.alternative_labels[i] for i in keep),
                               self.criterion_labels,
                               domain_rows=self.domain_rows)
+
+
+def _sharing(values: np.ndarray, alternative_labels,
+             criterion_labels) -> DecisionMatrix:
+    """DecisionMatrix(values, ...) that holds values itself, not a copy: only
+    for values that are read-only and owned by the caller, which never
+    makes them writable again."""
+    matrix = DecisionMatrix(values, alternative_labels, criterion_labels)
+    object.__setattr__(matrix, "values", values)
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -210,10 +211,12 @@ class CriteriaSpec:
 
 
 def _real(weights) -> np.ndarray:
-    """weights as a float array. Text and complex numbers are not real
-    numbers, nor is anything that does not convert: InvalidWeights."""
+    """weights as a float array, read once if they are an iterator; complex
+    numbers and values that float() cannot convert raise InvalidWeights."""
+    if isinstance(weights, Iterator):
+        weights = tuple(weights)
     try:
-        if np.asarray(weights).dtype.kind in "cSUV":
+        if np.iscomplexobj(weights):
             raise TypeError
         return np.asarray(weights, dtype=float)
     except (TypeError, ValueError):
@@ -322,6 +325,10 @@ def normalize(matrix: DecisionMatrix, spec: CriteriaSpec,
                         matrix.criterion_labels)
     if mode is Normalization.MAX:
         return values / d2
+    return _maxmin(values, d1, d2)
+
+
+def _maxmin(values: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     return (values - d1) / (d2 - d1)
 
 
@@ -458,7 +465,7 @@ def topsis_stack(values, spec: CriteriaSpec, alternative_labels,
     step = max(1, BLOCK_VALUES // spec.n)
     for start in range(0, len(rows), step):
         block = slice(start, start + step)
-        weighted = (rows[block] - d1) / (d2 - d1) * spec.weights
+        weighted = weight_matrix(_maxmin(rows[block], d1, d2), spec)
         s_plus[block], s_minus[block] = separations(weighted, pis, nis)
     s_plus, s_minus = (s.reshape(values.shape[:-1]) for s in (s_plus, s_minus))
     scores = closeness(s_plus, s_minus)

@@ -18,7 +18,7 @@ PUBLIC = [
     "load_long_csv", "load_rank_matrix_csv", "load_raw_runs", "mean_ranks",
     "normalize", "rank_columns", "rtopsis", "run_hra",
     "save_long_csv", "scores_to_ranks",
-    "separations", "squared_gaps", "topsis_stack", "verify_reference_tables",
+    "separations", "squared_gaps", "verify_reference_tables",
     "weight_matrix",
 ]
 
@@ -29,4 +29,4 @@ def test_star_import_exports_the_public_names_and_no_submodule():
     exec("from hra import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
     # the submodules stay reachable as attributes
-    assert hra.hierarchy.topsis_stack is hra.topsis_stack
+    assert hra.hierarchy.rank_columns is hra.rank_columns

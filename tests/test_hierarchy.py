@@ -587,6 +587,13 @@ class TestHraConfig:
         assert hash(build()) == hash(build())
         assert len({build(), build()}) == 1
 
+    def test_weights_as_numbers_in_text_or_from_an_iterator(self):
+        config = HraConfig(dimensions=(10, 30), measures=("a",),
+                           function_weights=(w for w in (0.25, 0.75)),
+                           dimension_weights=("0.5", "0.5"))
+        assert config.function_weights == (0.25, 0.75)
+        assert config.dimension_weights == (0.5, 0.5)
+
     def test_caller_lists_do_not_reach_the_config(self):
         weights = {name: [0.5, 0.5] for name in
                    ("function_weights", "measure_weights",
@@ -648,10 +655,6 @@ FIVE = ("best", "worst", "median", "mean", "std")
      InvalidWeights, "measure_weights: weights must be real numbers, got "
                      "('x',)"),
     (lambda: HraConfig(dimensions=(10,), measures=("a",),
-                       measure_weights=("1",)),
-     InvalidWeights, "measure_weights: weights must be real numbers, got "
-                     "('1',)"),
-    (lambda: HraConfig(dimensions=(10,), measures=("a",),
                        dimension_weights=(1 + 0j,)),
      InvalidWeights, "dimension_weights: weights must be real numbers, got "
                      "((1+0j),)"),
@@ -677,7 +680,7 @@ FIVE = ("best", "worst", "median", "mean", "std")
         "measure-weights-not-positive", "measure-weights-count",
         "dimension-weights-sum", "dimension-weights-not-positive",
         "dimension-weights-count", "measure-weight-text",
-        "measure-weight-number-as-text", "dimension-weight-complex",
+        "dimension-weight-complex",
         "function-weight-text", "function-weight-complex",
         "function-weights-not-a-vector", "complex-weight",
         "missing-weight"])

@@ -29,9 +29,9 @@ from hra import (
     scores_to_ranks,
     separations,
     squared_gaps,
-    topsis_stack,
     weight_matrix,
 )
+from hra.rtopsis import topsis_stack
 
 COST = Direction.COST
 BENEFIT = Direction.BENEFIT
@@ -53,6 +53,16 @@ class TestDecisionMatrix:
         dm = DecisionMatrix([[1.0, 2.0]])
         with pytest.raises(ValueError):
             dm.values[0, 0] = 9.0
+
+    def test_values_survive_their_owner_becoming_writable(self):
+        # the owner of a read-only array may switch writing back on, so the
+        # matrix checks and keeps its own copy
+        source = np.array([[1.0, 2.0]])
+        source.flags.writeable = False
+        dm = DecisionMatrix(source)
+        source.flags.writeable = True
+        source[0, 0] = np.nan
+        assert dm.values.tolist() == [[1.0, 2.0]]
 
     def test_rejects_nan(self):
         with pytest.raises(NonFiniteValue):
@@ -121,6 +131,18 @@ class TestCriteriaSpec:
             cost_spec([1.5, -0.5], ((0, 1), (0, 1)))
         with pytest.raises(InvalidWeights):
             cost_spec([float("nan"), 1.0], ((0, 1), (0, 1)))
+
+    def test_weights_survive_their_owner_becoming_writable(self):
+        source = np.array([0.5, 0.5])
+        source.flags.writeable = False
+        spec = CriteriaSpec.for_ranks(3, 2, source)
+        source.flags.writeable = True
+        source[:] = -1.0
+        assert spec.weights.tolist() == [0.5, 0.5]
+
+    def test_numbers_given_as_text_are_weights(self):
+        assert CriteriaSpec.for_ranks(3, 2, ["0.5", "0.5"]).weights.tolist() \
+            == [0.5, 0.5]
 
     def test_equal_weight_default_for_ranks(self):
         spec = CriteriaSpec.for_ranks(13, 4)
@@ -450,14 +472,14 @@ class TestRtopsis:
     (lambda: topsis_stack(np.ones((2, 2, 3)), CriteriaSpec.for_ranks(3, 2),
                           "ab", "xyz"),
      ShapeMismatch, "spec covers 2 criteria, matrix has 3"),
-    (lambda: CriteriaSpec.for_ranks(3, 2, ["0.5", "0.5"]),
-     InvalidWeights, "weights must be real numbers, got ['0.5', '0.5']"),
+    (lambda: CriteriaSpec.for_ranks(3, 2, ["0.5", "half"]),
+     InvalidWeights, "weights must be real numbers, got ['0.5', 'half']"),
 ], ids=["3-d-values", "criterion-label-count", "repeated-criterion-label",
         "blank-edged-alternative",
         "no-criteria", "infinite-domain", "weight-count", "2-d-weights",
         "domain-count", "equal-weights-of-none", "non-finite-weighting",
         "unequal-separations", "stack-of-a-vector", "stack-spec-count",
-        "weights-as-text"])
+        "weight-not-a-number"])
 def test_raise_sites(build, error, message):
     with pytest.raises(error) as excinfo:
         build()
