@@ -121,33 +121,50 @@ class HraReport:
     final_ranks = property(lambda self: self.nodes[-1].result.ranks)
 
 
-def _evaluate(matrix: DecisionMatrix,
-              weights: Sequence[float] | None) -> tuple[np.ndarray, ...]:
-    """A stack of one through the tree's kernel: cost criteria on the rank
-    domain (0, domain_rows + 1), the given or equal weights."""
-    return topsis_stack(matrix.values, CriteriaSpec.for_ranks(
-        matrix.domain_rows, matrix.n, weights), matrix.alternative_labels,
-        matrix.criterion_labels)
+def _level(keys, stack: np.ndarray, criterion_labels, algorithms, weights,
+           children=itertools.repeat(()), domain_rows=None
+           ) -> tuple[list, np.ndarray]:
+    """One kernel call over a level's (..., m, n) stack of rank matrices,
+    whose leading axes run in key order: the level's nodes and its (..., m)
+    ranks. Labels and domain_rows are checked once, on the first matrix;
+    every node's matrix shares them and holds its slice of a read-only view
+    of the stack, which the caller owns and never writes."""
+    first = DecisionMatrix(stack[(0,) * (stack.ndim - 2)], algorithms,
+                           tuple(map(str, criterion_labels)), domain_rows)
+    stack = stack.view()
+    stack.flags.writeable = False
+    m, n = stack.shape[-2:]
+    spec = CriteriaSpec.for_ranks(first.domain_rows, n, weights)
+    vectors = topsis_stack(stack, spec, first.alternative_labels,
+                           first.criterion_labels)
+    rows = zip(stack.reshape(-1, m, n), *(v.reshape(-1, m) for v in vectors))
+    return [Evaluation(key, TopsisResult(_sharing(values, first), spec, *row),
+                       kids) for key, kids, (values, *row)
+            in zip(keys, children, rows)], vectors[3]
 
 
-def _columns(vectors: Sequence[np.ndarray], criterion_labels,
-             alternative_labels) -> DecisionMatrix:
-    """The rank vectors as the columns of one matrix, whose criterion labels
-    are the given labels as text and whose alternatives default to A1..Am."""
+def _join(vectors: Sequence[np.ndarray], weights, criterion_labels,
+          alternative_labels, prefix: str) -> TopsisResult:
+    """The node of one matrix whose columns are the rank vectors, labelled
+    by criterion_labels as text (prefix1, prefix2, ... when None)."""
     vectors = [np.asarray(v, dtype=float) for v in vectors]
     sizes = {v.shape for v in vectors}
     if len(sizes) != 1 or vectors[0].ndim != 1:
         raise ShapeMismatch(f"rank vectors have inconsistent shapes: {sizes}")
-    return DecisionMatrix(np.stack(vectors, axis=1),
-                          tuple(alternative_labels or ()),
-                          tuple(map(str, criterion_labels)))
+    if criterion_labels is None:
+        criterion_labels = [f"{prefix}{j + 1}" for j in range(len(vectors))]
+    [node], _ = _level([()], np.stack(vectors, axis=1), criterion_labels,
+                       alternative_labels or (), weights)
+    return node.result
 
 
 def aggregate_leaf(rank_matrix: DecisionMatrix,
                    function_weights: Sequence[float] | None = None
                    ) -> np.ndarray:
     """Rank vector of one (dimension, measure) leaf."""
-    return _evaluate(rank_matrix, function_weights)[3]
+    return _level([()], rank_matrix.values, rank_matrix.criterion_labels,
+                  rank_matrix.alternative_labels, function_weights,
+                  domain_rows=rank_matrix.domain_rows)[1]
 
 
 def aggregate_dimension(leaf_ranks: Sequence[np.ndarray],
@@ -157,10 +174,9 @@ def aggregate_dimension(leaf_ranks: Sequence[np.ndarray],
                         ) -> tuple[DecisionMatrix, np.ndarray]:
     """Join the per-measure rank vectors of one dimension: the matrix
     (columns in measure order) and the dimension's rank vector."""
-    if measure_labels is None:
-        measure_labels = [f"P{i + 1}" for i in range(len(leaf_ranks))]
-    matrix = _columns(leaf_ranks, measure_labels, alternative_labels)
-    return matrix, _evaluate(matrix, measure_weights)[3]
+    result = _join(leaf_ranks, measure_weights, measure_labels,
+                   alternative_labels, "P")
+    return result.matrix, result.ranks
 
 
 def aggregate_overall(dimension_ranks: Sequence[np.ndarray],
@@ -170,26 +186,9 @@ def aggregate_overall(dimension_ranks: Sequence[np.ndarray],
                       ) -> tuple[DecisionMatrix, np.ndarray, np.ndarray]:
     """Join the per-dimension rank vectors into the final ranking: the final
     matrix, the closeness scores and the overall ranks."""
-    if dimension_labels is None:
-        dimension_labels = [f"D{i + 1}" for i in range(len(dimension_ranks))]
-    matrix = _columns(dimension_ranks, dimension_labels, alternative_labels)
-    return (matrix, *_evaluate(matrix, dimension_weights)[2:])
-
-
-def _level(keys, stack: np.ndarray, criterion_labels, algorithms, weights,
-           children=itertools.repeat(())) -> tuple[list, np.ndarray]:
-    """One kernel call over a level's (..., m, n) stack of rank matrices,
-    whose leading axes run in key order: the level's nodes, which share the
-    stack's slices and the kernel's vectors, and its (..., m) ranks."""
-    stack.flags.writeable = False  # the nodes' matrices share its slices
-    m, n = stack.shape[-2:]
-    spec = CriteriaSpec.for_ranks(m, n, weights)
-    criterion_labels = tuple(map(str, criterion_labels))
-    vectors = topsis_stack(stack, spec, algorithms, criterion_labels)
-    rows = zip(stack.reshape(-1, m, n), *(v.reshape(-1, m) for v in vectors))
-    return [Evaluation(key, TopsisResult(_sharing(
-        values, algorithms, criterion_labels), spec, *row), kids)
-        for key, kids, (values, *row) in zip(keys, children, rows)], vectors[3]
+    result = _join(dimension_ranks, dimension_weights, dimension_labels,
+                   alternative_labels, "D")
+    return result.matrix, result.closeness, result.ranks
 
 
 def run_hra(dataset: PerformanceDataset,

@@ -128,13 +128,13 @@ class DecisionMatrix:
                               domain_rows=self.domain_rows)
 
 
-def _sharing(values: np.ndarray, alternative_labels,
-             criterion_labels) -> DecisionMatrix:
-    """DecisionMatrix(values, ...) that holds values itself, not a copy: only
-    for values that are read-only and owned by the caller, which never
-    makes them writable again."""
-    matrix = DecisionMatrix(values, alternative_labels, criterion_labels)
-    object.__setattr__(matrix, "values", values)
+def _sharing(values: np.ndarray, like: DecisionMatrix) -> DecisionMatrix:
+    """A matrix with like's labels and domain_rows that holds values itself,
+    checked by no one: only for finite values of like's shape that are
+    read-only and owned by the caller, which never makes them writable
+    again."""
+    matrix = object.__new__(DecisionMatrix)
+    matrix.__dict__.update(vars(like), values=values)
     return matrix
 
 
