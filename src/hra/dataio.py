@@ -48,7 +48,7 @@ from .exceptions import (
 from .files import (AXIS_NAMES, AXIS_PARSERS, LONG_CSV_HEADER, RawRuns,
                     _axis_index, _cell_text, _long_rows, _not_utf8,
                     _run_statistics, _write_rows, format_number, label_fault,
-                    parse_halves, write_files)
+                    label_tuple, parse_halves, write_files)
 from .rtopsis import DecisionMatrix
 
 if TYPE_CHECKING:
@@ -114,8 +114,8 @@ class PerformanceDataset:
 
     def __init__(self, algorithms, functions, dimensions, measures,
                  values: Mapping[Cell, float]):
-        axes = (tuple(dimensions), tuple(measures), tuple(algorithms),
-                tuple(functions))
+        axes = tuple(map(label_tuple, AXIS_NAMES,
+                         (dimensions, measures, algorithms, functions)))
         object.__setattr__(self, "_index", _axis_index(axes))
         cube = np.full(tuple(map(len, axes)), np.nan)
         d_index, p_index, a_index, f_index = self._index
@@ -136,8 +136,8 @@ class PerformanceDataset:
                    array) -> "PerformanceDataset":
         """Dataset over a (k, l, m, n) array in which NaN marks a missing
         cell; the array is copied."""
-        axes = (tuple(dimensions), tuple(measures), tuple(algorithms),
-                tuple(functions))
+        axes = tuple(map(label_tuple, AXIS_NAMES,
+                         (dimensions, measures, algorithms, functions)))
         dataset = cls.__new__(cls)
         object.__setattr__(dataset, "_index", _axis_index(axes))
         dataset._init(axes, np.array(array, dtype=float))

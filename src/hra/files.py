@@ -1,16 +1,16 @@
 """What hra's file input and output need without numpy.
 
 The rule for a cell's runs (check_runs, RawRuns, and _checked_runs for
-lists that already passed it), the label rule (label_fault, check_labels)
-and each axis's field parse, the run statistics (_statistics), the long
-CSV's rows and writer, the error for a file that is not UTF-8, the
-all-or-nothing writer (write_files) and the helper that parses an input's
-two halves on two CPUs (parse_halves). dataio, rtopsis, hierarchy and
-fetch import what they need of them from here. `hra stats` loads only
-this module, fetch and exceptions: it forks while it has one thread, a
-child parses the second half of the run files while the process parses
-the first, and it summarizes the runs and writes its long CSV without
-numpy (_save_run_statistics).
+lists that already passed it), the label rule (label_tuple, label_fault,
+check_labels) and each axis's field parse, the run statistics
+(_statistics), the long CSV's rows and writer, the error for a file that
+is not UTF-8, the all-or-nothing writer (write_files) and the helper that
+parses an input's two halves on two CPUs (parse_halves). dataio, rtopsis,
+hierarchy and fetch import what they need of them from here. `hra stats`
+loads only this module, fetch and exceptions: it forks while it has one
+thread, a child parses the second half of the run files while the
+process parses the first, and it summarizes the runs and writes its long
+CSV without numpy (_save_run_statistics).
 """
 
 from __future__ import annotations
@@ -35,9 +35,17 @@ AXIS_NAMES = ("dimensions", "measures", "algorithms", "functions")
 
 
 def check_runs(name, values) -> tuple[float, ...]:
-    """The rule for one cell's runs, with name first in any error: at least
-    one run, each finite and not negative; the first bad value raises."""
-    runs = tuple(map(float, values))
+    """The rule for one cell's runs, with name first in any error: a
+    sequence of numbers, not text (a str or bytes would give one run per
+    character or byte); at least one run, each finite and not negative.
+    The first bad value raises."""
+    if isinstance(values, (str, bytes)):
+        raise ParseError(f"{name}: runs must be a sequence of numbers, got "
+                         f"{values!r}")
+    try:
+        runs = tuple(map(float, values))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{name}: {exc}") from None
     if not runs:
         raise EmptyRuns(f"{name}: no runs recorded")
     bad = next((v for v in runs if not 0.0 <= v < math.inf), None)
@@ -100,6 +108,19 @@ def label_fault(name: str, labels, parse=str.strip) -> tuple[int, str] | None:
             return position, f"duplicate {name} {label!r}"
         texts.add(text)
     return None
+
+
+def label_tuple(field: str, labels) -> tuple:
+    """The labels that enter as field, as a tuple. Text is no sequence of
+    labels: a str or bytes would give one label per character or byte, so
+    it raises ShapeMismatch, as anything that is not iterable does."""
+    if not isinstance(labels, (str, bytes)):
+        try:
+            return tuple(labels)
+        except TypeError:
+            pass
+    raise ShapeMismatch(f"{field} must be a sequence of labels, got "
+                        f"{labels!r}")
 
 
 def check_labels(name: str, labels, parse=str.strip) -> None:

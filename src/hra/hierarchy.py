@@ -5,7 +5,10 @@ joins the measure vectors of each dimension into one per-dimension ranking,
 and level 3 joins the dimensions into the overall ranking. Every node of
 the tree is one fixed-domain TOPSIS evaluation, so a full run costs exactly
 1 + k + l*k evaluations for k dimensions and l measures; run_hra makes them
-in three calls of the kernel `topsis_stack`, one per level.
+in three calls of the kernel `topsis_stack`, one per level. One builder,
+_level, turns a stack of rank matrices into nodes, for run_hra's levels and
+for the decomposed calls aggregate_leaf, aggregate_dimension and
+aggregate_overall alike, each a stack of one.
 
 Vectors passed between levels are ranks, not raw closeness scores.
 """
@@ -18,8 +21,8 @@ from typing import Sequence
 
 from ._blas import np
 from .dataio import PerformanceDataset
-from .exceptions import MissingCell, ShapeMismatch
-from .files import _parse_dimension, check_labels
+from .exceptions import EmptyMatrix, MissingCell, ShapeMismatch
+from .files import _parse_dimension, check_labels, label_tuple
 from .rtopsis import (CriteriaSpec, DecisionMatrix, Direction, TopsisResult,
                       _sharing, check_weights, rank_columns, topsis_stack)
 
@@ -47,8 +50,10 @@ class HraConfig:
     objectives: tuple[tuple[str, Direction], ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "dimensions", tuple(self.dimensions))
-        object.__setattr__(self, "measures", tuple(self.measures))
+        object.__setattr__(self, "dimensions",
+                           label_tuple("dimensions", self.dimensions))
+        object.__setattr__(self, "measures",
+                           label_tuple("measures", self.measures))
         if len(self.dimensions) < 1 or len(self.measures) < 1:
             raise ShapeMismatch("config needs at least one dimension and "
                                 "one measure")
@@ -129,8 +134,9 @@ def _level(keys, stack: np.ndarray, criterion_labels, algorithms, weights,
     ranks. Labels and domain_rows are checked once, on the first matrix;
     every node's matrix shares them and holds its slice of a read-only view
     of the stack, which the caller owns and never writes."""
+    criteria = label_tuple("criterion_labels", criterion_labels)
     first = DecisionMatrix(stack[(0,) * (stack.ndim - 2)], algorithms,
-                           tuple(map(str, criterion_labels)), domain_rows)
+                           tuple(map(str, criteria)), domain_rows)
     stack = stack.view()
     stack.flags.writeable = False
     m, n = stack.shape[-2:]
@@ -148,6 +154,8 @@ def _join(vectors: Sequence[np.ndarray], weights, criterion_labels,
     """The node of one matrix whose columns are the rank vectors, labelled
     by criterion_labels as text (prefix1, prefix2, ... when None)."""
     vectors = [np.asarray(v, dtype=float) for v in vectors]
+    if not vectors:
+        raise EmptyMatrix("no rank vectors to join")
     sizes = {v.shape for v in vectors}
     if len(sizes) != 1 or vectors[0].ndim != 1:
         raise ShapeMismatch(f"rank vectors have inconsistent shapes: {sizes}")

@@ -31,20 +31,28 @@ from .exceptions import (
     ShapeMismatch,
     ZeroUpperBound,
 )
-from .files import check_labels
+from .files import check_labels, label_tuple
 
 WEIGHT_SUM_TOL = 1e-12
 BLOCK_VALUES = 1 << 13  # values weighted and summed at a time by topsis_stack
 
 
-class Direction(enum.Enum):
+class _Choice(enum.Enum):
+    """An enum whose unknown values raise ShapeMismatch."""
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ShapeMismatch(f"{value!r} is not a valid {cls.__qualname__}")
+
+
+class Direction(_Choice):
     """Criterion orientation: larger-is-better or smaller-is-better."""
 
     BENEFIT = "benefit"
     COST = "cost"
 
 
-class Normalization(enum.Enum):
+class Normalization(_Choice):
     """Step-5 normalization variant; equivalent whenever d1 = 0."""
 
     MAX = "max"
@@ -82,9 +90,11 @@ class DecisionMatrix:
         if not np.isfinite(values).all():
             i, j = np.argwhere(~np.isfinite(values))[0]
             raise NonFiniteValue(f"non-finite value at row {i}, column {j}")
-        alternatives = tuple(self.alternative_labels) or tuple(
+        alternatives = label_tuple("alternative_labels",
+                                   self.alternative_labels) or tuple(
             f"A{i + 1}" for i in range(m))
-        criteria = tuple(self.criterion_labels) or tuple(
+        criteria = label_tuple("criterion_labels",
+                               self.criterion_labels) or tuple(
             f"C{j + 1}" for j in range(n))
         if len(alternatives) != m:
             raise ShapeMismatch(
@@ -155,7 +165,8 @@ class CriteriaSpec:
 
     def __post_init__(self):
         directions = tuple(Direction(d) for d in self.directions)
-        domains = tuple((float(d1), float(d2)) for d1, d2 in self.domains)
+        domains = tuple(_domain(j, ends)
+                        for j, ends in enumerate(self.domains))
         weights = _real(self.weights)
         n = len(directions)
         if n == 0:
@@ -208,6 +219,20 @@ class CriteriaSpec:
         return cls(directions=(Direction.COST,) * n_criteria,
                    domains=((0.0, float(n_alternatives) + 1.0),) * n_criteria,
                    weights=weights)
+
+
+def _domain(j: int, ends) -> tuple[float, float]:
+    """Criterion j's domain ends as floats: two of them, each a number."""
+    try:
+        d1, d2 = ends
+    except (TypeError, ValueError):
+        raise ShapeMismatch(f"domain of criterion {j} must be two ends, got "
+                            f"{ends!r}") from None
+    try:
+        return float(d1), float(d2)
+    except (TypeError, ValueError):
+        raise DegenerateDomain(f"domain of criterion {j} has an end that is "
+                               f"not a number: {ends!r}") from None
 
 
 def _real(weights) -> np.ndarray:

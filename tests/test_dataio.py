@@ -1369,13 +1369,28 @@ def _file(path, text):
     (lambda tmp: load_rank_matrix_csv(
         _file(tmp / "m.csv", "# note\nalgorithm,a,b,a\nx,1,2,3\n")),
      ParseError, "{tmp}/m.csv:2: duplicate criterion 'a'"),
+    (lambda tmp: PerformanceDataset(
+        algorithms="ab", functions=("f",), dimensions=(10,),
+        measures=("best",), values={}),
+     ShapeMismatch, "algorithms must be a sequence of labels, got 'ab'"),
+    (lambda tmp: _from_array(functions="f"),
+     ShapeMismatch, "functions must be a sequence of labels, got 'f'"),
+    (lambda tmp: RawRuns({(10, "a", "f"): "12"}),
+     ParseError, "(10, 'a', 'f'): runs must be a sequence of numbers, got "
+                 "'12'"),
+    (lambda tmp: RawRuns({(10, "a", "f"): b"12"}),
+     ParseError, "(10, 'a', 'f'): runs must be a sequence of numbers, got "
+                 "b'12'"),
+    (lambda tmp: RawRuns({(10, "a", "f"): ["x"]}),
+     ParseError, "(10, 'a', 'f'): could not convert string to float: 'x'"),
 ], ids=["empty-axis", "repeated-label", "dimensions-equal-as-text",
         "text-dimension", "float-dimension", "algorithms-equal-as-text",
         "int-algorithms", "blank-edged-algorithm", "array-shape",
         "inf-in-array", "nan-in-mapping", "int-run-algorithm", "no-runs",
         "nan-run", "empty-long-csv", "blank-long-csv",
         "non-numeric-rank-column", "non-finite-rank-cell",
-        "repeated-rank-criterion"])
+        "repeated-rank-criterion", "text-algorithms", "text-functions",
+        "text-runs", "bytes-runs", "run-not-a-number"])
 def test_raise_sites(tmp_path, build, error, message):
     with pytest.raises(error) as excinfo:
         build(tmp_path)

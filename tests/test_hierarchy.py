@@ -17,6 +17,7 @@ from hra import (
     CriteriaSpec,
     DecisionMatrix,
     Direction,
+    EmptyMatrix,
     HraConfig,
     InvalidWeights,
     MissingCell,
@@ -30,6 +31,7 @@ from hra import (
     rank_columns,
     rtopsis,
     run_hra,
+    scores_to_ranks,
     squared_gaps,
 )
 from hra.hierarchy import Evaluation, HraReport
@@ -56,6 +58,36 @@ class TestAggregateLeaf:
         expected, _ = oracle.rtopsis_ranks(ranked)
         rm = DecisionMatrix(np.array(ranked), ds.algorithms, ds.functions)
         np.testing.assert_array_equal(aggregate_leaf(rm), expected)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_dropped_alternatives_keep_the_domain(self, data):
+        # the reduced matrix is scored on the full matrix's rank domain, so
+        # the kept rows rank as their full-matrix scores do
+        m = data.draw(st.integers(1, 8), label="m")
+        n = data.draw(st.integers(1, 5), label="n")
+        raw = data.draw(arrays(float, (m, n), elements=st.integers(0, 3)))
+        matrix = rank_columns(DecisionMatrix(raw))
+        kept = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1),
+                                label="kept"))
+        gone = [a for i, a in enumerate(matrix.alternative_labels)
+                if i not in kept]
+        expected = scores_to_ranks(rtopsis(matrix).closeness[kept])
+        assert aggregate_leaf(matrix.drop_alternatives(*gone)).tobytes() \
+            == expected.tobytes()
+
+    def test_no_caller_array_changes_its_flags(self):
+        matrix = DecisionMatrix([[1.0, 2.0], [2.0, 1.0]])
+        matrix.values.flags.writeable = True  # the matrix owns its copy
+        aggregate_leaf(matrix)
+        assert matrix.values.flags.writeable
+        vectors = [np.array([1.0, 2.0]), np.array([2.0, 1.0])]
+        joined, _ = aggregate_dimension(vectors)
+        aggregate_overall(vectors)
+        assert all(v.flags.writeable for v in vectors)
+        vectors[0][0] = 2.0
+        assert joined.values.tolist() == [[1.0, 2.0], [2.0, 1.0]]
+        assert not joined.values.flags.writeable
 
 
 class TestAggregateDimension:
@@ -624,10 +656,10 @@ FIVE = ("best", "worst", "median", "mean", "std")
      ShapeMismatch, "measure ' m' would reload as 'm'"),
     (lambda: HraConfig(dimensions=(10,), measures=("best",),
                        objectives={"best": "sideways"}),
-     ValueError, "'sideways' is not a valid Direction"),
+     ShapeMismatch, "'sideways' is not a valid Direction"),
     (lambda: HraConfig(dimensions=(10,), measures=("best",),
                        objectives={"best": "maximize"}),
-     ValueError, "'maximize' is not a valid Direction"),
+     ShapeMismatch, "'maximize' is not a valid Direction"),
     (lambda: HraConfig(dimensions=(10,), measures=FIVE,
                        measure_weights=(0.3,) * 5),
      InvalidWeights, "measure_weights: weights [0.3 0.3 0.3 0.3 0.3] sum to "
@@ -674,6 +706,18 @@ FIVE = ("best", "worst", "median", "mean", "std")
      InvalidWeights, "w: weights must be real numbers, got [1j]"),
     (lambda: check_weights("w", [0.5, None], 2),
      InvalidWeights, "w: weights contain non-finite values"),
+    (lambda: HraConfig(dimensions=(10,), measures="best"),
+     ShapeMismatch, "measures must be a sequence of labels, got 'best'"),
+    (lambda: HraConfig(dimensions=b"10", measures=("best",)),
+     ShapeMismatch, "dimensions must be a sequence of labels, got b'10'"),
+    (lambda: HraConfig(dimensions=10, measures=("best",)),
+     ShapeMismatch, "dimensions must be a sequence of labels, got 10"),
+    (lambda: aggregate_dimension([]),
+     EmptyMatrix, "no rank vectors to join"),
+    (lambda: aggregate_overall([]),
+     EmptyMatrix, "no rank vectors to join"),
+    (lambda: aggregate_dimension([np.ones(2)], measure_labels="P"),
+     ShapeMismatch, "criterion_labels must be a sequence of labels, got 'P'"),
 ], ids=["repeated-dimension", "dimensions-equal-as-text", "text-dimension",
         "measures-equal-as-text", "blank-edged-measure", "misspelt-objective",
         "removed-objective", "measure-weights-sum",
@@ -683,7 +727,9 @@ FIVE = ("best", "worst", "median", "mean", "std")
         "dimension-weight-complex",
         "function-weight-text", "function-weight-complex",
         "function-weights-not-a-vector", "complex-weight",
-        "missing-weight"])
+        "missing-weight", "text-measures", "bytes-dimensions",
+        "int-dimensions", "no-leaf-ranks", "no-dimension-ranks",
+        "text-measure-labels"])
 def test_raise_sites(build, error, message):
     with pytest.raises(error) as excinfo:
         build()

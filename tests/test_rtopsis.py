@@ -25,6 +25,7 @@ from hra import (
     equal_weights,
     ideal_solutions,
     normalize,
+    rank_columns,
     rtopsis,
     scores_to_ranks,
     separations,
@@ -474,12 +475,32 @@ class TestRtopsis:
      ShapeMismatch, "spec covers 2 criteria, matrix has 3"),
     (lambda: CriteriaSpec.for_ranks(3, 2, ["0.5", "half"]),
      InvalidWeights, "weights must be real numbers, got ['0.5', 'half']"),
+    (lambda: DecisionMatrix([[1.0, 2.0]], criterion_labels="xy"),
+     ShapeMismatch, "criterion_labels must be a sequence of labels, got 'xy'"),
+    (lambda: DecisionMatrix([[1.0]], alternative_labels=b"a"),
+     ShapeMismatch, "alternative_labels must be a sequence of labels, got "
+                    "b'a'"),
+    (lambda: CriteriaSpec(("up",), ((0.0, 1.0),), [1.0]),
+     ShapeMismatch, "'up' is not a valid Direction"),
+    (lambda: CriteriaSpec((COST,), ((0, 1, 2),), [1.0]),
+     ShapeMismatch, "domain of criterion 0 must be two ends, got (0, 1, 2)"),
+    (lambda: CriteriaSpec((COST,), ((0, "a"),), [1.0]),
+     DegenerateDomain,
+     "domain of criterion 0 has an end that is not a number: (0, 'a')"),
+    (lambda: rank_columns(DecisionMatrix([[1.0]]), "x"),
+     ShapeMismatch, "'x' is not a valid Direction"),
+    (lambda: normalize(DecisionMatrix([[1.0]]), CriteriaSpec.for_ranks(1, 1),
+                       "max2"),
+     ShapeMismatch, "'max2' is not a valid Normalization"),
 ], ids=["3-d-values", "criterion-label-count", "repeated-criterion-label",
         "blank-edged-alternative",
         "no-criteria", "infinite-domain", "weight-count", "2-d-weights",
         "domain-count", "equal-weights-of-none", "non-finite-weighting",
         "unequal-separations", "stack-of-a-vector", "stack-spec-count",
-        "weight-not-a-number"])
+        "weight-not-a-number", "text-criterion-labels",
+        "bytes-alternative-labels", "unknown-direction", "three-domain-ends",
+        "domain-end-not-a-number", "unknown-rank-direction",
+        "unknown-normalization"])
 def test_raise_sites(build, error, message):
     with pytest.raises(error) as excinfo:
         build()
