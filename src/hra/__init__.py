@@ -8,8 +8,6 @@ independent of which other alternatives are present.
 
 __version__ = "0.1.0"
 
-import sys as _sys
-
 from .exceptions import (
     ChecksumMismatch,
     DegenerateDomain,
@@ -44,17 +42,16 @@ _LAZY = {
     "files": ("RawRuns", "STAT_MEASURES"),
     "hierarchy": ("HraConfig", "HraReport", "aggregate_dimension",
                   "aggregate_leaf", "aggregate_overall", "run_hra"),
-    "rtopsis": ("CriteriaSpec", "DecisionMatrix", "Direction",
-                "Normalization", "TopsisResult", "TopsisTrace", "closeness",
-                "equal_weights", "ideal_solutions", "mean_ranks",
-                "normalize", "rank_columns", "rtopsis", "scores_to_ranks",
-                "separations", "squared_gaps", "weight_matrix"),
+    "topsis": ("CriteriaSpec", "DecisionMatrix", "Direction",
+               "Normalization", "TopsisResult", "TopsisTrace", "closeness",
+               "equal_weights", "ideal_solutions", "mean_ranks",
+               "normalize", "rank_columns", "rtopsis", "scores_to_ranks",
+               "separations", "squared_gaps", "weight_matrix"),
     "verify": ("CheckResult", "verify_reference_tables"),
 }
 _SOURCE = {name: module for module, names in _LAZY.items() for name in names}
-# `hra.rtopsis` is the function (see _Package), so it is not listed here
 _SUBMODULES = ("cli", "dataio", "exceptions", "fetch", "files", "fixtures",
-               "hierarchy", "verify")
+               "hierarchy", "topsis", "verify")
 
 __all__ = sorted([n for n in globals() if n[0] != "_"
                   and isinstance(globals()[n], type)] + list(_SOURCE))
@@ -77,16 +74,3 @@ def __getattr__(name):
 def __dir__():
     return sorted({*globals(), *__all__})
 
-
-class _Package(type(_sys)):
-    """hra's module type. Loading the submodule rtopsis binds it to the
-    package under its name; the function rtopsis is bound instead, so that
-    `hra.rtopsis` is the function, as `from hra import rtopsis` gives."""
-
-    def __setattr__(self, name, value):
-        if name == "rtopsis" and isinstance(value, type(_sys)):
-            value = value.rtopsis
-        super().__setattr__(name, value)
-
-
-_sys.modules[__name__].__class__ = _Package

@@ -22,7 +22,7 @@ from . import __version__
 from .exceptions import HraError, InvalidWeights
 
 if TYPE_CHECKING:
-    from .rtopsis import TopsisResult
+    from .topsis import TopsisResult
 
 # Each command imports its own modules, so that `import hra.cli` and the
 # argument parsing load no numpy, and `hra stats`, which needs only fetch
@@ -57,7 +57,7 @@ class _Exited(Exception):
 def _parse_weights(text: str, expected: int, flag: str) -> tuple:
     """'equal' or comma-separated numbers -> the weights as checked by
     check_weights, so a bad vector fails before any aggregation starts."""
-    from .rtopsis import check_weights, equal_weights
+    from .topsis import check_weights, equal_weights
 
     try:
         weights = equal_weights(expected) if text == "equal" \
@@ -141,7 +141,7 @@ def cmd_run(args) -> int:
 
 def cmd_rtopsis(args) -> int:
     from .dataio import load_rank_matrix_csv
-    from .rtopsis import CriteriaSpec, Direction, rtopsis
+    from .topsis import CriteriaSpec, Direction, rtopsis
 
     matrix = load_rank_matrix_csv(args.matrix)
     domain = _parse_domain(args.domain) if args.domain \

@@ -1,4 +1,4 @@
-"""Dataset container, run statistics, and all file input/output.
+"""Dataset container, its loaders and the report writer.
 
 Long CSV schema (one row per cell):
     dimension,measure,function,algorithm,value
@@ -49,7 +49,7 @@ from .files import (AXIS_NAMES, AXIS_PARSERS, LONG_CSV_HEADER, RawRuns,
                     _axis_index, _cell_text, _long_rows, _not_utf8,
                     _run_statistics, _write_rows, format_number, label_fault,
                     label_tuple, parse_halves, write_files)
-from .rtopsis import DecisionMatrix
+from .topsis import DecisionMatrix
 
 if TYPE_CHECKING:
     from .hierarchy import HraReport
@@ -738,7 +738,7 @@ def emit_report(report: "HraReport", fmt: str = "csv",
     dimension_file_name (matrix plus its rank column), final_matrix, and
     final_ranking (algorithm,score,hra_rank), all from report.nodes."""
     if fmt not in ("csv", "markdown"):
-        raise ValueError(f"unknown report format {fmt!r}")
+        raise ShapeMismatch(f"unknown report format {fmt!r}")
     write, ext = ((_write_rows, "csv") if fmt == "csv"
                   else (_write_markdown, "md"))
     destination = Path(destination)

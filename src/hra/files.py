@@ -5,7 +5,7 @@ lists that already passed it), the label rule (label_tuple, label_fault,
 check_labels) and each axis's field parse, the run statistics
 (_statistics), the long CSV's rows and writer, the error for a file that
 is not UTF-8, the all-or-nothing writer (write_files) and the helper that
-parses an input's two halves on two CPUs (parse_halves). dataio, rtopsis,
+parses an input's two halves on two CPUs (parse_halves). dataio, topsis,
 hierarchy and fetch import what they need of them from here. `hra stats`
 loads only this module, fetch and exceptions: it forks while it has one
 thread, a child parses the second half of the run files while the
@@ -110,16 +110,17 @@ def label_fault(name: str, labels, parse=str.strip) -> tuple[int, str] | None:
     return None
 
 
-def label_tuple(field: str, labels) -> tuple:
-    """The labels that enter as field, as a tuple. Text is no sequence of
-    labels: a str or bytes would give one label per character or byte, so
-    it raises ShapeMismatch, as anything that is not iterable does."""
+def label_tuple(field: str, labels, of: str = "labels") -> tuple:
+    """The labels (or other items, named by of) that enter as field, as a
+    tuple. Text is no sequence of them: a str or bytes would give one item
+    per character or byte, so it raises ShapeMismatch, as anything that is
+    not iterable does."""
     if not isinstance(labels, (str, bytes)):
         try:
             return tuple(labels)
         except TypeError:
             pass
-    raise ShapeMismatch(f"{field} must be a sequence of labels, got "
+    raise ShapeMismatch(f"{field} must be a sequence of {of}, got "
                         f"{labels!r}")
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..dataio import load_rank_matrix_csv
-from ..rtopsis import DecisionMatrix
+from ..topsis import DecisionMatrix
 
 FIXTURES_DIR = Path(__file__).parent  # the directory holding the CSVs
 

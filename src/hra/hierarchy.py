@@ -5,9 +5,9 @@ joins the measure vectors of each dimension into one per-dimension ranking,
 and level 3 joins the dimensions into the overall ranking. Every node of
 the tree is one fixed-domain TOPSIS evaluation, so a full run costs exactly
 1 + k + l*k evaluations for k dimensions and l measures; run_hra makes them
-in three calls of the kernel `topsis_stack`, one per level. One builder,
-_level, turns a stack of rank matrices into nodes, for run_hra's levels and
-for the decomposed calls aggregate_leaf, aggregate_dimension and
+in three calls of the kernel `topsis.topsis_stack`, one per level. One
+builder, _level, turns a stack of rank matrices into nodes, for run_hra's
+levels and for the decomposed calls aggregate_leaf, aggregate_dimension and
 aggregate_overall alike, each a stack of one.
 
 Vectors passed between levels are ranks, not raw closeness scores.
@@ -23,8 +23,9 @@ from ._blas import np
 from .dataio import PerformanceDataset
 from .exceptions import EmptyMatrix, MissingCell, ShapeMismatch
 from .files import _parse_dimension, check_labels, label_tuple
-from .rtopsis import (CriteriaSpec, DecisionMatrix, Direction, TopsisResult,
-                      _sharing, check_weights, rank_columns, topsis_stack)
+from .topsis import (CriteriaSpec, DecisionMatrix, Direction, TopsisResult,
+                      _real_values, _sharing, check_weights, rank_columns,
+                      topsis_stack)
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,11 @@ class HraConfig:
             "measure_weights", self.measure_weights, len(self.measures)))
         object.__setattr__(self, "dimension_weights", check_weights(
             "dimension_weights", self.dimension_weights, len(self.dimensions)))
-        given = dict(self.objectives or ())
+        try:
+            given = dict(self.objectives or ())
+        except (TypeError, ValueError):
+            raise ShapeMismatch(f"objectives must map measures to directions, "
+                                f"got {self.objectives!r}") from None
         unknown = set(given) - set(self.measures)
         if unknown:
             raise ShapeMismatch(f"objectives name unknown measures: "
@@ -153,7 +158,8 @@ def _join(vectors: Sequence[np.ndarray], weights, criterion_labels,
           alternative_labels, prefix: str) -> TopsisResult:
     """The node of one matrix whose columns are the rank vectors, labelled
     by criterion_labels as text (prefix1, prefix2, ... when None)."""
-    vectors = [np.asarray(v, dtype=float) for v in vectors]
+    vectors = [_real_values(f"rank vector {j}", v)
+               for j, v in enumerate(vectors)]
     if not vectors:
         raise EmptyMatrix("no rank vectors to join")
     sizes = {v.shape for v in vectors}

@@ -28,6 +28,7 @@ from .exceptions import (
     EmptyMatrix,
     InvalidWeights,
     NonFiniteValue,
+    ParseError,
     ShapeMismatch,
     ZeroUpperBound,
 )
@@ -81,7 +82,7 @@ class DecisionMatrix:
     domain_rows: int | None = None
 
     def __post_init__(self):
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
+        values = np.atleast_2d(_real_values("decision matrix", self.values))
         if values.ndim != 2:
             raise ShapeMismatch(f"decision matrix must be 2-D, got {values.ndim}-D")
         m, n = values.shape
@@ -104,6 +105,8 @@ class DecisionMatrix:
         check_labels("alternative", alternatives)
         check_labels("criterion", criteria)
         try:
+            if isinstance(self.domain_rows, bool):
+                raise TypeError
             domain_rows = m if self.domain_rows is None \
                 else operator.index(self.domain_rows)
         except TypeError:
@@ -130,7 +133,7 @@ class DecisionMatrix:
         gone = set(labels)
         unknown = gone - set(self.alternative_labels)
         if unknown:
-            raise KeyError(f"unknown alternatives: {sorted(unknown)}")
+            raise ShapeMismatch(f"unknown alternatives: {sorted(unknown)}")
         keep = [i for i, a in enumerate(self.alternative_labels) if a not in gone]
         return DecisionMatrix(self.values[keep],
                               tuple(self.alternative_labels[i] for i in keep),
@@ -164,9 +167,10 @@ class CriteriaSpec:
     weights: np.ndarray
 
     def __post_init__(self):
-        directions = tuple(Direction(d) for d in self.directions)
-        domains = tuple(_domain(j, ends)
-                        for j, ends in enumerate(self.domains))
+        directions = tuple(map(Direction, label_tuple(
+            "directions", self.directions, "Direction values")))
+        domains = tuple(_domain(j, ends) for j, ends in enumerate(
+            label_tuple("domains", self.domains, "(d1, d2) pairs")))
         weights = _real(self.weights)
         n = len(directions)
         if n == 0:
@@ -235,16 +239,26 @@ def _domain(j: int, ends) -> tuple[float, float]:
                                f"not a number: {ends!r}") from None
 
 
+def _real_values(name: str, values) -> np.ndarray:
+    """values as a float array, with name first in any error: a complex
+    number, or a value that float() cannot convert, raises ParseError, as
+    check_runs does for a run."""
+    try:
+        if np.iscomplexobj(values):
+            raise TypeError("a complex number is not real")
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{name}: {exc}") from None
+
+
 def _real(weights) -> np.ndarray:
-    """weights as a float array, read once if they are an iterator; complex
-    numbers and values that float() cannot convert raise InvalidWeights."""
+    """weights as a float array, read once if they are an iterator; values
+    that are not real numbers raise InvalidWeights."""
     if isinstance(weights, Iterator):
         weights = tuple(weights)
     try:
-        if np.iscomplexobj(weights):
-            raise TypeError
-        return np.asarray(weights, dtype=float)
-    except (TypeError, ValueError):
+        return _real_values("weights", weights)
+    except ParseError:
         raise InvalidWeights(
             f"weights must be real numbers, got {weights!r}") from None
 
@@ -457,10 +471,13 @@ def rank_columns(matrix: DecisionMatrix,
 def scores_to_ranks(scores: np.ndarray) -> np.ndarray:
     """Ranks over descending scores; 1 = best, exact ties get mean ranks.
 
-    Tie detection is exact float equality on purpose: under this pipeline
-    equal scores arise only from structurally equivalent rows, and a
-    tolerance would make rankings configuration-dependent. Output always
-    sums to m(m+1)/2.
+    Tie detection is exact float equality, which is not enough: rows whose
+    closeness is mathematically equal, such as rows that are permutations
+    of each other under equal weights, can get floats one ulp apart and so
+    two strict ranks. On the benchmark's 13x30 seed-16 cube, overall
+    node, the rows (2, 2, 1, 1) of alg-006 and (1, 1, 2, 2) of alg-001
+    score 0.8877919451632956 and 0.8877919451632955 and rank 1 and 2;
+    ROADMAP item 1 is the fix. Output always sums to m(m+1)/2.
     """
     scores = np.asarray(scores, dtype=float)
     if not np.isfinite(scores).all():

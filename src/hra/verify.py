@@ -1,8 +1,8 @@
 """Self-contained consistency checks of the bundled CEC'17 tables.
 
 Each aggregation level is recomputed from the level below it, fixtures
-only, no network, by the kernel `hra run` uses, topsis_stack, on a stack of
-one matrix: the four per-dimension rankings from the per-measure rank
+only, no network, by the kernel `hra run` uses, topsis.topsis_stack, on a
+stack of one matrix: the four per-dimension rankings from the per-measure rank
 tables (aggregate_dimension), and the overall scores and ranks from the
 per-dimension table (aggregate_overall).
 Every check compares each recomputed value, printed the way its table
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import fixtures
 from .hierarchy import aggregate_dimension, aggregate_overall
-from .rtopsis import DecisionMatrix
+from .topsis import DecisionMatrix
 
 
 @dataclass(frozen=True)

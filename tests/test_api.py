@@ -1,5 +1,10 @@
 """The names `from hra import *` exports: the public surface, pinned so
-that it changes only on purpose."""
+that it changes only on purpose, and the module-qualified names README.md
+gives, which must resolve."""
+
+import pkgutil
+import re
+from pathlib import Path
 
 import hra.hierarchy
 
@@ -30,3 +35,34 @@ def test_star_import_exports_the_public_names_and_no_submodule():
     assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
     # the submodules stay reachable as attributes
     assert hra.hierarchy.rank_columns is hra.rank_columns
+
+
+# a backticked `hra.<module>.<name>` or `<module>.<name>` in README.md, with
+# what follows the dotted name (a call's arguments) left off
+QUALIFIED = re.compile(r"(?<![\w.])(?:hra\.)?\w+(?:\.\w+)+")
+
+
+def readme_qualified_names():
+    """Every dotted name in an inline code span of README.md whose first
+    part, after an optional `hra.`, is an hra submodule; fenced code blocks
+    are left out."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    text = re.sub(r"^```.*?^```", "", text, flags=re.DOTALL | re.MULTILINE)
+    modules = {module.name for module in pkgutil.iter_modules(hra.__path__)}
+    return sorted({name for span in re.findall(r"`([^`]+)`", text)
+                   for name in QUALIFIED.findall(span)
+                   if name.removeprefix("hra.").split(".")[0] in modules})
+
+
+def test_readme_module_qualified_names_resolve():
+    names = readme_qualified_names()
+    assert names, "README.md names no submodule"
+    unresolved = []
+    for name in names:
+        value = hra
+        for attribute in name.removeprefix("hra.").split("."):
+            value = getattr(value, attribute, None)
+        if value is None:
+            unresolved.append(name)
+    assert not unresolved, unresolved

@@ -1005,7 +1005,7 @@ class TestEmitReport:
 
     def test_unknown_format(self, synthetic_dataset):
         report = run_hra(synthetic_dataset)
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeMismatch):
             emit_report(report, "xml", "anywhere")
 
 
@@ -1383,6 +1383,8 @@ def _file(path, text):
                  "b'12'"),
     (lambda tmp: RawRuns({(10, "a", "f"): ["x"]}),
      ParseError, "(10, 'a', 'f'): could not convert string to float: 'x'"),
+    (lambda tmp: emit_report(run_hra(_from_array()), "xml", tmp),
+     ShapeMismatch, "unknown report format 'xml'"),
 ], ids=["empty-axis", "repeated-label", "dimensions-equal-as-text",
         "text-dimension", "float-dimension", "algorithms-equal-as-text",
         "int-algorithms", "blank-edged-algorithm", "array-shape",
@@ -1390,7 +1392,7 @@ def _file(path, text):
         "nan-run", "empty-long-csv", "blank-long-csv",
         "non-numeric-rank-column", "non-finite-rank-cell",
         "repeated-rank-criterion", "text-algorithms", "text-functions",
-        "text-runs", "bytes-runs", "run-not-a-number"])
+        "text-runs", "bytes-runs", "run-not-a-number", "unknown-format"])
 def test_raise_sites(tmp_path, build, error, message):
     with pytest.raises(error) as excinfo:
         build(tmp_path)

@@ -21,6 +21,7 @@ from hra import (
     HraConfig,
     InvalidWeights,
     MissingCell,
+    ParseError,
     PerformanceDataset,
     ShapeMismatch,
     aggregate_dimension,
@@ -35,7 +36,7 @@ from hra import (
     squared_gaps,
 )
 from hra.hierarchy import Evaluation, HraReport
-from hra.rtopsis import check_weights
+from hra.topsis import check_weights
 from test_properties import assert_gaps_rebuild
 
 
@@ -570,7 +571,7 @@ class TestStackKernel:
     def test_any_config(self, case):
         ds, config, block = case
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sys.modules["hra.rtopsis"], "BLOCK_VALUES", block)
+            patch.setattr(sys.modules["hra.topsis"], "BLOCK_VALUES", block)
             report = run_hra(ds, config)
         assert_matches_per_node(report, per_node(ds, config))
 
@@ -718,6 +719,12 @@ FIVE = ("best", "worst", "median", "mean", "std")
      EmptyMatrix, "no rank vectors to join"),
     (lambda: aggregate_dimension([np.ones(2)], measure_labels="P"),
      ShapeMismatch, "criterion_labels must be a sequence of labels, got 'P'"),
+    (lambda: HraConfig(dimensions=(10,), measures=("a",), objectives=5),
+     ShapeMismatch, "objectives must map measures to directions, got 5"),
+    (lambda: HraConfig(dimensions=(10,), measures=("a",), objectives=["a"]),
+     ShapeMismatch, "objectives must map measures to directions, got ['a']"),
+    (lambda: aggregate_dimension([["a"]]),
+     ParseError, "rank vector 0: could not convert string to float: 'a'"),
 ], ids=["repeated-dimension", "dimensions-equal-as-text", "text-dimension",
         "measures-equal-as-text", "blank-edged-measure", "misspelt-objective",
         "removed-objective", "measure-weights-sum",
@@ -729,7 +736,8 @@ FIVE = ("best", "worst", "median", "mean", "std")
         "function-weights-not-a-vector", "complex-weight",
         "missing-weight", "text-measures", "bytes-dimensions",
         "int-dimensions", "no-leaf-ranks", "no-dimension-ranks",
-        "text-measure-labels"])
+        "text-measure-labels", "int-objectives", "objectives-not-pairs",
+        "text-rank-vector"])
 def test_raise_sites(build, error, message):
     with pytest.raises(error) as excinfo:
         build()

@@ -5,6 +5,9 @@ So `hra stats` loads no numpy."""
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 import hra
 
@@ -41,10 +44,41 @@ def test_every_public_name_resolves():
     for name in hra.__all__:
         value = getattr(hra, name)
         assert getattr(value, "__name__", name) == name, name
-    assert hra.rtopsis is sys.modules["hra.rtopsis"].rtopsis  # the function
+    assert hra.rtopsis is sys.modules["hra.topsis"].rtopsis  # the function
     assert hra.dataio.load_long_csv is hra.load_long_csv
 
 
 def test_an_unknown_name_is_an_attribute_error():
     assert not hasattr(hra, "no_such_name")
     assert "load_long_csv" in dir(hra)
+
+
+# after one first step, in a fresh interpreter: hra.rtopsis is the function,
+# hra.topsis the kernel's module, and there is no module hra.rtopsis
+NAMES = """
+import importlib, sys, types
+{step}
+import hra
+import hra.topsis as kernel
+assert isinstance(kernel, types.ModuleType), kernel
+assert hra.rtopsis is hra.topsis.rtopsis is kernel.rtopsis
+try:
+    importlib.import_module("hra.rtopsis")
+except ModuleNotFoundError:
+    pass
+else:
+    raise AssertionError("hra.rtopsis imports as a module")
+"""
+
+
+@pytest.mark.parametrize("step", [
+    "import hra.hierarchy",
+    "import hra.dataio",
+    "import hra.cli; assert hra.cli.main(['run', '--data', {data!r}, "
+    "'--out', {out!r}]) == 0",
+], ids=["hierarchy", "dataio", "cli-run"])
+def test_rtopsis_names_the_function_and_topsis_the_module(step, tmp_path):
+    data = Path(__file__).parent / "data" / "synthetic_5x6.csv"
+    probe = NAMES.format(step=step.format(data=str(data),
+                                          out=str(tmp_path / "report")))
+    subprocess.run([sys.executable, "-c", probe], check=True)

@@ -1,4 +1,4 @@
-"""Unit tests for the mean-rank transformation, rtopsis.rank_columns."""
+"""Unit tests for the mean-rank transformation, topsis.rank_columns."""
 
 import subprocess
 import sys

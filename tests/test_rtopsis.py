@@ -19,6 +19,7 @@ from hra import (
     InvalidWeights,
     NonFiniteValue,
     Normalization,
+    ParseError,
     ShapeMismatch,
     ZeroUpperBound,
     closeness,
@@ -32,7 +33,7 @@ from hra import (
     squared_gaps,
     weight_matrix,
 )
-from hra.rtopsis import topsis_stack
+from hra.topsis import topsis_stack
 
 COST = Direction.COST
 BENEFIT = Direction.BENEFIT
@@ -83,7 +84,7 @@ class TestDecisionMatrix:
         smaller = dm.drop_alternatives("b")
         assert smaller.alternative_labels == ("a", "c")
         np.testing.assert_array_equal(smaller.values, [[1.0], [3.0]])
-        with pytest.raises(KeyError):
+        with pytest.raises(ShapeMismatch):
             dm.drop_alternatives("nope")
 
     def test_drop_alternatives_keeps_default_domain(self, dimension_table):
@@ -328,7 +329,7 @@ class TestTopsisStack:
     @pytest.mark.parametrize("block", [1, 7, 8192])
     def test_each_matrix_scores_as_it_does_alone(self, monkeypatch, block):
         # blocks of 1 and 7 values cut the stack's rows across matrices
-        monkeypatch.setattr(sys.modules["hra.rtopsis"], "BLOCK_VALUES", block)
+        monkeypatch.setattr(sys.modules["hra.topsis"], "BLOCK_VALUES", block)
         stack = np.random.default_rng(3).integers(1, 6, size=(2, 3, 4, 5))
         vectors = topsis_stack(stack, self.SPEC, "abcd", "vwxyz")
         for v in vectors:
@@ -492,6 +493,18 @@ class TestRtopsis:
     (lambda: normalize(DecisionMatrix([[1.0]]), CriteriaSpec.for_ranks(1, 1),
                        "max2"),
      ShapeMismatch, "'max2' is not a valid Normalization"),
+    (lambda: CriteriaSpec(5, ((0.0, 1.0),), [1.0]),
+     ShapeMismatch, "directions must be a sequence of Direction values, got 5"),
+    (lambda: CriteriaSpec((COST,), 5, [1.0]),
+     ShapeMismatch, "domains must be a sequence of (d1, d2) pairs, got 5"),
+    (lambda: DecisionMatrix([["x"]]),
+     ParseError, "decision matrix: could not convert string to float: 'x'"),
+    (lambda: DecisionMatrix([[1j]]),
+     ParseError, "decision matrix: a complex number is not real"),
+    (lambda: DecisionMatrix([[1.0]], domain_rows=True),
+     ShapeMismatch, "domain_rows must be an integer, got True"),
+    (lambda: DecisionMatrix([[1.0]], ("a",)).drop_alternatives("nope"),
+     ShapeMismatch, "unknown alternatives: ['nope']"),
 ], ids=["3-d-values", "criterion-label-count", "repeated-criterion-label",
         "blank-edged-alternative",
         "no-criteria", "infinite-domain", "weight-count", "2-d-weights",
@@ -500,7 +513,9 @@ class TestRtopsis:
         "weight-not-a-number", "text-criterion-labels",
         "bytes-alternative-labels", "unknown-direction", "three-domain-ends",
         "domain-end-not-a-number", "unknown-rank-direction",
-        "unknown-normalization"])
+        "unknown-normalization", "int-directions", "int-domains",
+        "text-value", "complex-value", "bool-domain-rows",
+        "unknown-alternative"])
 def test_raise_sites(build, error, message):
     with pytest.raises(error) as excinfo:
         build()
