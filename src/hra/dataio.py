@@ -49,7 +49,7 @@ from .files import (AXIS_NAMES, AXIS_PARSERS, LONG_CSV_HEADER, RawRuns,
                     _axis_index, _cell_text, _long_rows, _not_utf8,
                     _run_statistics, _write_rows, format_number, label_fault,
                     label_tuple, parse_halves, write_files)
-from .topsis import DecisionMatrix
+from .topsis import DecisionMatrix, _real_values
 
 if TYPE_CHECKING:
     from .hierarchy import HraReport
@@ -116,37 +116,49 @@ class PerformanceDataset:
                  values: Mapping[Cell, float]):
         axes = tuple(map(label_tuple, AXIS_NAMES,
                          (dimensions, measures, algorithms, functions)))
-        object.__setattr__(self, "_index", _axis_index(axes))
+        index = _axis_index(axes)
+        try:
+            items = values.items()
+        except AttributeError:
+            raise ShapeMismatch(f"values must map cells to numbers, got "
+                                f"{values!r}") from None
         cube = np.full(tuple(map(len, axes)), np.nan)
-        d_index, p_index, a_index, f_index = self._index
-        for key, v in values.items():
-            d, p, a, f = key
+        d_index, p_index, a_index, f_index = index
+        for key, v in items:
+            try:
+                d, p, a, f = key
+            except (TypeError, ValueError):
+                raise ShapeMismatch(f"cell {key!r} is not (dimension, "
+                                    "measure, algorithm, function)") from None
             try:
                 position = d_index[d], p_index[p], a_index[a], f_index[f]
             except KeyError:
                 raise ShapeMismatch(f"cell {_cell_text(key)} is outside "
                                     "the declared axes") from None
+            try:
+                v = float(v)
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"cell {_cell_text(key)}: {exc}") from None
             if not math.isfinite(v):
                 raise NonFiniteValue(f"cell {_cell_text(key)} is {v}")
             cube[position] = v
-        self._init(axes, cube)
+        self._init(axes, index, cube)
 
     @classmethod
     def from_array(cls, algorithms, functions, dimensions, measures,
                    array) -> "PerformanceDataset":
         """Dataset over a (k, l, m, n) array in which NaN marks a missing
         cell; the array is copied."""
-        axes = tuple(map(label_tuple, AXIS_NAMES,
-                         (dimensions, measures, algorithms, functions)))
-        dataset = cls.__new__(cls)
-        object.__setattr__(dataset, "_index", _axis_index(axes))
-        dataset._init(axes, np.array(array, dtype=float))
-        return dataset
+        return _dataset((dimensions, measures, algorithms, functions),
+                        _real_values("value array", array).copy())
 
-    def _init(self, axes, cube: np.ndarray) -> None:
+    def _init(self, axes, index, cube: np.ndarray) -> None:
+        """Take the checked axes, their label -> position index and the
+        cube as the dataset's own; the cube becomes read-only."""
         if cube.shape != tuple(map(len, axes)):
             raise ShapeMismatch(f"value array has shape {cube.shape}, the "
                                 f"axes need {tuple(map(len, axes))}")
+        object.__setattr__(self, "_index", index)
         for name, axis in zip(AXIS_NAMES, axes):
             object.__setattr__(self, name, axis)
         infinite = np.isinf(cube)
@@ -287,10 +299,13 @@ def load_long_csv(path) -> PerformanceDataset:
 
 
 def _dataset(axes, cube: np.ndarray) -> PerformanceDataset:
-    dimensions, measures, algorithms, functions = map(tuple, axes)
-    return PerformanceDataset.from_array(
-        algorithms=algorithms, functions=functions, dimensions=dimensions,
-        measures=measures, array=cube)
+    """The dataset over (dimensions, measures, algorithms, functions) axes
+    and a (k, l, m, n) float array, which it keeps without a copy and makes
+    read-only: only for a cube that no caller goes on writing."""
+    axes = tuple(map(label_tuple, AXIS_NAMES, axes))
+    dataset = PerformanceDataset.__new__(PerformanceDataset)
+    dataset._init(axes, _axis_index(axes), cube)
+    return dataset
 
 
 def _load_rows(path: Path) -> PerformanceDataset:

@@ -24,7 +24,7 @@ from .dataio import PerformanceDataset
 from .exceptions import EmptyMatrix, MissingCell, ShapeMismatch
 from .files import _parse_dimension, check_labels, label_tuple
 from .topsis import (CriteriaSpec, DecisionMatrix, Direction, TopsisResult,
-                      _real_values, _sharing, check_weights, rank_columns,
+                      _real_values, _sharing, check_weights, mean_ranks,
                       topsis_stack)
 
 
@@ -158,8 +158,8 @@ def _join(vectors: Sequence[np.ndarray], weights, criterion_labels,
           alternative_labels, prefix: str) -> TopsisResult:
     """The node of one matrix whose columns are the rank vectors, labelled
     by criterion_labels as text (prefix1, prefix2, ... when None)."""
-    vectors = [_real_values(f"rank vector {j}", v)
-               for j, v in enumerate(vectors)]
+    vectors = [_real_values(f"rank vector {j}", v) for j, v in
+               enumerate(label_tuple("rank vectors", vectors, "vectors"))]
     if not vectors:
         raise EmptyMatrix("no rank vectors to join")
     sizes = {v.shape for v in vectors}
@@ -214,8 +214,9 @@ def run_hra(dataset: PerformanceDataset,
     three kernel calls: the (k, l, m, n) stack of leaf rank matrices, the
     (k, m, l) stack of dimension matrices and the (m, k) overall matrix.
     function_weights, then every absent cell, is checked before any leaf is
-    gathered by dataset.matrix and ranked; the leaves go one at a time, so
-    the rank transform's temporaries stay leaf-sized.
+    ranked. Each leaf is ranked straight from its (m, n) slice of the
+    dataset's cube, as rank_columns ranks it, one leaf at a time, so the
+    rank transform's temporaries stay leaf-sized.
     """
     if config is None:
         config = HraConfig.for_dataset(dataset)
@@ -226,12 +227,15 @@ def run_hra(dataset: PerformanceDataset,
         raise MissingCell(missing)
     dimensions, measures = config.dimensions, config.measures
     algorithms = dataset.algorithms
+    d_index, p_index = dataset._index[:2]
     leaves = np.empty((len(dimensions), len(measures))
                       + dataset.array.shape[2:])
     for i, d in enumerate(dimensions):
         for j, p in enumerate(measures):
-            leaves[i, j] = rank_columns(dataset.matrix(d, p),
-                                        config.objective_for(p)).values
+            values = dataset.array[d_index[d], p_index[p]]
+            if config.objective_for(p) is Direction.BENEFIT:
+                values = -values
+            leaves[i, j] = mean_ranks(values, axis=0)
     leaf_keys = [tuple(("leaf", d, p) for p in measures) for d in dimensions]
     dimension_keys = tuple(("dimension", d) for d in dimensions)
     leaf_nodes, leaf_ranks = _level(

@@ -240,15 +240,29 @@ def _domain(j: int, ends) -> tuple[float, float]:
 
 
 def _real_values(name: str, values) -> np.ndarray:
-    """values as a float array, with name first in any error: a complex
-    number, or a value that float() cannot convert, raises ParseError, as
-    check_runs does for a run."""
+    """values as a float array, with name first in any error: nested
+    sequences of unequal lengths raise ShapeMismatch; a complex number, or
+    a value that float() cannot convert, raises ParseError, as check_runs
+    does for a run."""
     try:
         if np.iscomplexobj(values):
             raise TypeError("a complex number is not real")
         return np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
+        if _ragged(values):
+            raise ShapeMismatch(f"{name}: nested sequences of unequal "
+                                "lengths make no array") from None
         raise ParseError(f"{name}: {exc}") from None
+
+
+def _ragged(values) -> bool:
+    """Whether values nest sequences of unequal lengths: numpy cannot lay
+    them out as one array, or leaves a sequence where a number belongs."""
+    try:
+        cells = np.asarray(values, dtype=object)
+    except ValueError:
+        return True
+    return any(np.ndim(cell) for cell in cells.flat)
 
 
 def _real(weights) -> np.ndarray:
@@ -437,7 +451,10 @@ def mean_ranks(x, axis: int = -1) -> np.ndarray:
     ties with 0.0; a NaN equals nothing, so NaNs take the last ranks, one
     each, in no set order among themselves (no caller in hra passes one).
     The result is C-contiguous, so slices of it feed the same summation
-    order as freshly stacked columns.
+    order as freshly stacked columns. A call holds about eight arrays the
+    size of x at once (the order, the sorted copy, run starts, lengths and
+    means, the gathered ranks and the contiguous copy), which is why
+    run_hra ranks one leaf at a time rather than its whole cube.
     """
     x = np.moveaxis(np.asarray(x, dtype=float), axis, -1)
     order = np.argsort(x, axis=-1)

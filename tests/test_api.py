@@ -6,6 +6,8 @@ import pkgutil
 import re
 from pathlib import Path
 
+import pytest
+
 import hra.hierarchy
 
 PUBLIC = [
@@ -34,7 +36,7 @@ def test_star_import_exports_the_public_names_and_no_submodule():
     exec("from hra import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
     # the submodules stay reachable as attributes
-    assert hra.hierarchy.rank_columns is hra.rank_columns
+    assert hra.hierarchy.mean_ranks is hra.mean_ranks
 
 
 # a backticked `hra.<module>.<name>` or `<module>.<name>` in README.md, with
@@ -66,3 +68,49 @@ def test_readme_module_qualified_names_resolve():
         if value is None:
             unresolved.append(name)
     assert not unresolved, unresolved
+
+
+def _dataset(**changes):
+    """A one-cell dataset, built by the keyword's constructor: values= goes
+    to PerformanceDataset, array= to from_array."""
+    axes = dict(algorithms=("a",), functions=("f",), dimensions=(10,),
+                measures=("best",))
+    if "values" in changes:
+        return hra.PerformanceDataset(**axes, **changes)
+    return hra.PerformanceDataset.from_array(**axes, **changes)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: hra.aggregate_dimension(5),
+     hra.ShapeMismatch, "rank vectors must be a sequence of vectors, got 5"),
+    (lambda: hra.aggregate_overall(5),
+     hra.ShapeMismatch, "rank vectors must be a sequence of vectors, got 5"),
+    (lambda: _dataset(values=5),
+     hra.ShapeMismatch, "values must map cells to numbers, got 5"),
+    (lambda: _dataset(values={(10, "best", "a"): 1.0}),
+     hra.ShapeMismatch, "cell (10, 'best', 'a') is not (dimension, measure, "
+                        "algorithm, function)"),
+    (lambda: _dataset(values={7: 1.0}),
+     hra.ShapeMismatch, "cell 7 is not (dimension, measure, algorithm, "
+                        "function)"),
+    (lambda: _dataset(values={(10, "best", "a", "f"): "x"}),
+     hra.ParseError, "cell (10, best, a, f): could not convert string to "
+                     "float: 'x'"),
+    (lambda: _dataset(array=[[[["x"]]]]),
+     hra.ParseError, "value array: could not convert string to float: 'x'"),
+    (lambda: _dataset(array=[[[[1.0], [1.0, 2.0]]]]),
+     hra.ShapeMismatch, "value array: nested sequences of unequal lengths "
+                        "make no array"),
+    (lambda: hra.DecisionMatrix([[1.0], [1.0, 2.0]]),
+     hra.ShapeMismatch, "decision matrix: nested sequences of unequal "
+                        "lengths make no array"),
+], ids=["int-leaf-ranks", "int-dimension-ranks", "int-values",
+        "three-part-key", "int-key", "text-value", "text-array",
+        "ragged-array", "ragged-decision-matrix"])
+def test_inputs_of_the_wrong_kind_raise_hra_errors(build, error, message):
+    # README: the library's constructors raise hra's own errors, never a
+    # bare ValueError or TypeError
+    with pytest.raises(error) as excinfo:
+        build()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message

@@ -319,6 +319,22 @@ class TestPerformanceDataset:
         with pytest.raises(TypeError):
             partial.values[gone] = 1.0
 
+    def test_loaders_keep_their_cube_and_from_array_copies(self):
+        # the loaders hand _dataset a cube no caller holds, so it is kept
+        # as it is; from_array's caller may go on writing its array
+        axes = ((10,), ("best",), ("a", "b"), ("f",))
+        cube = np.arange(2.0).reshape(1, 1, 2, 1)
+        kept = dataio._dataset(axes, cube)
+        assert np.shares_memory(kept.array, cube)
+        assert not cube.flags.writeable
+        given = np.arange(2.0).reshape(1, 1, 2, 1)
+        copied = PerformanceDataset.from_array(
+            dimensions=axes[0], measures=axes[1], algorithms=axes[2],
+            functions=axes[3], array=given)
+        assert not np.shares_memory(copied.array, given)
+        assert given.flags.writeable
+        assert copied == kept
+
     def test_cell_lookup(self, synthetic_dataset):
         ds = synthetic_dataset
         key = (ds.dimensions[0], "best", ds.algorithms[0], ds.functions[0])

@@ -559,12 +559,44 @@ class TestStackKernel:
         assert calls == [20, 4, 1]
         assert report.invocation_count == sum(calls) == 25
 
-    @pytest.mark.parametrize("seed", [1, 16])
-    def test_benchmark_cubes(self, monkeypatch, seed):
-        # seed 16's overall node splits alg-006 and alg-001 on rounding
-        ds = benchmark_dataset(monkeypatch, (13, 30), seed)
+    @pytest.mark.parametrize("shape, seed", [
+        ((13, 30), 1), ((13, 30), 16), ((100, 300), 2)],
+        ids=["1", "16", "100x300-2"])
+    def test_benchmark_cubes(self, monkeypatch, shape, seed):
+        # seed 16's overall node splits alg-006 and alg-001 on rounding;
+        # 100x300 is the large-run cube, which topsis_stack takes in many
+        # blocks per level
+        ds = benchmark_dataset(monkeypatch, shape, seed)
         config = HraConfig.for_dataset(ds)
         assert_matches_per_node(run_hra(ds, config), per_node(ds, config))
+
+    def test_each_input_is_checked_once(self, monkeypatch):
+        # one checked matrix per level and one missing-cell scan; each leaf
+        # is ranked from its slice of the cube, not gathered into a matrix
+        calls = {"checked": 0, "missing_cells": 0}
+
+        def counting(owner, name, key):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_hra gathered or ranked a leaf matrix")
+
+        ds = random_dataset(m=6, n=8, k=4, l=5, seed=55)
+        counting(DecisionMatrix, "__post_init__", "checked")
+        counting(PerformanceDataset, "missing_cells", "missing_cells")
+        monkeypatch.setattr(PerformanceDataset, "matrix", refuse)
+        for module in ("hra.topsis", "hra.hierarchy"):
+            monkeypatch.setattr(sys.modules[module], "rank_columns", refuse,
+                                raising=False)
+        report = run_hra(ds)
+        assert calls == {"checked": 3, "missing_cells": 1}
+        assert report.invocation_count == 25
 
     @given(configured_datasets())
     @settings(max_examples=150, deadline=None)
