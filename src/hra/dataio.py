@@ -9,14 +9,16 @@ comment where a record would start; a quoted first field such as "#top" is
 data, and the writers quote such a field. Numbers are written with 17
 significant digits so a save/load round trip is exact.
 
-The columnar path of load_long_csv parses a plain file's body as two
-halves, cut at a line start, through files.parse_halves, which parses the
-second half in a forked child when the file is over 1.5 MiB and the
-process has one thread and may use two CPUs; the merge gives the dataset
-of one pass. The rule for runs, the label rule and each axis's field
-parse, the run statistics, the long CSV's rows and writer and the
-all-or-nothing writer live in files, which loads no numpy;
-dataset_from_runs puts files' statistics in a dataset.
+The columnar path of load_long_csv parses a plain file's body (no quote,
+lines that end in LF or CRLF) as two halves, cut at a line start, through
+files.parse_halves, which parses the second half in a forked child when
+the file is over 1.5 MiB and the process has one thread and may use two
+CPUs; the merge gives the dataset of one pass. Any other file, and any
+file with an error, goes to the row reader, a plain loop over the csv
+records that is the reference for both paths. The rule for runs, the
+label rule and each axis's field parse, the run statistics, the long
+CSV's rows and writer and the all-or-nothing writer live in files, which
+loads no numpy; dataset_from_runs puts files' statistics in a dataset.
 """
 
 from __future__ import annotations
@@ -45,10 +47,11 @@ from .exceptions import (
     ParseError,
     ShapeMismatch,
 )
-from .files import (AXIS_NAMES, AXIS_PARSERS, LONG_CSV_HEADER, RawRuns,
-                    _axis_index, _cell_text, _long_rows, _not_utf8,
-                    _run_statistics, _write_rows, format_number, label_fault,
-                    label_tuple, parse_halves, write_files)
+from .files import (AXIS_NAMES, AXIS_PARSERS, LONG_CSV_HEADER,
+                    STAT_MEASURES, RawRuns, _axis_index, _cell_text,
+                    _crlf_only, _long_rows, _not_utf8, _run_statistics,
+                    _write_rows, format_number, label_fault, label_tuple,
+                    parse_halves, write_files)
 from .topsis import DecisionMatrix, _real_values
 
 if TYPE_CHECKING:
@@ -58,39 +61,37 @@ Cell = tuple  # (dimension, measure, algorithm, function)
 
 
 def _check_statistic_ordering(dataset: "PerformanceDataset") -> None:
-    """best <= median <= worst, best <= mean <= worst, std >= 0 per cell group.
+    """best <= median <= worst, best <= mean <= worst and best <= worst
+    wherever both sides are present, and std >= 0, per cell group.
 
-    A check that involves a missing cell or measure is skipped. The first
-    violation in (dimension, algorithm, function) order is reported, the
-    median before the mean before the std of one group.
+    A comparison with a missing cell or measure (NaN) is False, so it
+    never fails. The first violation in (dimension, algorithm, function)
+    order is reported: of one group, the median, the mean, best against
+    worst, then the std.
     """
     index = dataset._index[1]
     shape = dataset.array[:, 0].shape
-
-    def plane(p):
-        return dataset.array[:, index[p]] if p in index \
-            else np.full(shape, np.nan)
-
-    best, worst = plane("best"), plane("worst")
-    checked = ("median", "mean", "std")
-    bad = []
-    for p in checked[:2]:
-        mid = plane(p)
-        present = ~(np.isnan(best) | np.isnan(mid) | np.isnan(worst))
-        bad.append(present & ~((best <= mid) & (mid <= worst)))
-    bad.append(plane("std") < 0.0)
-    bad = np.stack(bad, axis=-1)
+    best, worst, median, mean, std = (
+        dataset.array[:, index[p]] if p in index else np.full(shape, np.nan)
+        for p in STAT_MEASURES)
+    bad = np.stack([(best > median) | (median > worst),
+                    (best > mean) | (mean > worst),
+                    best > worst, std < 0.0], axis=-1)
     if not bad.any():
         return
-    i, a, f, c = np.unravel_index(np.argmax(bad), bad.shape)
+    i, a, f, check = np.unravel_index(np.argmax(bad), bad.shape)
     group = (f"({dataset.dimensions[i]}, {dataset.algorithms[a]}, "
              f"{dataset.functions[f]})")
-    value = float(plane(checked[c])[i, a, f])
-    if checked[c] == "std":
-        raise InconsistentStatistics(f"{group}: std={value} is negative")
-    raise InconsistentStatistics(
-        f"{group}: {checked[c]}={value} outside "
-        f"[best={float(best[i, a, f])}, worst={float(worst[i, a, f])}]")
+    low, high = float(best[i, a, f]), float(worst[i, a, f])
+    if check == 2:
+        raise InconsistentStatistics(f"{group}: best={low} is above "
+                                     f"worst={high}")
+    if check == 3:
+        raise InconsistentStatistics(f"{group}: std={float(std[i, a, f])} "
+                                     "is negative")
+    name, mid = (("median", median), ("mean", mean))[check]
+    raise InconsistentStatistics(f"{group}: {name}={float(mid[i, a, f])} "
+                                 f"outside [best={low}, worst={high}]")
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -199,8 +200,10 @@ class PerformanceDataset:
         """(d, p, a, f) tuples without a value, in axis order, over the given
         dimensions and measures (all of an axis when None); a label outside
         the dataset's axes lacks all of its cells."""
-        dimensions = self.dimensions if dimensions is None else tuple(dimensions)
-        measures = self.measures if measures is None else tuple(measures)
+        dimensions = self.dimensions if dimensions is None \
+            else label_tuple("dimensions", dimensions)
+        measures = self.measures if measures is None \
+            else label_tuple("measures", measures)
         d_index, p_index = self._index[:2]
         missing = np.ones((len(dimensions), len(measures))
                           + self.array.shape[2:], dtype=bool)
@@ -278,13 +281,6 @@ def _data_rows(path: Path):
             yield number, [cell.strip() for cell in row]
 
 
-def _first_repeat(flat: np.ndarray) -> int | None:
-    """Position of the first entry equal to an earlier one, if any."""
-    order = np.argsort(flat, kind="stable")
-    repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
-    return int(repeats.min()) if repeats.size else None
-
-
 def load_long_csv(path) -> PerformanceDataset:
     """Load a long-format dataset; the result may be partial.
 
@@ -309,8 +305,10 @@ def _dataset(axes, cube: np.ndarray) -> PerformanceDataset:
 
 
 def _load_rows(path: Path) -> PerformanceDataset:
-    """The row reader: rows fill the (k, l, m, n) array directly; the first
-    malformed row in file order raises, whichever check it fails."""
+    """The row reader, the reference for every long CSV and the source of
+    every error: each non-empty row in file order adds its labels to the
+    axes and its value to the cells; the first malformed row raises,
+    whichever check it fails."""
     rows = _records(path)
     header = next((row for _, row in rows if row), None)
     if header is None:
@@ -319,78 +317,46 @@ def _load_rows(path: Path) -> PerformanceDataset:
     if tuple(h.lower() for h in header) != LONG_CSV_HEADER:
         raise ParseError(f"{path}: expected header "
                          f"{','.join(LONG_CSV_HEADER)}, got {','.join(header)}")
-    # label -> position per axis (dimension, measure, algorithm, function),
-    # and the same keyed by the unstripped field text, which repeats
-    axes = ({}, {}, {}, {})
-    d_seen, p_seen, a_seen, f_seen = seen = ({}, {}, {}, {})
-    # typed columns: no Python object per row stays alive
-    positions = d_at, p_at, a_at, f_at = tuple(array.array("q")
-                                              for _ in range(4))
-    numbers, values = array.array("q"), array.array("d")
-    isfinite = math.isfinite
-    error = None
+    # label -> position per axis, and each axis's field parse, in
+    # AXIS_NAMES order; named one by one, as generators would double the
+    # loop's time
+    d_axis, p_axis, a_axis, f_axis = axes = ({}, {}, {}, {})
+    d_parse, p_parse, a_parse, f_parse = AXIS_PARSERS
+    cells = {}  # (d, p, a, f) positions -> value
     for number, row in rows:
-        try:
-            d_text, p, f, a, v_text = row
-            di, pi, ai, fi = d_seen[d_text], p_seen[p], a_seen[a], f_seen[f]
-        except (ValueError, KeyError):
-            if not row:
-                continue
-            if len(row) != 5:
-                error = ParseError(
-                    f"{path}:{number}: expected 5 fields, got {len(row)}")
-                break
-            di, pi, ai, fi = _register(row, axes, seen)
+        if not row:
+            continue
+        if len(row) != 5:
+            raise ParseError(
+                f"{path}:{number}: expected 5 fields, got {len(row)}")
+        d, p, f, a, v_text = row
         try:
             v = float(v_text)
         except ValueError:
-            error = ParseError(f"{path}:{number}: value column is not a "
-                               f"number: {v_text.strip()!r}")
-            break
-        if not isfinite(v):
-            error = NonFiniteValue(
+            raise ParseError(f"{path}:{number}: value column is not a "
+                             f"number: {v_text.strip()!r}") from None
+        if not math.isfinite(v):
+            raise NonFiniteValue(
                 f"{path}:{number}: non-finite value {v_text.strip()!r}")
-            break
-        d_at.append(di)
-        p_at.append(pi)
-        a_at.append(ai)
-        f_at.append(fi)
-        numbers.append(number)
-        values.append(v)
-    if values:
-        shape = tuple(map(len, axes))
-        positions = tuple(np.frombuffer(axis, dtype=np.int64)
-                          for axis in positions)
-        repeat = _first_repeat(np.ravel_multi_index(positions, shape))
-        if repeat is not None:
-            key = tuple(list(axis)[position[repeat]]
-                        for axis, position in zip(axes, positions))
-            raise DuplicateTuple(
-                f"{path}:{numbers[repeat]}: duplicate cell {key}")
-    if error is not None:
-        raise error
-    if not values:
+        key = d_parse(d), p_parse(p), a_parse(a), f_parse(f)
+        position = (d_axis.setdefault(key[0], len(d_axis)),
+                    p_axis.setdefault(key[1], len(p_axis)),
+                    a_axis.setdefault(key[2], len(a_axis)),
+                    f_axis.setdefault(key[3], len(f_axis)))
+        if position in cells:
+            raise DuplicateTuple(f"{path}:{number}: duplicate cell {key}")
+        cells[position] = v
+    if not cells:
         raise ParseError(f"{path}: no data rows")
-    cube = np.full(shape, np.nan)
-    cube[positions] = np.frombuffer(values)
+    cube = np.full(tuple(map(len, axes)), np.nan)
+    cube[tuple(np.array(list(cells)).T)] = list(cells.values())
     return _dataset(axes, cube)
 
 
-def _register(row: list[str], axes, seen) -> tuple[int, int, int, int]:
-    """Positions of a long-CSV row whose field texts are not all seen yet,
-    adding new labels to the axes."""
-    d_text, p, f, a, _ = row
-    position = []
-    for axis, by_text, parse, text in zip(axes, seen, AXIS_PARSERS,
-                                          (d_text, p, a, f)):
-        by_text[text] = axis.setdefault(parse(text), len(axis))
-        position.append(by_text[text])
-    return tuple(position)
-
-
-# The columnar path. Bytes that csv treats specially send a file to the
-# row reader; NUL also because numpy drops a fixed-width text's trailing NULs.
-_NOT_PLAIN = b'"\r\0'
+# The columnar path. A quote, which csv treats specially, sends a file to
+# the row reader, and NUL because numpy drops a fixed-width text's trailing
+# NULs; so does a CR that does not start a CRLF pair (see _is_plain).
+_NOT_PLAIN = b'"\0'
 _BLOCK_BYTES = 1 << 18  # whole lines parsed at once; bounds the temporaries
 _MAX_FIELD_WORDS = 32  # a longer field (over 256 bytes) takes the row reader
 # _BYTE_MASKS[n] keeps the first n bytes of a little-endian uint64 word
@@ -404,16 +370,17 @@ def _load_columns(path: Path, cut: int | None = None) \
     Only a regular file is read here: a pipe cannot seek, and the row
     reader must be the one that opens it. A plain file is UTF-8 with no
     _NOT_PLAIN byte after one leading byte-order mark, which both paths
-    skip. Its comment lines are dropped, as the row reader skips them
-    (see _drop_comments); the header is the first non-empty line left,
-    and every other non-empty line holds exactly four commas, fields of
-    at most 256 bytes, at most csv.field_size_limit() bytes in all, and a
-    value that float() parses as a finite number; no cell repeats. The
-    file is read in blocks of whole lines: numpy finds the newline and
-    comma offsets, cuts each field's texts into one fixed-width bytes
-    array, groups each label column exactly, and casts the values, which
-    parses them as float() does; each distinct label text is decoded once
-    per block.
+    skip, and each of its lines ends in LF or CRLF (see _is_plain); each
+    CRLF is read as LF. Its comment lines are dropped, as the row reader
+    skips them (see _drop_comments); the header is the first non-empty
+    line left, and every other non-empty line holds exactly four commas,
+    fields of at most 256 bytes, at most csv.field_size_limit() bytes in
+    all, and a value that float() parses as a finite number; no cell
+    repeats. The file is read in blocks of whole lines: numpy finds the
+    newline and comma offsets, cuts each field's texts into one
+    fixed-width bytes array, groups each label column exactly, and casts
+    the values, which parses them as float() does; each distinct label
+    text is decoded once per block.
 
     The body after the header is parsed in two halves by
     files.parse_halves, cut at the first line start at or past its middle
@@ -487,7 +454,7 @@ def _read_header(handle) -> bool:
     for line in iter(partial(handle.readline, _BLOCK_BYTES), b""):
         if len(line) == _BLOCK_BYTES or not _is_plain(line):
             return False  # a line longer than a block takes the row reader
-        header = _drop_comments(line).rstrip(b"\n")
+        header = _drop_comments(line).rstrip(b"\r\n")
         if header:
             return tuple(cell.strip().lower() for cell in
                          header.decode().split(",")) == LONG_CSV_HEADER
@@ -517,8 +484,10 @@ def _parse_lines(fd: int, start: int, end: int):
     # typed columns grow in place, so the blocks' temporaries leave no holes
     columns = tuple(array.array("i") for _ in axes) + (array.array("d"),)
     for block in _line_blocks(fd, start, end):
-        if block is None or not _is_plain(block) \
-                or not _parse_block(_drop_comments(block), axes, columns):
+        # a plain block's CRs each start a CRLF, so dropping them reads
+        # CRLF as LF; a one-byte search costs an LF file next to nothing
+        if block is None or not _is_plain(block) or not _parse_block(
+                _drop_comments(block.replace(b"\r", b"")), axes, columns):
             raise _NotPlain
     return (axes, *(np.frombuffer(column, dtype=column.typecode)
                     for column in columns))
@@ -547,8 +516,10 @@ def _line_blocks(fd: int, start: int, end: int):
 
 
 def _is_plain(block: bytes) -> bool:
-    """UTF-8 with no _NOT_PLAIN byte."""
-    if any(byte in block for byte in _NOT_PLAIN):
+    """UTF-8 with no _NOT_PLAIN byte, each CR the first byte of a CRLF,
+    which csv reads as the LF it becomes; a lone CR, or one at the end of
+    the file, ends a record in csv alone."""
+    if any(byte in block for byte in _NOT_PLAIN) or not _crlf_only(block):
         return False
     if not block.isascii():
         try:

@@ -78,7 +78,8 @@ class EmptyRuns(ValidationFailure):
 
 
 class InconsistentStatistics(ValidationFailure):
-    """Statistic values violate best <= median/mean <= worst or std >= 0."""
+    """Statistic values violate best <= median/mean <= worst, best <= worst
+    or std >= 0."""
 
 
 # -- parsing ----------------------------------------------------------------

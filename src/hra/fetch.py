@@ -47,8 +47,8 @@ from .exceptions import (
     ParseError,
     UnknownLayout,
 )
-from .files import (RawRuns, _checked_runs, _not_utf8, _parse_dimension,
-                    check_runs, parse_halves, write_files)
+from .files import (RawRuns, _checked_runs, _crlf_only, _not_utf8,
+                    _parse_dimension, check_runs, parse_halves, write_files)
 
 MANIFEST_NAME = "manifest.csv"
 INVENTORY_NAME = "inventory.txt"
@@ -185,14 +185,15 @@ def fetch_raw(source_url: str, destination) -> FetchResult:
 
 # -- run-file parsing -------------------------------------------------------
 
-# A plain run file holds only ASCII digits, '.eE+-', space, tab and '\n',
-# and every token has this float-literal shape, a strict subset of what
-# float() accepts. Tokens are checked as shapes: _SHAPE_TABLE maps each
-# digit to '0' and any other byte outside that set to 'x', which no shape
-# holds, so the shapes alone decide whether a file is plain.
+# A plain run file holds only ASCII digits, '.eE+-', space, tab, '\r' and
+# '\n', each '\r' the first byte of a CRLF (files._crlf_only), and every
+# token has this float-literal shape, a strict subset of what float()
+# accepts. Tokens are checked as shapes: _SHAPE_TABLE maps each digit to
+# '0' and any other byte outside that set to 'x', which no shape holds, so
+# the shapes alone decide whether a file is plain.
 _FLOAT_SHAPE = re.compile(rb"[+-]?(?:0+\.?0*|\.0+)(?:[eE][+-]?0+)?")
 _SHAPE_TABLE = bytes(ord("0") if b in b"0123456789"
-                     else b if b in b".eE+- \t\n" else ord("x")
+                     else b if b in b".eE+- \t\r\n" else ord("x")
                      for b in range(256))
 
 
@@ -215,8 +216,11 @@ def _plain_runs(data: bytes, known: set[bytes]) -> tuple[float, ...] | None:
     Every token is validated by its shape, but float() runs only on the
     values that are kept. known holds shapes already matched, and the
     shapes this file matches are added to it; files of one directory share
-    a few dozen shapes.
+    a few dozen shapes. A CRLF reads as LF: split() drops its CR as a
+    blank.
     """
+    if not _crlf_only(data):
+        return None
     widths, shapes = set(), set()
     for line in data.translate(_SHAPE_TABLE).split(b"\n"):
         tokens = line.split()

@@ -64,8 +64,18 @@ class RawRuns:
     runs: Mapping[tuple, tuple[float, ...]]
 
     def __post_init__(self):
-        object.__setattr__(self, "runs", {
-            key: check_runs(key, values) for key, values in self.runs.items()})
+        try:
+            items = self.runs.items()
+        except AttributeError:
+            raise ShapeMismatch(f"runs must map cells to run lists, got "
+                                f"{self.runs!r}") from None
+        checked = {}
+        for key, values in items:
+            if not (isinstance(key, tuple) and len(key) == 3):
+                raise ShapeMismatch(f"cell {key!r} is not (dimension, "
+                                    "algorithm, function)")
+            checked[key] = check_runs(key, values)
+        object.__setattr__(self, "runs", checked)
 
 
 def _checked_runs(runs: dict) -> RawRuns:
@@ -85,6 +95,13 @@ def _parse_dimension(text: str):
     except ValueError:
         return text
     return number if str(number) == text else text
+
+
+def _crlf_only(data: bytes) -> bool:
+    """Whether each CR of data starts a CRLF pair. A lone CR, one at the
+    end included, ends a line for csv and str.splitlines alone, so only
+    the reference loops read such an input."""
+    return b"\r" not in data or data.count(b"\r") == data.count(b"\r\n")
 
 
 def _not_utf8(source, exc: UnicodeDecodeError) -> ParseError:
@@ -306,7 +323,9 @@ def write_files(writers: Mapping[Path, Callable]) -> list[Path]:
         for path, writer in writers.items():
             if path.exists() and not path.is_file():  # follows symlinks
                 raise OSError("not a regular file")
-            path.parent.mkdir(parents=True, exist_ok=True)
+            # a parent that is a regular file is left for open() to name
+            with contextlib.suppress(FileExistsError):
+                path.parent.mkdir(parents=True, exist_ok=True)
             temporary = path.parent / f".hra-{os.urandom(8).hex()}.tmp"
             with open(temporary, "x", encoding="utf-8", newline="") as handle:
                 pending[path] = temporary

@@ -1023,6 +1023,17 @@ class TestInterruptedWrites:
         assert snapshot(out_dir) == before
         assert len(list(out_dir.iterdir())) == len(before) + 1
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_regular_file_as_a_parent(self, capsys, tmp_path, out):
+        (tmp_path / "afile").write_text("kept\n")
+        code, _, err = run_cli(capsys, "run", "--data", str(SYNTHETIC_CSV),
+                               "--out", str(tmp_path / out))
+        self.assert_one_io_error(code, err, "leaf_ranks.csv")
+        assert err == (f"hra: i/o error: cannot write {tmp_path / out}"
+                       "/leaf_ranks.csv: Not a directory\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
     def test_rerun_leaves_only_report_files(self, capsys, tmp_path):
         out_dir = tmp_path / "report"
         for data in (SYNTHETIC_CSV, swapped_labels(tmp_path)):

@@ -292,6 +292,37 @@ class TestPerformanceDataset:
                                dimensions=(1,), measures=("std",),
                                values={(1, "std", "a", "f"): -0.5})
 
+    @pytest.mark.parametrize("stats, message", [
+        ({"best": 5, "worst": 1, "median": 3},
+         "median=3.0 outside [best=5.0, worst=1.0]"),
+        ({"best": 1, "worst": 5, "median": 3, "mean": 9},
+         "mean=9.0 outside [best=1.0, worst=5.0]"),
+        ({"best": 1, "worst": 5, "std": -0.5}, "std=-0.5 is negative"),
+        # one side of a comparison absent: the other is still checked
+        ({"best": 2, "worst": 1}, "best=2.0 is above worst=1.0"),
+        ({"best": 5, "median": 1},
+         "median=1.0 outside [best=5.0, worst=nan]"),
+        ({"median": 9, "worst": 1},
+         "median=9.0 outside [best=nan, worst=1.0]"),
+        ({"best": 5, "mean": 1, "median": 7},
+         "mean=1.0 outside [best=5.0, worst=nan]"),
+        ({"best": 2, "worst": 1, "std": -1}, "best=2.0 is above worst=1.0"),
+        ({"best": 1, "worst": 2, "median": 2, "mean": 1, "std": 0}, None),
+        ({"median": 9, "mean": 1}, None),
+    ])
+    def test_statistic_ordering(self, stats, message):
+        def build():
+            return PerformanceDataset(
+                algorithms=("a",), functions=("f1",), dimensions=(10,),
+                measures=tuple(stats),
+                values={(10, p, "a", "f1"): v for p, v in stats.items()})
+        if message is None:
+            build()
+            return
+        with pytest.raises(InconsistentStatistics) as excinfo:
+            build()
+        assert str(excinfo.value) == f"(10, a, f1): {message}"
+
     def test_rebuild_from_values_is_equal(self, synthetic_dataset):
         ds = synthetic_dataset
         again = PerformanceDataset(algorithms=ds.algorithms,
@@ -546,8 +577,9 @@ OTHER_LINES = ("", " ", "# provenance", '# see,"notes', "#,,,,1")
 def long_csv_files(draw):
     """Bytes of long CSVs: half of them clean, the rest with the row
     reader's corners (odd values, ragged rows, quotes, comments, blanks,
-    repeated rows, CRLF, a bad header, a byte that is not UTF-8); any of
-    them may start with one or two byte-order marks."""
+    repeated rows, lone CRs, a bad header, a byte that is not UTF-8); any
+    of them may end its lines in CRLF and start with one or two byte-order
+    marks."""
     rough = draw(st.booleans())
     value = st.one_of(st.floats(allow_nan=False, allow_infinity=False)
                       .map(repr), st.integers(-3, 3).map(str))
@@ -570,11 +602,11 @@ def long_csv_files(draw):
             lines.append(draw(st.sampled_from(OTHER_LINES)) if rough else "")
         if rough and draw(st.integers(0, 5)) == 0:
             lines.append(draw(st.sampled_from(lines)))
-    head, ending = HEADER[:-1], "\n"
+    head = HEADER[:-1]
+    ending = draw(st.sampled_from(("\n", "\n", "\r\n") + ("\r",) * rough))
     if rough:
         head = draw(st.sampled_from((head,) * 4 + (
             " Dimension , measure,function,algorithm,VALUE", "dim,m,f,a,v")))
-        ending = draw(st.sampled_from(("\n", "\n", "\r\n")))
     text = ending.join([head] + lines)
     if draw(st.booleans()):
         text += ending
@@ -630,7 +662,8 @@ class TestColumnarLoader:
 
     @pytest.mark.parametrize("body", [
         '"10",best,f1,a,1.0\n',  # a quote
-        "10,best,f1,a,1.0\r\n",  # CRLF
+        "10,best,f1,a,1.0\r10,best,f2,a,2.0\n",  # a lone CR ends a record
+        "10,best,f1,a,1.0\r",  # so does a CR at the end of the file
         "10,best,f1,a,\x1c3\n",  # float() does not strip \x1c as a blank
         "10,best,f1,a,1.0\n 10,best,f1,a,2.0\n",  # a repeated cell
         "10,best,f1,a,nan\n",  # non-finite
@@ -645,6 +678,17 @@ class TestColumnarLoader:
         assert dataio._load_columns(path) is None
         assert load_outcome(load_long_csv, path) \
             == load_outcome(dataio._load_rows, path)
+
+    @pytest.mark.parametrize("body", [
+        "10,best,f1,a,1.0\r\n",  # CRLF after an LF header
+        "# note\r\n10,best,f1,a,1.0\r\n\r\n10,best,f2,a,2.0",
+    ])
+    def test_crlf_takes_columnar_path(self, tmp_path, body):
+        path = tmp_path / "data.csv"
+        path.write_bytes((HEADER + body).encode())
+        ds = dataio._load_columns(path)
+        assert ds is not None
+        assert described(ds) == load_outcome(dataio._load_rows, path)
 
     @pytest.mark.parametrize("body", [
         "# note\n10,best,f1,a,1.0\n",  # a comment
@@ -664,6 +708,9 @@ class TestColumnarLoader:
         ds = dataio._load_columns(path)
         assert ds is not None and ds.algorithms == ("a",)
         assert described(ds) == load_outcome(dataio._load_rows, path)
+        # the same with CRLF line endings: the blank line is no header
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert described(dataio._load_columns(path)) == described(ds)
 
     @pytest.mark.parametrize("text", [
         HEADER + "10,best,f1,a,1.0\n",
@@ -677,11 +724,13 @@ class TestColumnarLoader:
         assert ds is not None
         assert described(ds) == load_outcome(dataio._load_rows, marked) \
             == load_outcome(dataio._load_rows, plain)
-        # CRLF line endings send the marked file to the row reader
+        # with CRLF line endings the marked file stays there too
         crlf = tmp_path / "crlf.csv"
         crlf.write_bytes(codecs.BOM_UTF8 + text.replace("\n", "\r\n").encode())
-        assert dataio._load_columns(crlf) is None
-        assert load_outcome(load_long_csv, crlf) == described(ds)
+        crlf_ds = dataio._load_columns(crlf)
+        assert crlf_ds is not None
+        assert described(crlf_ds) == load_outcome(dataio._load_rows, crlf) \
+            == described(ds)
 
     def test_second_byte_order_mark_is_data(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -1401,6 +1450,17 @@ def _file(path, text):
      ParseError, "(10, 'a', 'f'): could not convert string to float: 'x'"),
     (lambda tmp: emit_report(run_hra(_from_array()), "xml", tmp),
      ShapeMismatch, "unknown report format 'xml'"),
+    (lambda tmp: RawRuns(5),
+     ShapeMismatch, "runs must map cells to run lists, got 5"),
+    (lambda tmp: dataset_from_runs(RawRuns({("a",): [1.0]})),
+     ShapeMismatch, "cell ('a',) is not (dimension, algorithm, function)"),
+    (lambda tmp: RawRuns({(10, "best", "a", "f"): [1.0]}),
+     ShapeMismatch,
+     "cell (10, 'best', 'a', 'f') is not (dimension, algorithm, function)"),
+    (lambda tmp: _from_array().missing_cells((10,), "best"),
+     ShapeMismatch, "measures must be a sequence of labels, got 'best'"),
+    (lambda tmp: _from_array().missing_cells(10),
+     ShapeMismatch, "dimensions must be a sequence of labels, got 10"),
 ], ids=["empty-axis", "repeated-label", "dimensions-equal-as-text",
         "text-dimension", "float-dimension", "algorithms-equal-as-text",
         "int-algorithms", "blank-edged-algorithm", "array-shape",
@@ -1408,7 +1468,9 @@ def _file(path, text):
         "nan-run", "empty-long-csv", "blank-long-csv",
         "non-numeric-rank-column", "non-finite-rank-cell",
         "repeated-rank-criterion", "text-algorithms", "text-functions",
-        "text-runs", "bytes-runs", "run-not-a-number", "unknown-format"])
+        "text-runs", "bytes-runs", "run-not-a-number", "unknown-format",
+        "runs-not-a-mapping", "one-part-run-key", "four-part-run-key",
+        "text-missing-measures", "int-missing-dimensions"])
 def test_raise_sites(tmp_path, build, error, message):
     with pytest.raises(error) as excinfo:
         build(tmp_path)

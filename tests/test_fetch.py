@@ -318,8 +318,9 @@ SEPARATORS = (" ", "  ", "\t", " \t ")
 @st.composite
 def run_files(draw):
     """Bytes of run files: one row, one value per line, a matrix, a ragged
-    or an empty file; half of them plain, the rest with odd tokens, blank
-    and '#' lines, CRLF, a Unicode space, a BOM or a non-UTF-8 byte."""
+    or an empty file, their lines ending in LF or CRLF; half of them
+    plain, the rest with odd tokens, blank and '#' lines, lone CRs, a
+    Unicode space, a BOM or a non-UTF-8 byte."""
     rough = draw(st.booleans())
     token = st.sampled_from(PLAIN_TOKENS)
     if rough:
@@ -348,7 +349,7 @@ def run_files(draw):
         if draw(st.integers(0, 4)) == 0:
             extra = ("", "\t") + (("# provenance", " #x 1 2") if rough else ())
             lines.append(draw(st.sampled_from(extra)))
-    ending = draw(st.sampled_from(("\n", "\r\n"))) if rough else "\n"
+    ending = draw(st.sampled_from(("\n", "\r\n") + ("\r",) * rough))
     text = ending.join(lines) + draw(st.sampled_from(("", ending)))
     if rough:
         text = draw(st.sampled_from(("", "\ufeff", "\u2003"))) + text
@@ -380,6 +381,7 @@ class TestPlainRunFiles:
         "9 9\n5 5\n1.5 2.5\n",  # a checkpoint matrix
         "\n\t1.\t.5  \n\n +.5e-3 1e5\n\n",  # blanks and tabs
         "-0.0 1e500\n",  # a value float() overflows stays for check_runs
+        "1 2\r\n3 4\r\n",  # CRLF
     ])
     def test_plain_files_take_plain_path(self, tmp_path, body):
         path = tmp_path / "solver_1_10.txt"
@@ -393,7 +395,8 @@ class TestPlainRunFiles:
         " \n\t\n",  # only blanks
         "1 2 3\n4 5\n",  # ragged
         "# note\n1 2\n",  # a comment
-        "1 2\r\n3 4\r\n",  # CRLF
+        "1 2\r3 4\n",  # a lone CR is a line break to str.splitlines
+        "1 2\r",  # so is a CR at the end of the file
         "1e 2\n", "e5\n", "1.2.3\n", "--1\n", ".\n",  # not a float
         "1_0\n", "nan\n", "inf\n",  # float() accepts them
         "\u0661\n",  # a Unicode digit
